@@ -1,7 +1,8 @@
 """Maximum-power MPC for a variable-speed wind turbine in the partial-load
 region: nonlinear plant simulator, analytic linearization with exact ZOH
-discretization, condensed-QP receding-horizon controllers (switched-offline
-and re-linearized-online), and a deterministic experiment harness.
+discretization, a condensed-QP receding-horizon controller with two model
+sources (switched-offline and re-linearized-online), verification oracles
+and checks, and a deterministic experiment harness.
 """
 
 from .control import (DisturbanceEstimator, OfflineMpc, OnlineMpc,
@@ -13,17 +14,18 @@ from .experiment import (Metrics, SimLog, compute_metrics, run_closed_loop,
                          run_experiment, torque_total_variation)
 from .linearize import (ContinuousLinearModel, DiscreteLinearModel,
                         OperatingPoint, continuous_model, discretize,
-                        equilibrium, fd_jacobian, matrix_exponential,
-                        torque_gradients, verify_linearization)
+                        equilibrium, matrix_exponential, torque_gradients)
 from .mpc import (AugmentedModel, CondensedQp, ConstraintSet, MpcWeights,
                   PredictionMatrices, augment_disturbance, augment_velocity,
                   condense, condense_constraints, condense_cost, mpc_step,
-                  prediction_matrices, verify_condensation)
-from .qp import ActiveSetSolver, enumerate_qp, run_benchmark, solve_qp
+                  prediction_matrices)
+from .qp import ActiveSetSolver
 from .turbine import (ControlInput, PlantState, TurbineParams,
                       aerodynamic_power, aerodynamic_torque, derivatives,
                       generator_power, power_coefficient, step,
                       tip_speed_ratio, unified_matrices)
+from .verify import (enumerate_qp, fd_jacobian, run_benchmark,
+                     verify_linearization)
 from .wind import WindProfile, generate_wind
 
 __version__ = "0.1.0"

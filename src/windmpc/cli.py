@@ -8,22 +8,19 @@ Subcommands: ``simulate`` (one controller over one profile), ``compare``
 """
 
 import argparse
-import math
 import sys
 import time
 
 import numpy as np
 
 from .config import build_config, parse_wind_spec, read_kv_file
-from .control import build_model_set
 from .errors import ConfigError, SimulationError
 from .experiment import run_experiment, torque_total_variation
-from .linearize import continuous_model, discretize, equilibrium, \
-    verify_linearization
-from .mpc import MpcWeights, verify_condensation
+from .mpc import MpcWeights
 from .output import emit
-from .qp import run_benchmark
-from .turbine import TurbineParams, power_coefficient
+from .turbine import TurbineParams
+from .verify import QP_INSTANCES, check_condensation, check_cp_peak, \
+    check_linearization, check_qp_solver, check_zoh_diagonals
 
 
 def _add_run_options(parser):
@@ -60,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qp = sub.add_parser("qpbench",
                           help="verify the QP solver against the "
                                "enumeration oracle on random instances")
-    p_qp.add_argument("--instances", type=int, default=500)
+    p_qp.add_argument("--instances", type=int, default=QP_INSTANCES)
     p_qp.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -104,58 +101,32 @@ def _parse_v_range(spec):
     return np.arange(lo, hi + 0.5 * step, step)
 
 
-def _lincheck(args) -> int:
-    params = TurbineParams()
-    grid = _parse_v_range(args.v_range)
-    t0 = time.perf_counter()
-
-    cp_peak = power_coefficient(params.lambda_opt, params.beta_opt)
-    lams = np.arange(2.0, 14.0 + 1e-9, 0.01)
-    lam_star = float(lams[np.argmax(power_coefficient(lams, params.beta_opt))])
-    cp_ok = (abs(cp_peak - params.cp_opt) <= 5e-3 * params.cp_opt
-             and abs(lam_star - params.lambda_opt) <= 0.1)
-
-    worst, worst_v = 0.0, float(grid[0])
-    for v_bar in grid:
-        err = verify_linearization(float(v_bar), params)
-        if err > worst:
-            worst, worst_v = err, float(v_bar)
-
-    dm = discretize(continuous_model(equilibrium(float(grid[0]), params), params),
-                    params.t_s)
-    pitch_err = abs(dm.a_d[4, 4] - math.exp(-params.t_s / params.tau))
-    gen_err = abs(dm.a_d[3, 3] - math.exp(-params.t_s / params.tau_g))
-
-    ms = build_model_set(8.0, params, MpcWeights())
-    cond_err = verify_condensation(ms.am, MpcWeights())
-
-    elapsed = time.perf_counter() - t0
-    ok = (cp_ok and worst < 1e-4 and pitch_err < 1e-9 and gen_err < 1e-9
-          and cond_err < 1e-8)
-    print(f"model verification over {len(grid)} operating points "
-          f"in {elapsed:.2f} s")
-    print(f"  Cp peak {cp_peak:.5f} (target {params.cp_opt}, 0.5%), grid "
-          f"argmax lambda {lam_star:.2f} (target {params.lambda_opt} +- 0.1)")
-    print(f"  worst Jacobian mismatch {worst:.3e} (relative) at "
-          f"v = {worst_v:.2f} m/s [tolerance 1e-4]")
-    print(f"  ZOH pitch diagonal error {pitch_err:.3e}, generator diagonal "
-          f"error {gen_err:.3e} [tolerance 1e-9]")
-    print(f"  condensed-cost equivalence mismatch {cond_err:.3e} over 100 "
-          f"random draws [tolerance 1e-8]")
+def _report(results) -> int:
+    for _, detail in results:
+        print(f"  {detail}")
+    ok = all(ok for ok, _ in results)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 3
 
 
+def _lincheck(args) -> int:
+    params = TurbineParams()
+    grid = _parse_v_range(args.v_range)
+    t0 = time.perf_counter()
+    results = [check_cp_peak(params), check_linearization(params, grid),
+               check_zoh_diagonals(params, float(grid[0])),
+               check_condensation(params, MpcWeights())]
+    print(f"model verification over {len(grid)} operating points "
+          f"in {time.perf_counter() - t0:.2f} s")
+    return _report(results)
+
+
 def _qpbench(args) -> int:
     t0 = time.perf_counter()
-    failures, worst = run_benchmark(args.instances, args.seed)
-    elapsed = time.perf_counter() - t0
+    result = check_qp_solver(args.instances, args.seed)
     print(f"qp benchmark: {args.instances} instances, seed {args.seed}, "
-          f"{elapsed:.2f} s")
-    print(f"  failures {failures}, worst deviation from the enumeration "
-          f"oracle {worst:.3e} [tolerance 1e-6]")
-    print("PASS" if failures == 0 else "FAIL")
-    return 0 if failures == 0 else 3
+          f"{time.perf_counter() - t0:.2f} s")
+    return _report([result])
 
 
 def main(argv=None) -> int:

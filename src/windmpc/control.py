@@ -1,11 +1,12 @@
-"""Receding-horizon controllers for maximum-power tracking.
+"""Receding-horizon controller for maximum-power tracking.
 
-Two variants share the same QP machinery: a switched bank of two fixed
-linearizations selected by measured wind speed, and a controller that
-re-linearizes at the measured wind speed every sample. Both run on full
-state feedback, shift measurements into deviation coordinates of the
-active operating point, and track the optimal-tip-speed-ratio generator
-speed reference.
+One controller step serves two model sources, which differ only in where
+the prediction model for the measured wind comes from: a switched bank of
+two fixed linearizations (``OfflineMpc``), or a fresh linearization at the
+measured wind every sample (``OnlineMpc``). The step runs on full state
+feedback, shifts measurements into deviation coordinates of the model's
+operating point, and tracks the optimal-tip-speed-ratio generator speed
+reference.
 """
 
 import math
@@ -18,7 +19,7 @@ from .errors import DomainError
 from .linearize import OperatingPoint, DiscreteLinearModel, continuous_model, \
     discretize, equilibrium
 from .mpc import AugmentedModel, CondensedQp, ConstraintSet, MpcWeights, \
-    augment_disturbance, augment_velocity, condense, mpc_step
+    StepInfo, augment_disturbance, augment_velocity, condense, mpc_step
 from .qp import ActiveSetSolver
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
     generator_power
@@ -109,21 +110,15 @@ class DisturbanceEstimator:
         return self.d_hat
 
 
-@dataclass
-class StepInfo:
-    """Per-sample controller diagnostics."""
+class _MpcControllerBase:
+    """The receding-horizon step over a model source.
+
+    Subclasses supply ``mode`` and ``_model_for(v)``, the ModelSet that
+    predicts at measured wind v; the step does the rest: coordinate
+    shifts, disturbance estimation, the QP and input saturation.
+    """
 
     mode: str
-    qp_status: str
-    qp_iterations: int
-    n_active: int
-    cost: float
-    solve_time: float   # full controller step, wall-clock seconds
-    d_hat: float
-
-
-class _MpcControllerBase:
-    """Shared mechanics: coordinate shifts, estimation, saturation."""
 
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  kappa=0.1):
@@ -134,10 +129,29 @@ class _MpcControllerBase:
         self.u_prev: ControlInput | None = None
         self._prediction: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _check_range(self, v):
+    def step(self, x_meas, v):
+        """Input for measured state x_meas and wind v, with its StepInfo.
+
+        Any numerical failure in the model or QP pipeline holds the
+        previous input and flags the sample "hold" instead of aborting the
+        loop; before the first input exists the failure propagates.
+        """
         if not V_PARTIAL_MIN <= v < V_RATED:
             raise DomainError(
                 f"wind speed {v} m/s outside the partial-load range [4, 11)")
+        t0 = time.perf_counter()
+        try:
+            u, info = self._apply(self._model_for(v), x_meas, v)
+        except (DomainError, ArithmeticError, np.linalg.LinAlgError):
+            if self.u_prev is None:
+                raise
+            u = self.u_prev
+            self._prediction = None
+            info = StepInfo("hold", 0, 0, float("nan"))
+        info.mode = self.mode
+        info.solve_time = time.perf_counter() - t0
+        info.d_hat = self.estimator.d_hat
+        return u, info
 
     def _apply(self, ms: ModelSet, x_meas, v):
         p = self.params
@@ -161,7 +175,7 @@ class _MpcControllerBase:
                            ref.p_g_ref - p_g_bar])
         r_s = np.tile(r_step, self.weights.n_p)
 
-        du, qp_info = mpc_step(ms.qp, x_a, r_s, self.solver)
+        du, info = mpc_step(ms.qp, x_a, r_s, self.solver)
 
         u = np.asarray(self.u_prev, dtype=float) + du
         u[0] = min(max(u[0], 0.0), p.t_g_max)
@@ -175,7 +189,7 @@ class _MpcControllerBase:
                   + ms.dm.b_d.ravel() * self.estimator.d_hat)
         self._prediction = (x_pred, ms.dm.b_d.ravel().copy())
         self.u_prev = u_out
-        return u_out, qp_info
+        return u_out, info
 
 
 class OfflineMpc(_MpcControllerBase):
@@ -187,6 +201,8 @@ class OfflineMpc(_MpcControllerBase):
     a hysteresis band is configured.
     """
 
+    mode = "offline"
+
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  op_low=6.4, op_high=10.0, v_switch=8.7, hysteresis=0.0,
                  kappa=0.1):
@@ -197,55 +213,25 @@ class OfflineMpc(_MpcControllerBase):
         self.hysteresis = hysteresis
         self.active_index = 0
 
-    @property
-    def active_op(self) -> OperatingPoint:
-        return self.bank[self.active_index].op
-
-    def _select(self, v) -> int:
+    def _model_for(self, v) -> ModelSet:
         if self.hysteresis > 0.0:
             if self.active_index == 0 and v >= self.v_switch + self.hysteresis:
-                return 1
-            if self.active_index == 1 and v < self.v_switch - self.hysteresis:
-                return 0
-            return self.active_index
-        return 0 if v < self.v_switch else 1
-
-    def step(self, x_meas, v):
-        self._check_range(v)
-        t0 = time.perf_counter()
-        self.active_index = self._select(v)
-        u, qp_info = self._apply(self.bank[self.active_index], x_meas, v)
-        elapsed = time.perf_counter() - t0
-        return u, StepInfo(mode="offline", qp_status=qp_info.status,
-                           qp_iterations=qp_info.iterations,
-                           n_active=qp_info.n_active, cost=qp_info.cost,
-                           solve_time=elapsed, d_hat=self.estimator.d_hat)
+                self.active_index = 1
+            elif self.active_index == 1 and v < self.v_switch - self.hysteresis:
+                self.active_index = 0
+        else:
+            self.active_index = 0 if v < self.v_switch else 1
+        return self.bank[self.active_index]
 
 
 class OnlineMpc(_MpcControllerBase):
     """Controller that re-linearizes at the measured wind speed every sample.
 
     The whole pipeline (operating point, gradients, ZOH discretization,
-    augmentation, condensation, QP) runs inside one sampling period. Any
-    numerical failure in the pipeline holds the previous input and flags
-    the sample instead of aborting the loop.
+    augmentation, condensation, QP) runs inside one sampling period.
     """
 
-    def step(self, x_meas, v):
-        self._check_range(v)
-        t0 = time.perf_counter()
-        try:
-            ms = build_model_set(v, self.params, self.weights)
-            u, qp_info = self._apply(ms, x_meas, v)
-            status, iters, n_active, cost = (qp_info.status, qp_info.iterations,
-                                             qp_info.n_active, qp_info.cost)
-        except (DomainError, ArithmeticError, np.linalg.LinAlgError):
-            if self.u_prev is None:
-                raise
-            u = self.u_prev
-            self._prediction = None
-            status, iters, n_active, cost = "hold", 0, 0, float("nan")
-        elapsed = time.perf_counter() - t0
-        return u, StepInfo(mode="online", qp_status=status,
-                           qp_iterations=iters, n_active=n_active, cost=cost,
-                           solve_time=elapsed, d_hat=self.estimator.d_hat)
+    mode = "online"
+
+    def _model_for(self, v) -> ModelSet:
+        return build_model_set(v, self.params, self.weights)

@@ -2,9 +2,11 @@
 
 The maximum-power locus fixes the equilibrium for a given mean wind speed;
 the only nonlinearity is the aerodynamic torque, whose three gradients
-(L_omega, L_v, L_beta) populate the analytic continuous-time model. The
+(L_omega, L_v, L_beta) close the plant's affine matrix form
+(``turbine.unified_matrices``) into the continuous-time linear model. The
 discrete model is the exact zero-order-hold equivalent obtained from one
-augmented matrix exponential.
+augmented matrix exponential. The finite-difference oracle that checks the
+linear model lives in ``windmpc.verify``.
 """
 
 import math
@@ -14,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 from .turbine import (V_PARTIAL_MIN, V_RATED, ControlInput, PlantState,
-                      TurbineParams, aerodynamic_torque, derivatives)
+                      TurbineParams, aerodynamic_torque, derivatives,
+                      unified_matrices)
 
 GRAD_REL_STEP = 1e-6
 
@@ -106,28 +109,19 @@ def equilibrium(v_bar, params: TurbineParams) -> OperatingPoint:
 
 
 def continuous_model(op: OperatingPoint, params: TurbineParams) -> ContinuousLinearModel:
-    """Analytic continuous-time model about an operating point."""
-    p = params
-    phi = p.k_s * p.n_g + (p.n_g * p.b_s / p.j_t) * op.l_omega
-    psi = -(p.n_g**2 * p.b_s / p.j_t + p.b_s / p.j_g)
-    a_c = np.array([
-        [op.l_omega / p.j_t, 0.0, -p.n_g / p.j_t, 0.0, op.l_beta / p.j_t],
-        [0.0, 0.0, 1.0 / p.j_g, -1.0 / p.j_g, 0.0],
-        [phi, -p.k_s, psi, p.b_s / p.j_g, (p.n_g * p.b_s / p.j_t) * op.l_beta],
-        [0.0, 0.0, 0.0, -1.0 / p.tau_g, 0.0],
-        [0.0, 0.0, 0.0, 0.0, -1.0 / p.tau],
-    ])
-    b_cu = np.zeros((5, 2))
-    b_cu[3, 0] = 1.0 / p.tau_g
-    b_cu[4, 1] = 1.0 / p.tau
-    b_cv = np.zeros((5, 1))
-    b_cv[0, 0] = op.l_v / p.j_t
-    b_cv[2, 0] = (p.n_g * p.b_s / p.j_t) * op.l_v
+    """Analytic continuous-time model about an operating point.
+
+    The plant's affine form dx = A x + B u + b2 T_t with the aerodynamic
+    torque linearized as T_t ~ L_omega omega_t + L_v v + L_beta beta.
+    """
+    a, b, b2 = unified_matrices(params)
+    a_c = a + np.outer(b2, [op.l_omega, 0.0, 0.0, 0.0, op.l_beta])
+    b_cv = (b2 * op.l_v)[:, None]
     c_c = np.array([
         [0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, p.eta * op.x_bar.t_g, 0.0, p.eta * op.x_bar.omega_g, 0.0],
+        [0.0, params.eta * op.x_bar.t_g, 0.0, params.eta * op.x_bar.omega_g, 0.0],
     ])
-    return ContinuousLinearModel(a_c, b_cu, b_cv, c_c)
+    return ContinuousLinearModel(a_c, b, b_cv, c_c)
 
 
 def matrix_exponential(m) -> np.ndarray:
@@ -184,53 +178,3 @@ def discretize(cm: ContinuousLinearModel, t_s) -> DiscreteLinearModel:
     n_u = cm.b_cu.shape[1]
     return DiscreteLinearModel(a_d, b_full[:, :n_u].copy(),
                                b_full[:, n_u:].copy(), cm.c_c.copy(), float(t_s))
-
-
-def verify_linearization(v_bar, params: TurbineParams, rel_step=1e-6) -> float:
-    """Worst entrywise relative mismatch between the analytic linear model
-    and the finite-difference Jacobian at the v_bar operating point.
-
-    The denominator is floored at 1e-12 of each matrix's largest entry so
-    structurally zero entries compare cleanly.
-    """
-    op = equilibrium(v_bar, params)
-    cm = continuous_model(op, params)
-    a_fd, b_u_fd, b_v_fd = fd_jacobian(op.x_bar, op.u_bar, v_bar, params, rel_step)
-    worst = 0.0
-    for analytic, fd in ((cm.a_c, a_fd), (cm.b_cu, b_u_fd), (cm.b_cv, b_v_fd)):
-        floor = 1e-12 * max(1.0, float(np.abs(analytic).max()))
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
-        worst = max(worst, float((np.abs(analytic - fd) / denom).max()))
-    return worst
-
-
-def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams, rel_step=1e-6):
-    """Finite-difference Jacobian of the plant ODEs at (x, u, v).
-
-    Independent verification route for the analytic model: central
-    differences applied directly to :func:`windmpc.turbine.derivatives`.
-    Returns (A, B_u, B_v) with shapes (5, 5), (5, 2), (5, 1).
-    """
-    x0 = np.asarray(x_bar, dtype=float)
-    u0 = np.asarray(u_bar, dtype=float)
-    a = np.zeros((5, 5))
-    b_u = np.zeros((5, 2))
-    b_v = np.zeros((5, 1))
-    for i in range(5):
-        h = rel_step * max(1.0, abs(x0[i]))
-        xp, xm = x0.copy(), x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        a[:, i] = (derivatives(xp, u0, v_bar, params)
-                   - derivatives(xm, u0, v_bar, params)) / (2.0 * h)
-    for i in range(2):
-        h = rel_step * max(1.0, abs(u0[i]))
-        up, um = u0.copy(), u0.copy()
-        up[i] += h
-        um[i] -= h
-        b_u[:, i] = (derivatives(x0, up, v_bar, params)
-                     - derivatives(x0, um, v_bar, params)) / (2.0 * h)
-    h = rel_step * max(1.0, abs(v_bar))
-    b_v[:, 0] = (derivatives(x0, u0, v_bar + h, params)
-                 - derivatives(x0, u0, v_bar - h, params)) / (2.0 * h)
-    return a, b_u, b_v

@@ -11,10 +11,10 @@ tracking cost and the stacked bounds into
 
 where everything except the per-sample linear term and bound vector
 depends only on the model, horizons, weights and bounds, and is therefore
-built once and cached per linearization.
+built once and cached per linearization. ``mpc_step`` solves one sample's
+program and reports it in the shared per-sample ``StepInfo`` record.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,21 +150,28 @@ class CondensedQp:
     n_in: int
 
 
+def _append_held_states(a, b, c, coupling, b_rows):
+    """Append states held constant that drive the model through ``coupling``.
+
+    Returns [[A, coupling], [0, I]], [B; b_rows] and [C, 0].
+    """
+    n, k = coupling.shape
+    a_new = np.zeros((n + k, n + k))
+    a_new[:n, :n] = a
+    a_new[:n, n:] = coupling
+    a_new[n:, n:] = np.eye(k)
+    return (a_new, np.vstack([b, b_rows]),
+            np.hstack([c, np.zeros((c.shape[0], k))]))
+
+
 def augment_disturbance(dm: DiscreteLinearModel):
     """Append a constant disturbance state driving the wind input column.
 
     Returns (A_p, B_p, C_p) with the disturbance rows an identity block, so
     predictions carry d(k) forward unchanged.
     """
-    n, n_u = dm.b_du.shape
-    n_d = dm.b_d.shape[1]
-    a_p = np.zeros((n + n_d, n + n_d))
-    a_p[:n, :n] = dm.a_d
-    a_p[:n, n:] = dm.b_d
-    a_p[n:, n:] = np.eye(n_d)
-    b_p = np.vstack([dm.b_du, np.zeros((n_d, n_u))])
-    c_p = np.hstack([dm.c_d, np.zeros((dm.c_d.shape[0], n_d))])
-    return a_p, b_p, c_p
+    zero_rows = np.zeros((dm.b_d.shape[1], dm.b_du.shape[1]))
+    return _append_held_states(dm.a_d, dm.b_du, dm.c_d, dm.b_d, zero_rows)
 
 
 def augment_velocity(a_p, b_p, c_p) -> AugmentedModel:
@@ -173,14 +180,8 @@ def augment_velocity(a_p, b_p, c_p) -> AugmentedModel:
     The appended states hold the previous input, giving the controller
     built-in integral action.
     """
-    n, n_u = b_p.shape
-    a_a = np.zeros((n + n_u, n + n_u))
-    a_a[:n, :n] = a_p
-    a_a[:n, n:] = b_p
-    a_a[n:, n:] = np.eye(n_u)
-    b_a = np.vstack([b_p, np.eye(n_u)])
-    c_a = np.hstack([c_p, np.zeros((c_p.shape[0], n_u))])
-    return AugmentedModel(a_a, b_a, c_a)
+    return AugmentedModel(*_append_held_states(a_p, b_p, c_p, b_p,
+                                               np.eye(b_p.shape[1])))
 
 
 def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMatrices:
@@ -286,60 +287,26 @@ def condense(am: AugmentedModel, weights: MpcWeights,
                        n_p=weights.n_p, n_c=weights.n_c, n_in=am.n_in)
 
 
-def verify_condensation(am: AugmentedModel, weights: MpcWeights,
-                        draws: int = 100, seed: int = 0) -> float:
-    """Worst relative mismatch between the condensed quadratic form and the
-    explicitly simulated horizon cost over random draws.
-
-    The two evaluations must agree up to a move-independent constant; the
-    constant is obtained by simulating the zero-move sequence.
-    """
-    pm = prediction_matrices(am, weights.n_p, weights.n_c)
-    h, f = condense_cost(pm, weights)
-    rng = np.random.default_rng(seed)
-    n, m = am.n_state, am.n_in
-    q_out = am.n_out
-    worst = 0.0
-    for _ in range(draws):
-        x_a = rng.normal(size=n)
-        r_s = np.tile(rng.normal(size=q_out), weights.n_p)
-        du_seq = rng.normal(size=m * weights.n_c)
-        z = np.concatenate([x_a, r_s])
-        condensed = 0.5 * du_seq @ h @ du_seq + z @ f @ du_seq
-
-        def simulate(moves):
-            x = x_a.copy()
-            u_dev = x[-m:].copy()
-            cost = 0.0
-            for j in range(weights.n_p):
-                du = moves[m * j:m * (j + 1)] if j < weights.n_c \
-                    else np.zeros(m)
-                if j < weights.n_c:
-                    u_dev = u_dev + du
-                    cost += du @ weights.r @ du + u_dev @ weights.r_u @ u_dev
-                x = am.a_a @ x + am.b_a @ du
-                err = r_s[q_out * j:q_out * (j + 1)] - am.c_a @ x
-                cost += err @ weights.q @ err
-            return cost
-
-        constant = simulate(np.zeros(m * weights.n_c))
-        explicit = simulate(du_seq)
-        worst = max(worst, abs(explicit - (condensed + constant))
-                    / max(1.0, abs(explicit)))
-    return worst
-
-
 @dataclass
-class MpcStepInfo:
-    cost: float
+class StepInfo:
+    """Per-sample controller diagnostics.
+
+    mpc_step fills the QP fields; the controller step adds its mode, its
+    own wall-clock time and the disturbance estimate.
+    """
+
+    qp_status: str      # "optimal", "fallback" or "hold"
+    qp_iterations: int
     n_active: int
-    iterations: int
-    status: str       # "optimal" or "fallback"
-    solve_time: float
+    cost: float
+    mode: str = ""
+    solve_time: float = 0.0   # full controller step, wall-clock seconds
+    d_hat: float = 0.0
 
 
 def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
-    """Solve the receding-horizon program and return the first move.
+    """Solve the receding-horizon program; return the first move and a
+    StepInfo with the QP fields filled.
 
     Only the first block of the optimal move sequence is returned (the
     receding-horizon rule). If the QP is infeasible or the solver stalls,
@@ -351,20 +318,16 @@ def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
     f = qp.f.T @ z
     b = qp.w + qp.s @ z
     m = qp.n_in
-    t0 = time.perf_counter()
     try:
         sol = solver.solve(qp.h, f, qp.g, b)
         du_seq = sol.x
-        info = MpcStepInfo(cost=sol.objective, n_active=len(sol.working_set),
-                           iterations=sol.iterations, status="optimal",
-                           solve_time=time.perf_counter() - t0)
+        info = StepInfo("optimal", sol.iterations, len(sol.working_set),
+                        sol.objective)
     except (InfeasibleQpError, QpIterationError):
         du_seq = np.linalg.solve(qp.h, -f)
         lo = np.tile(qp.bounds.du_min, qp.n_c)
         hi = np.tile(qp.bounds.du_max, qp.n_c)
         du_seq = np.clip(du_seq, lo, hi)
-        cost = float(0.5 * du_seq @ qp.h @ du_seq + f @ du_seq)
-        info = MpcStepInfo(cost=cost, n_active=0, iterations=0,
-                           status="fallback",
-                           solve_time=time.perf_counter() - t0)
+        info = StepInfo("fallback", 0, 0,
+                        float(0.5 * du_seq @ qp.h @ du_seq + f @ du_seq))
     return du_seq[:m].copy(), info

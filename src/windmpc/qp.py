@@ -14,11 +14,11 @@ are nearly parallel.
 
 Suited to the small dense programs of receding-horizon control, where the
 active set barely changes between consecutive samples; a solver instance
-keeps its last working set and reuses it as a warm start.
+keeps its last working set and reuses it as a warm start. The
+enumeration oracle it is checked against lives in ``windmpc.verify``.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -226,98 +226,3 @@ class ActiveSetSolver:
         if comp > self.stat_tol * (1.0 + np.abs(b).max()) * (1.0 + np.abs(mult).max()):
             raise QpIterationError(
                 f"complementary slackness residual {comp:.3e} above tolerance")
-
-
-def solve_qp(h, f, g=None, b=None) -> np.ndarray:
-    """One-shot convenience wrapper around a fresh ActiveSetSolver."""
-    return ActiveSetSolver().solve(h, f, g, b, warm_start=False).x
-
-
-def enumerate_qp(h, f, g=None, b=None) -> np.ndarray:
-    """Reference QP solve by exhaustive enumeration of candidate active sets.
-
-    Solves the equality-constrained subproblem for every subset of up to n
-    constraint rows, keeps the KKT-consistent candidates (primal feasible,
-    nonnegative multipliers) and returns the one with the lowest objective.
-    Exponential in the row count; intended only as a verification oracle on
-    small instances.
-    """
-    h = np.asarray(h, dtype=float)
-    f = np.asarray(f, dtype=float).ravel()
-    n = h.shape[0]
-    if g is None or np.size(g) == 0:
-        return np.linalg.solve(h, -f)
-    g = np.atleast_2d(np.asarray(g, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
-    m = g.shape[0]
-
-    best_x, best_obj = None, np.inf
-    for k in range(min(n, m) + 1):
-        for rows in combinations(range(m), k):
-            ga = g[list(rows)]
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = h
-            kkt[:n, n:] = ga.T
-            kkt[n:, :n] = ga
-            rhs = np.concatenate([-f, b[list(rows)]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x, lam = sol[:n], sol[n:]
-            if np.any(g @ x - b > 1e-8 * (1.0 + np.abs(b).max())):
-                continue
-            if lam.size and lam.min() < -1e-8:
-                continue
-            obj = float(0.5 * x @ h @ x + f @ x)
-            if obj < best_obj:
-                best_x, best_obj = x, obj
-    if best_x is None:
-        viol = g @ (np.linalg.solve(h, -f)) - b
-        raise InfeasibleQpError("no KKT-consistent active set found",
-                                worst_row=int(np.argmax(viol)))
-    return best_x
-
-
-def random_qp_instance(rng, n_max=4, m_max=6):
-    """Seeded random strictly convex QP, feasible by construction.
-
-    The bound vector is built from a random interior point with
-    nonnegative slacks, a third of which are shrunk to near-active so
-    interesting active sets occur.
-    """
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
-    root = rng.normal(size=(n, n))
-    h = root.T @ root + (0.1 + rng.random()) * np.eye(n)
-    f = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0)
-    g = rng.normal(size=(m, n))
-    x0 = rng.normal(size=n)
-    slack = rng.random(m) * 2.0
-    slack[rng.random(m) < 0.3] *= 1e-3
-    b = g @ x0 + slack
-    return h, f, g, b
-
-
-def run_benchmark(instances=500, seed=0):
-    """Solve seeded random QPs and compare against the enumeration oracle.
-
-    Returns (failures, worst_deviation); a failure is a solver exception or
-    a solution further than 1e-6 from the oracle's in the max norm.
-    """
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    for _ in range(instances):
-        h, f, g, b = random_qp_instance(rng)
-        x_ref = enumerate_qp(h, f, g, b)
-        try:
-            x = ActiveSetSolver().solve(h, f, g, b, warm_start=False).x
-        except (InfeasibleQpError, QpIterationError):
-            failures += 1
-            continue
-        deviation = float(np.abs(x - x_ref).max())
-        worst = max(worst, deviation)
-        if deviation > 1e-6:
-            failures += 1
-    return failures, worst

@@ -164,7 +164,7 @@ def unified_matrices(params: TurbineParams):
 
     Equivalent to :func:`derivatives` once the aerodynamic torque is fed
     through the B2 column; the pitch row carries -1/tau (stable first-order
-    actuator).
+    actuator). The linear model of :mod:`windmpc.linearize` is built on them.
     """
     p = params
     a = np.array([

@@ -1,0 +1,272 @@
+"""Verification oracles and the acceptance checks built on them.
+
+Independent routes to what the runtime pipeline computes: a
+finite-difference Jacobian of the plant ODEs, a forward simulation of the
+augmented model, and exhaustive active-set enumeration for the QP. The
+``check_*`` functions are acceptance criteria 1-5, each returning
+(ok, one-line report) against the thresholds named once below; the
+``lincheck`` and ``qpbench`` subcommands and the acceptance suite call them.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+
+from .control import build_model_set
+from .errors import InfeasibleQpError, QpIterationError
+from .linearize import continuous_model, discretize, equilibrium
+from .mpc import AugmentedModel, ConstraintSet, MpcWeights
+from .qp import ActiveSetSolver
+from .turbine import TurbineParams, derivatives, power_coefficient
+
+CP_PEAK_REL_TOL = 5e-3          # criterion 1: Cp(lambda_opt, beta_opt) vs cp_opt
+LAMBDA_STAR_TOL = 0.1           # criterion 1: Cp grid argmax vs lambda_opt
+JACOBIAN_REL_TOL = 1e-4         # criterion 2: analytic vs finite differences
+ZOH_DIAGONAL_TOL = 1e-9         # criterion 3: actuator diagonals of A_d
+CONDENSED_COST_REL_TOL = 1e-8   # criterion 4: condensed vs simulated cost
+MIN_MEMBERSHIP_CHECKS = 50      # criterion 4: draws off every row boundary
+QP_ORACLE_TOL = 1e-6            # criterion 5: solver vs enumeration, max norm
+QP_INSTANCES = 500              # criterion 5
+# wall-clock budgets of criteria 1, 2 and 5 in the acceptance suite, s
+CP_SWEEP_BUDGET_S = 1.0
+JACOBIAN_SWEEP_BUDGET_S = 10.0
+QP_BENCH_BUDGET_S = 5.0
+
+
+def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams, rel_step=1e-6):
+    """Finite-difference Jacobian of the plant ODEs at (x, u, v).
+
+    Independent verification route for the analytic model: central
+    differences applied directly to :func:`windmpc.turbine.derivatives`.
+    Returns (A, B_u, B_v) with shapes (5, 5), (5, 2), (5, 1).
+    """
+    z0 = np.concatenate([np.asarray(x_bar, dtype=float),
+                         np.asarray(u_bar, dtype=float), [v_bar]])
+    jac = np.zeros((5, 8))
+    for i in range(8):
+        h = rel_step * max(1.0, abs(z0[i]))
+        zp, zm = z0.copy(), z0.copy()
+        zp[i] += h
+        zm[i] -= h
+        jac[:, i] = (derivatives(zp[:5], zp[5:7], zp[7], params)
+                     - derivatives(zm[:5], zm[5:7], zm[7], params)) / (2.0 * h)
+    return jac[:, :5], jac[:, 5:7], jac[:, 7:]
+
+
+def verify_linearization(v_bar, params: TurbineParams, rel_step=1e-6) -> float:
+    """Worst entrywise relative mismatch between the analytic linear model
+    and the finite-difference Jacobian at the v_bar operating point.
+
+    The denominator is floored at 1e-12 of each matrix's largest entry so
+    structurally zero entries compare cleanly.
+    """
+    op = equilibrium(v_bar, params)
+    cm = continuous_model(op, params)
+    a_fd, b_u_fd, b_v_fd = fd_jacobian(op.x_bar, op.u_bar, v_bar, params, rel_step)
+    worst = 0.0
+    for analytic, fd in ((cm.a_c, a_fd), (cm.b_cu, b_u_fd), (cm.b_cv, b_v_fd)):
+        floor = 1e-12 * max(1.0, float(np.abs(analytic).max()))
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
+        worst = max(worst, float((np.abs(analytic - fd) / denom).max()))
+    return worst
+
+
+def _rollout(am: AugmentedModel, x_a, du_seq, n_p, n_c):
+    """Forward simulation: (step, move, input deviation, output) per step."""
+    m = am.n_in
+    x = np.asarray(x_a, dtype=float)
+    u_dev = x[-m:]
+    for j in range(n_p):
+        du = du_seq[m * j:m * (j + 1)] if j < n_c else np.zeros(m)
+        u_dev = u_dev + du
+        x = am.a_a @ x + am.b_a @ du
+        yield j, du, u_dev, am.c_a @ x
+
+
+def explicit_cost(am: AugmentedModel, weights: MpcWeights, x_a, r_s, du_seq):
+    """Horizon tracking cost of a move sequence by forward simulation."""
+    q_out = am.n_out
+    cost = 0.0
+    for j, du, u_dev, y in _rollout(am, x_a, du_seq, weights.n_p, weights.n_c):
+        if j < weights.n_c:
+            cost += du @ weights.r @ du + u_dev @ weights.r_u @ u_dev
+        err = r_s[q_out * j:q_out * (j + 1)] - y
+        cost += err @ weights.q @ err
+    return cost
+
+
+def unrolled_bounds_ok(am: AugmentedModel, bounds: ConstraintSet, x_a, du_seq,
+                       n_p, n_c) -> bool:
+    """Check every scalar bound along the forward simulation."""
+    def within(value, lo, hi):
+        return bool(np.all(lo <= value) and np.all(value <= hi))
+
+    return all(within(y, bounds.y_min, bounds.y_max)
+               and (j >= n_c or (within(du, bounds.du_min, bounds.du_max)
+                                 and within(u, bounds.u_min, bounds.u_max)))
+               for j, du, u, y in _rollout(am, x_a, du_seq, n_p, n_c))
+
+
+def enumerate_qp(h, f, g=None, b=None) -> np.ndarray:
+    """Reference QP solve by exhaustive enumeration of candidate active sets.
+
+    Solves the equality-constrained subproblem for every subset of up to n
+    constraint rows, keeps the KKT-consistent candidates (primal feasible,
+    nonnegative multipliers) and returns the one with the lowest objective.
+    Exponential in the row count; intended only as a verification oracle on
+    small instances.
+    """
+    h = np.asarray(h, dtype=float)
+    f = np.asarray(f, dtype=float).ravel()
+    n = h.shape[0]
+    if g is None or np.size(g) == 0:
+        return np.linalg.solve(h, -f)
+    g = np.atleast_2d(np.asarray(g, dtype=float))
+    b = np.asarray(b, dtype=float).ravel()
+    m = g.shape[0]
+
+    best_x, best_obj = None, np.inf
+    for k in range(min(n, m) + 1):
+        for rows in combinations(range(m), k):
+            ga = g[list(rows)]
+            kkt = np.block([[h, ga.T], [ga, np.zeros((k, k))]])
+            rhs = np.concatenate([-f, b[list(rows)]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            x, lam = sol[:n], sol[n:]
+            if np.any(g @ x - b > 1e-8 * (1.0 + np.abs(b).max())):
+                continue
+            if lam.size and lam.min() < -1e-8:
+                continue
+            obj = float(0.5 * x @ h @ x + f @ x)
+            if obj < best_obj:
+                best_x, best_obj = x, obj
+    if best_x is None:
+        viol = g @ (np.linalg.solve(h, -f)) - b
+        raise InfeasibleQpError("no KKT-consistent active set found",
+                                worst_row=int(np.argmax(viol)))
+    return best_x
+
+
+def random_qp_instance(rng, n_max=4, m_max=6):
+    """Seeded random strictly convex QP, feasible by construction.
+
+    The bound vector is built from a random interior point with
+    nonnegative slacks, a third of which are shrunk to near-active so
+    interesting active sets occur.
+    """
+    n = int(rng.integers(1, n_max + 1))
+    m = int(rng.integers(1, m_max + 1))
+    root = rng.normal(size=(n, n))
+    h = root.T @ root + (0.1 + rng.random()) * np.eye(n)
+    f = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0)
+    g = rng.normal(size=(m, n))
+    x0 = rng.normal(size=n)
+    slack = rng.random(m) * 2.0
+    slack[rng.random(m) < 0.3] *= 1e-3
+    b = g @ x0 + slack
+    return h, f, g, b
+
+
+def run_benchmark(instances=QP_INSTANCES, seed=0):
+    """Solve seeded random QPs and compare against the enumeration oracle.
+
+    Returns (failures, worst_deviation); a failure is a solver exception or
+    a solution further than QP_ORACLE_TOL from the oracle's in the max norm.
+    """
+    rng = np.random.default_rng(seed)
+    failures = 0
+    worst = 0.0
+    for _ in range(instances):
+        h, f, g, b = random_qp_instance(rng)
+        x_ref = enumerate_qp(h, f, g, b)
+        try:
+            x = ActiveSetSolver().solve(h, f, g, b, warm_start=False).x
+        except (InfeasibleQpError, QpIterationError):
+            failures += 1
+            continue
+        deviation = float(np.abs(x - x_ref).max())
+        worst = max(worst, deviation)
+        if deviation > QP_ORACLE_TOL:
+            failures += 1
+    return failures, worst
+
+
+def check_cp_peak(params: TurbineParams):
+    """Criterion 1: the Cp surface peaks at (lambda_opt, beta_opt) with cp_opt."""
+    cp_peak = power_coefficient(params.lambda_opt, params.beta_opt)
+    lams = np.arange(2.0, 14.0 + 1e-9, 0.01)
+    lam_star = float(lams[np.argmax(power_coefficient(lams, params.beta_opt))])
+    ok = (abs(cp_peak - params.cp_opt) <= CP_PEAK_REL_TOL * params.cp_opt
+          and abs(lam_star - params.lambda_opt) <= LAMBDA_STAR_TOL)
+    return ok, (f"Cp peak {cp_peak:.5f} [{params.cp_opt} +- {CP_PEAK_REL_TOL:.1%}], "
+                f"grid argmax lambda {lam_star:.2f} [{params.lambda_opt} +- "
+                f"{LAMBDA_STAR_TOL}]")
+
+
+def check_linearization(params: TurbineParams, grid):
+    """Criterion 2: analytic linear model vs finite differences over a wind grid."""
+    errors = [verify_linearization(float(v_bar), params) for v_bar in grid]
+    i = int(np.argmax(errors))
+    return errors[i] < JACOBIAN_REL_TOL, (
+        f"worst Jacobian mismatch {errors[i]:.3e} (relative) at v = "
+        f"{grid[i]:.2f} m/s [tolerance {JACOBIAN_REL_TOL:g}]")
+
+
+def check_zoh_diagonals(params: TurbineParams, v_bar):
+    """Criterion 3: the actuator diagonals of A_d equal exp(-T_s / tau)."""
+    dm = discretize(continuous_model(equilibrium(v_bar, params), params),
+                    params.t_s)
+    pitch_err = abs(dm.a_d[4, 4] - math.exp(-params.t_s / params.tau))
+    gen_err = abs(dm.a_d[3, 3] - math.exp(-params.t_s / params.tau_g))
+    return max(pitch_err, gen_err) < ZOH_DIAGONAL_TOL, (
+        f"ZOH pitch diagonal error {pitch_err:.3e}, generator diagonal error "
+        f"{gen_err:.3e} [tolerance {ZOH_DIAGONAL_TOL:g}]")
+
+
+def check_condensation(params: TurbineParams, weights: MpcWeights):
+    """Criterion 4: the condensed QP at 8 m/s against forward simulation.
+
+    Over seeded draws of state, reference and moves at closed-loop scale,
+    the condensed cost must equal :func:`explicit_cost` up to the zero-move
+    cost, and membership in the condensed rows must match
+    :func:`unrolled_bounds_ok` wherever no row is within 1e-9 of its bound.
+    """
+    ms = build_model_set(8.0, params, weights)
+    qp, am, n_p, n_c = ms.qp, ms.am, weights.n_p, weights.n_c
+    rng = np.random.default_rng(4)
+    scale_x = np.array([0.3, 8.0, 800.0, 800.0, 1.5, 0.5, 400.0, 0.4])
+    draws, worst, compared, agreed = 100, 0.0, 0, 0
+    for _ in range(draws):
+        x_a = rng.normal(size=8) * scale_x
+        x_a[6:] = np.clip(x_a[6:], qp.bounds.u_min, qp.bounds.u_max)
+        r_s = np.tile(rng.normal(size=2) * np.array([8.0, 5e4]), n_p)
+        du = rng.normal(size=2 * n_c) * np.tile([300.0, 0.3], n_c)
+        z = np.concatenate([x_a, r_s])
+        condensed = 0.5 * du @ qp.h @ du + z @ qp.f @ du
+        constant = explicit_cost(am, weights, x_a, r_s, np.zeros(2 * n_c))
+        explicit = explicit_cost(am, weights, x_a, r_s, du)
+        worst = max(worst, abs(explicit - (condensed + constant))
+                    / max(1.0, abs(explicit)))
+        residual = qp.g @ du - (qp.w + qp.s @ z)
+        if np.abs(residual).min() >= 1e-9:
+            compared += 1
+            agreed += bool(residual.max() <= 0.0) == unrolled_bounds_ok(
+                am, qp.bounds, x_a, du, n_p, n_c)
+    ok = (worst < CONDENSED_COST_REL_TOL and agreed == compared
+          and compared >= MIN_MEMBERSHIP_CHECKS)
+    return ok, (f"condensed-cost equivalence mismatch {worst:.3e} over {draws} "
+                f"random draws [tolerance {CONDENSED_COST_REL_TOL:g}], "
+                f"{agreed}/{compared} constraint-membership checks agreed "
+                f"[at least {MIN_MEMBERSHIP_CHECKS}]")
+
+
+def check_qp_solver(instances=QP_INSTANCES, seed=0):
+    """Criterion 5: the active-set solver against the enumeration oracle."""
+    failures, worst = run_benchmark(instances, seed)
+    return failures == 0 and worst <= QP_ORACLE_TOL, (
+        f"failures {failures}/{instances}, worst deviation from the "
+        f"enumeration oracle {worst:.3e} [tolerance {QP_ORACLE_TOL:g}]")

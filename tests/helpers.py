@@ -1,4 +1,4 @@
-"""Brute-force oracles and fixtures shared by the unit and acceptance suites."""
+"""Fixtures shared by the unit suites."""
 
 import numpy as np
 
@@ -18,41 +18,3 @@ def synthetic_log(n, params, power_error=None):
         omega_g_ref=np.full(n, 101.412), mode=["online"] * n,
         qp_iters=np.ones(n, dtype=int), qp_status=["optimal"] * n,
         step_time=np.full(n, 1e-3))
-
-
-def explicit_cost(am, weights, x_a, r_s, du_seq):
-    """Horizon cost by forward simulation of the augmented model."""
-    q, r, r_u = weights.q, weights.r, weights.r_u
-    n_p, n_c = weights.n_p, weights.n_c
-    x = np.asarray(x_a, dtype=float).copy()
-    u_dev = x[-2:].copy()
-    cost = 0.0
-    for j in range(n_p):
-        du = du_seq[2 * j:2 * j + 2] if j < n_c else np.zeros(2)
-        if j < n_c:
-            u_dev = u_dev + du
-            cost += du @ r @ du + u_dev @ r_u @ u_dev
-        x = am.a_a @ x + am.b_a @ du
-        err = r_s[2 * j:2 * j + 2] - am.c_a @ x
-        cost += err @ q @ err
-    return cost
-
-
-def unrolled_bounds_ok(am, bounds, x_a, du_seq, n_p, n_c, margin=0.0):
-    """Check every scalar bound by simulating the augmented model."""
-    x = np.asarray(x_a, dtype=float).copy()
-    u_dev = x[-2:].copy()
-    ok = True
-    for j in range(n_p):
-        du = du_seq[2 * j:2 * j + 2] if j < n_c else np.zeros(2)
-        if j < n_c:
-            ok &= np.all(du <= bounds.du_max + margin)
-            ok &= np.all(du >= bounds.du_min - margin)
-            u_dev = u_dev + du
-            ok &= np.all(u_dev <= bounds.u_max + margin)
-            ok &= np.all(u_dev >= bounds.u_min - margin)
-        x = am.a_a @ x + am.b_a @ du
-        y = am.c_a @ x
-        ok &= np.all(y <= bounds.y_max + margin)
-        ok &= np.all(y >= bounds.y_min - margin)
-    return bool(ok)

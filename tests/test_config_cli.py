@@ -147,7 +147,7 @@ class TestCli:
         assert "step 17" in capsys.readouterr().err
 
     def test_qpbench_failure_exit_code(self, monkeypatch):
-        import windmpc.cli as cli_mod
-        monkeypatch.setattr(cli_mod, "run_benchmark",
+        import windmpc.verify as verify_mod
+        monkeypatch.setattr(verify_mod, "run_benchmark",
                             lambda instances, seed: (3, 1e-2))
         assert main(["qpbench", "--instances", "10"]) == 3

@@ -123,16 +123,39 @@ class TestOfflineMpc:
             state = step(state, u, 6.4, params.t_s, params)
         assert abs(u.beta_ref) <= 0.1
 
-    def test_saturation_contract(self, params, weights, rng):
-        controller = OfflineMpc(params, weights)
+    @pytest.mark.parametrize("mode,cls", [("offline", OfflineMpc),
+                                          ("online", OnlineMpc)],
+                             ids=["offline", "online"])
+    def test_saturation_contract(self, params, weights, rng, mode, cls):
+        controller = cls(params, weights)
         for _ in range(40):
             state = PlantState(rng.uniform(0.8, 2.5), rng.uniform(50.0, 158.0),
                                rng.uniform(-1e4, 1e4), rng.uniform(0.0, 9.4e3),
                                rng.uniform(0.0, 45.0))
             v = rng.uniform(4.0, 10.99)
-            u, _ = controller.step(state, v)
+            u, info = controller.step(state, v)
             assert 0.0 <= u.t_g_ref <= params.t_g_max
             assert params.beta_min <= u.beta_ref <= params.beta_max
+            assert info.mode == mode
+            assert info.qp_status in {"optimal", "fallback", "hold"}
+
+    def test_holds_previous_input_on_qp_failure(self, params, weights,
+                                                monkeypatch):
+        controller = OfflineMpc(params, weights)
+        state = equilibrium(8.0, params).x_bar
+        u_first, info = controller.step(state, 8.0)
+        assert info.qp_status == "optimal"
+
+        import windmpc.control as control_mod
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(control_mod, "mpc_step", boom)
+        u_held, info = controller.step(state, 8.0)
+        assert info.qp_status == "hold"
+        assert info.mode == "offline"
+        assert u_held == u_first
 
     def test_rejects_wind_outside_partial_load(self, params, weights):
         controller = OfflineMpc(params, weights)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import explicit_cost, unrolled_bounds_ok
 from windmpc import (ActiveSetSolver, ConstraintSet, MpcWeights,
                      augment_disturbance, augment_velocity, condense,
                      condense_constraints, condense_cost, continuous_model,
                      discretize, equilibrium, mpc_step, prediction_matrices)
+from windmpc.verify import explicit_cost, unrolled_bounds_ok
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +231,7 @@ class TestMpcStep:
         du, info = mpc_step(qp, np.zeros(8), np.zeros(2 * weights.n_p),
                             ActiveSetSolver())
         assert np.abs(du).max() <= 1e-9
-        assert info.status == "optimal"
+        assert info.qp_status == "optimal"
 
     def test_first_move_respects_tight_move_bounds(self, augmented, weights, rng):
         bounds = ConstraintSet(
@@ -275,6 +275,6 @@ class TestMpcStep:
         x_a = np.zeros(8)
         x_a[1] = 500.0
         du, info = mpc_step(qp, x_a, np.zeros(2 * weights.n_p), ActiveSetSolver())
-        assert info.status == "fallback"
+        assert info.qp_status == "fallback"
         assert np.all(du <= qp.bounds.du_max + 1e-12)
         assert np.all(du >= qp.bounds.du_min - 1e-12)

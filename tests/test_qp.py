@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from windmpc import ActiveSetSolver, InfeasibleQpError, enumerate_qp, solve_qp
-from windmpc.qp import random_qp_instance, run_benchmark
+from windmpc import ActiveSetSolver, InfeasibleQpError
+from windmpc.verify import enumerate_qp, random_qp_instance, run_benchmark
 
 
 class TestScalarCases:
     def test_unconstrained_minimum(self):
-        assert solve_qp(np.array([[2.0]]), np.array([-4.0]))[0] == pytest.approx(2.0)
+        x = ActiveSetSolver().solve(np.array([[2.0]]), np.array([-4.0]),
+                                    warm_start=False).x
+        assert x[0] == pytest.approx(2.0)
 
     def test_clipped_at_bound(self):
         sol = ActiveSetSolver().solve(np.array([[2.0]]), np.array([-4.0]),
@@ -84,11 +86,13 @@ class TestWarmStart:
 class TestInfeasibility:
     def test_contradictory_bounds_detected(self):
         with pytest.raises(InfeasibleQpError) as exc:
-            solve_qp(np.array([[2.0]]), np.array([0.0]),
-                     np.array([[1.0], [-1.0]]), np.array([-1.0, -2.0]))
+            ActiveSetSolver().solve(np.array([[2.0]]), np.array([0.0]),
+                                    np.array([[1.0], [-1.0]]),
+                                    np.array([-1.0, -2.0]), warm_start=False)
         assert exc.value.worst_row in (0, 1)
 
     def test_empty_constraint_matrix_is_unconstrained(self):
-        x = solve_qp(np.eye(2), np.array([-2.0, 4.0]),
-                     np.zeros((0, 2)), np.zeros(0))
+        x = ActiveSetSolver().solve(np.eye(2), np.array([-2.0, 4.0]),
+                                    np.zeros((0, 2)), np.zeros(0),
+                                    warm_start=False).x
         assert np.allclose(x, [2.0, -4.0])
