@@ -18,7 +18,7 @@ from .errors import ConfigError, SimulationError
 from .experiment import run_experiment, torque_total_variation
 from .mpc import MpcWeights
 from .output import emit
-from .turbine import TurbineParams
+from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams
 from .verify import QP_INSTANCES, check_condensation, check_cp_peak, \
     check_linearization, check_qp_solver, check_zoh_diagonals
 
@@ -98,7 +98,11 @@ def _parse_v_range(spec):
         raise ConfigError(f"bad --v-range {spec!r}; expected lo:hi:step") from exc
     if step <= 0.0 or hi < lo:
         raise ConfigError(f"bad --v-range {spec!r}")
-    return np.arange(lo, hi + 0.5 * step, step)
+    if lo < V_PARTIAL_MIN or hi > V_RATED:
+        raise ConfigError(f"--v-range {spec!r} leaves the partial-load range "
+                          f"[{V_PARTIAL_MIN:g}, {V_RATED:g}] m/s")
+    # clipped so round-off in the last step cannot overshoot hi
+    return np.minimum(np.arange(lo, hi + 0.5 * step, step), hi)
 
 
 def _report(results) -> int:

@@ -18,7 +18,7 @@ class InfeasibleQpError(RuntimeError):
 
 
 class QpIterationError(RuntimeError):
-    """The active-set loop hit its iteration cap without converging."""
+    """The active-set loop hit its iteration cap or failed KKT verification."""
 
 
 class ConfigError(ValueError):

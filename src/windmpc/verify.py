@@ -184,7 +184,7 @@ def run_benchmark(instances=QP_INSTANCES, seed=0):
         h, f, g, b = random_qp_instance(rng)
         x_ref = enumerate_qp(h, f, g, b)
         try:
-            x = ActiveSetSolver().solve(h, f, g, b, warm_start=False).x
+            x = ActiveSetSolver().solve(h, f, g, b).x
         except (InfeasibleQpError, QpIterationError):
             failures += 1
             continue

@@ -131,8 +131,13 @@ class TestCli:
         assert "Cp peak" in out
         assert "condensed-cost equivalence" in out
 
-    def test_lincheck_bad_range_exit_code(self):
-        assert main(["lincheck", "--v-range", "nonsense"]) == 1
+    @pytest.mark.parametrize("spec", ["nonsense", "4:12:1", "3:11:1"])
+    def test_lincheck_bad_range_exit_code(self, spec):
+        assert main(["lincheck", "--v-range", spec]) == 1
+
+    def test_lincheck_grid_overshooting_by_roundoff_runs(self):
+        # 4 + 10 * 0.7 rounds to 11.000000000000002, just past V_RATED
+        assert main(["lincheck", "--v-range", "4:11:0.7"]) == 0
 
     def test_simulation_failure_exit_code(self, monkeypatch, tmp_path, capsys):
         import windmpc.cli as cli_mod

@@ -212,6 +212,37 @@ class TestCondenseConstraints:
                                                       du, n_p, n_c)
         assert checked > 100
 
+    def test_rows_equal_simulated_slacks(self, augmented, rng):
+        # each condensed row, G du - (W + S z), is one bound's excess along
+        # the forward simulation, in the stacking order of condense_constraints
+        n_p, n_c = 6, 3
+        a, bm, c = augmented.a_a, augmented.b_a, augmented.c_a
+        m = bm.shape[1]
+        pm = prediction_matrices(augmented, n_p, n_c)
+        bounds = self.example_bounds()
+        g, wvec, s = condense_constraints(pm, bounds)
+        for _ in range(20):
+            x_a = rng.normal(size=8) * np.array([0.1, 2.0, 200.0, 200.0, 0.5,
+                                                 0.2, 300.0, 0.5])
+            du = rng.normal(size=m * n_c) * np.tile([150.0, 0.3], n_c)
+            x, u, ys, us, dus = x_a, x_a[-m:], [], [], []
+            for j in range(n_p):
+                du_j = du[m * j:m * (j + 1)] if j < n_c else np.zeros(m)
+                x = a @ x + bm @ du_j
+                u = u + du_j
+                ys.append(c @ x)
+                if j < n_c:
+                    us.append(u)
+                    dus.append(du_j)
+            ys, us, dus = np.concatenate(ys), np.concatenate(us), np.concatenate(dus)
+            expected = np.concatenate([
+                ys - np.tile(bounds.y_max, n_p), np.tile(bounds.y_min, n_p) - ys,
+                us - np.tile(bounds.u_max, n_c), np.tile(bounds.u_min, n_c) - us,
+                dus - np.tile(bounds.du_max, n_c), np.tile(bounds.du_min, n_c) - dus])
+            residual = g @ du - (wvec + s @ np.concatenate([x_a, np.zeros(2 * n_p)]))
+            np.testing.assert_allclose(residual, expected, rtol=1e-9,
+                                       atol=1e-9 * np.abs(expected).max())
+
     def test_feasible_trajectory_satisfies_rows(self, augmented):
         n_p, n_c = 6, 3
         pm = prediction_matrices(augmented, n_p, n_c)

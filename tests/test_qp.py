@@ -7,22 +7,19 @@ from windmpc.verify import enumerate_qp, random_qp_instance, run_benchmark
 
 class TestScalarCases:
     def test_unconstrained_minimum(self):
-        x = ActiveSetSolver().solve(np.array([[2.0]]), np.array([-4.0]),
-                                    warm_start=False).x
+        x = ActiveSetSolver().solve(np.array([[2.0]]), np.array([-4.0])).x
         assert x[0] == pytest.approx(2.0)
 
     def test_clipped_at_bound(self):
         sol = ActiveSetSolver().solve(np.array([[2.0]]), np.array([-4.0]),
-                                      np.array([[1.0]]), np.array([1.0]),
-                                      warm_start=False)
+                                      np.array([[1.0]]), np.array([1.0]))
         assert sol.x[0] == pytest.approx(1.0)
         assert sol.working_set == [0]
         assert sol.multipliers[0] > 0.0
 
     def test_inactive_bound_ignored(self):
         sol = ActiveSetSolver().solve(np.array([[2.0]]), np.array([-4.0]),
-                                      np.array([[1.0]]), np.array([5.0]),
-                                      warm_start=False)
+                                      np.array([[1.0]]), np.array([5.0]))
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.working_set == []
 
@@ -31,14 +28,14 @@ class TestAgainstEnumeration:
     def test_random_instances_match_oracle(self, rng):
         for _ in range(300):
             h, f, g, b = random_qp_instance(rng)
-            x = ActiveSetSolver().solve(h, f, g, b, warm_start=False).x
+            x = ActiveSetSolver().solve(h, f, g, b).x
             x_ref = enumerate_qp(h, f, g, b)
             assert np.abs(x - x_ref).max() <= 1e-6
 
     def test_kkt_residuals_on_accepted_solves(self, rng):
         for _ in range(100):
             h, f, g, b = random_qp_instance(rng)
-            sol = ActiveSetSolver().solve(h, f, g, b, warm_start=False)
+            sol = ActiveSetSolver().solve(h, f, g, b)
             grad = h @ sol.x + f + g.T @ sol.multipliers
             assert np.abs(grad).max() <= 1e-8 * (1.0 + np.abs(f).max())
             assert (g @ sol.x - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
@@ -56,9 +53,9 @@ class TestScalingInvariance:
     def test_argmin_unchanged_under_positive_scaling(self, rng):
         for _ in range(50):
             h, f, g, b = random_qp_instance(rng)
-            x1 = ActiveSetSolver().solve(h, f, g, b, warm_start=False).x
+            x1 = ActiveSetSolver().solve(h, f, g, b).x
             c = 10.0 ** rng.uniform(-3.0, 3.0)
-            x2 = ActiveSetSolver().solve(c * h, c * f, g, b, warm_start=False).x
+            x2 = ActiveSetSolver().solve(c * h, c * f, g, b).x
             assert np.abs(x1 - x2).max() <= 1e-8 * (1.0 + np.abs(x1).max())
 
 
@@ -70,6 +67,23 @@ class TestWarmStart:
         again = solver.solve(h, f, g, b)
         assert again.iterations <= first.iterations
         assert np.abs(first.x - again.x).max() <= 1e-10 * (1 + np.abs(first.x).max())
+
+    def test_drifting_sequence_matches_oracle(self, rng):
+        # one solver across a drifting sequence, as in the closed loop: same
+        # h and g, f and b walking; b never drops below the feasible base
+        warm_optimal = 0
+        for _ in range(20):
+            h, f, g, b = random_qp_instance(rng)
+            solver = ActiveSetSolver()
+            b_walk = np.zeros_like(b)
+            for _ in range(15):
+                f = f + 0.2 * rng.normal(size=f.size)
+                b_walk = b_walk + 0.05 * rng.normal(size=b.size)
+                b_k = b + np.abs(b_walk)
+                sol = solver.solve(h, f, g, b_k)
+                assert np.abs(sol.x - enumerate_qp(h, f, g, b_k)).max() <= 1e-6
+                warm_optimal += sol.iterations == 1 and bool(sol.working_set)
+        assert warm_optimal > 0   # some solves end on the warm working set
 
     def test_stale_working_set_recovers(self):
         solver = ActiveSetSolver()
@@ -88,11 +102,10 @@ class TestInfeasibility:
         with pytest.raises(InfeasibleQpError) as exc:
             ActiveSetSolver().solve(np.array([[2.0]]), np.array([0.0]),
                                     np.array([[1.0], [-1.0]]),
-                                    np.array([-1.0, -2.0]), warm_start=False)
+                                    np.array([-1.0, -2.0]))
         assert exc.value.worst_row in (0, 1)
 
     def test_empty_constraint_matrix_is_unconstrained(self):
         x = ActiveSetSolver().solve(np.eye(2), np.array([-2.0, 4.0]),
-                                    np.zeros((0, 2)), np.zeros(0),
-                                    warm_start=False).x
+                                    np.zeros((0, 2)), np.zeros(0)).x
         assert np.allclose(x, [2.0, -4.0])
