@@ -9,7 +9,6 @@ operating point, and tracks the optimal-tip-speed-ratio generator speed
 reference.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .mpc import AugmentedModel, CondensedQp, ConstraintSet, MpcWeights, \
     StepInfo, augment_disturbance, augment_velocity, condense, mpc_step
 from .qp import ActiveSetSolver
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
-    generator_power
+    generator_power, max_power
 
 
 @dataclass(frozen=True)
@@ -41,9 +40,7 @@ def reference(v, params: TurbineParams) -> ReferenceSignal:
     if v <= 0.0:
         raise DomainError("wind speed must be positive")
     omega_g_ref = params.n_g * params.lambda_opt * v / params.radius
-    p_g_ref = (0.5 * params.rho * math.pi * params.radius**2 * v**3
-               * params.cp_opt * params.eta)
-    return ReferenceSignal(omega_g_ref, p_g_ref)
+    return ReferenceSignal(omega_g_ref, max_power(v, params) * params.eta)
 
 
 def shift_constraints(op: OperatingPoint, params: TurbineParams) -> ConstraintSet:

@@ -1,6 +1,5 @@
 """Closed-loop experiment runner and summary metrics."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -9,7 +8,7 @@ from .control import OfflineMpc, OnlineMpc, reference
 from .errors import SimulationError
 from .linearize import equilibrium
 from .turbine import (PlantState, TurbineParams, aerodynamic_power,
-                      generator_power, step, tip_speed_ratio)
+                      generator_power, max_power, step, tip_speed_ratio)
 from .wind import WindProfile
 
 LOG_FLOAT_FIELDS = ("t", "v", "omega_t", "omega_g", "t_tw", "t_g", "beta",
@@ -52,12 +51,6 @@ class Metrics:
     step_time_mean: float = 0.0
     step_time_max: float = 0.0
     energy: float = 0.0
-
-
-def max_power(v, params: TurbineParams):
-    """Ideal captured power 0.5*rho*pi*R^2*v^3*cp_opt, the tracking target."""
-    return 0.5 * params.rho * math.pi * params.radius**2 * np.asarray(v)**3 \
-        * params.cp_opt
 
 
 def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,

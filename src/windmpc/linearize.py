@@ -4,9 +4,10 @@ The maximum-power locus fixes the equilibrium for a given mean wind speed;
 the only nonlinearity is the aerodynamic torque, whose three gradients
 (L_omega, L_v, L_beta) close the plant's affine matrix form
 (``turbine.unified_matrices``) into the continuous-time linear model. The
-discrete model is the exact zero-order-hold equivalent obtained from one
-augmented matrix exponential. The finite-difference oracle that checks the
-linear model lives in ``windmpc.verify``.
+gradients are closed-form, chained from the partials of the Cp surface;
+finite differences appear only in the oracle that checks the linear model,
+``windmpc.verify.fd_jacobian``. The discrete model is the exact
+zero-order-hold equivalent obtained from one augmented matrix exponential.
 """
 
 import math
@@ -17,9 +18,8 @@ import numpy as np
 from .errors import DomainError
 from .turbine import (V_PARTIAL_MIN, V_RATED, ControlInput, PlantState,
                       TurbineParams, aerodynamic_torque, derivatives,
-                      unified_matrices)
-
-GRAD_REL_STEP = 1e-6
+                      power_coefficient_partials, tip_speed_ratio,
+                      unified_matrices, wind_power)
 
 
 @dataclass(frozen=True)
@@ -55,31 +55,23 @@ class DiscreteLinearModel:
 def torque_gradients(omega_t_bar, v_bar, beta_bar, params: TurbineParams):
     """Aerodynamic-torque partials (L_omega, L_v, L_beta) at an operating point.
 
-    Central finite differences with relative step 1e-6 of each variable's
-    scale; every gradient is cross-checked against a half-step
-    recomputation (consistency 1e-4) so a pathological point cannot feed a
-    silently wrong model downstream.
+    Closed form of T_t = P_w(v) Cp(lambda, beta) / omega_t, with P_w the
+    wind power k v^3 and lambda = omega_t R / v:
+
+        L_omega = k v^3 (lambda Cp_lambda - Cp) / omega_t^2
+        L_v     = k v^2 (3 Cp - lambda Cp_lambda) / omega_t
+        L_beta  = k v^3 Cp_beta / omega_t
+
+    where Cp_lambda and Cp_beta are the Cp surface's partials.
     """
-    if omega_t_bar <= 0.0 or v_bar <= 0.0:
+    if not (omega_t_bar > 0.0 and v_bar > 0.0):
         raise DomainError("operating point requires positive rotor and wind speeds")
-    point = np.array([omega_t_bar, v_bar, beta_bar])
-
-    def central(index, h):
-        hi, lo = point.copy(), point.copy()
-        hi[index] += h
-        lo[index] -= h
-        return (aerodynamic_torque(hi[0], hi[1], hi[2], params)
-                - aerodynamic_torque(lo[0], lo[1], lo[2], params)) / (2.0 * h)
-
-    out = []
-    for index in range(3):
-        h = GRAD_REL_STEP * max(1.0, abs(point[index]))
-        full = central(index, h)
-        half = central(index, 0.5 * h)
-        if abs(full - half) > 1e-4 * max(1.0, abs(half)):
-            raise DomainError("torque gradient failed the step-halving consistency check")
-        out.append(full)
-    return tuple(out)
+    lam = tip_speed_ratio(omega_t_bar, v_bar, params)
+    cp, cp_lam, cp_beta = power_coefficient_partials(lam, beta_bar)
+    p_w = wind_power(v_bar, params)
+    return (p_w * (lam * cp_lam - cp) / omega_t_bar**2,
+            p_w * (3.0 * cp - lam * cp_lam) / (v_bar * omega_t_bar),
+            p_w * cp_beta / omega_t_bar)
 
 
 def equilibrium(v_bar, params: TurbineParams) -> OperatingPoint:
@@ -173,8 +165,6 @@ def discretize(cm: ContinuousLinearModel, t_s) -> DiscreteLinearModel:
     e = matrix_exponential(aug)
     a_d = e[:n, :n]
     b_full = e[:n, n:]
-    if not (np.all(np.isfinite(a_d)) and np.all(np.isfinite(b_full))):
-        raise DomainError("discretization produced non-finite entries")
     n_u = cm.b_cu.shape[1]
     return DiscreteLinearModel(a_d, b_full[:, :n_u].copy(),
                                b_full[:, n_u:].copy(), cm.c_c.copy(), float(t_s))

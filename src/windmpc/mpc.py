@@ -120,11 +120,10 @@ class AugmentedModel:
 
 @dataclass(frozen=True)
 class PredictionMatrices:
-    """Batch operators X = T1 x + S1 dU, Y = C1 X, U = L1 x + L2 dU."""
+    """Batch operators Y = Phi x + Gamma dU, U = L1 x + L2 dU."""
 
-    t1: np.ndarray
-    s1: np.ndarray
-    c1: np.ndarray
+    phi: np.ndarray
+    gamma: np.ndarray
     l1: np.ndarray
     l2: np.ndarray
     n_p: int
@@ -185,12 +184,13 @@ def augment_velocity(a_p, b_p, c_p) -> AugmentedModel:
 
 
 def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMatrices:
-    """Batch prediction operators over the horizons.
+    """Batch output and input operators over the horizons.
 
-    T1 stacks A^1..A^n_p; S1 is lower block-banded with block (i, j) equal
-    to A^(i-j) B for j <= min(i, n_c-1); C1 is the block-diagonal output
-    map; L1/L2 accumulate the previous input and the moves into the stacked
-    input sequence u(k..k+n_c-1).
+    Phi stacks C A^1..C A^n_p; Gamma is lower block-banded with block
+    (i, j) equal to C A^(i-j) B for j <= min(i, n_c-1), so the stacked
+    outputs y(k+1..k+n_p) are Phi x + Gamma dU. L1/L2 accumulate the
+    previous input and the moves into the stacked input sequence
+    u(k..k+n_c-1).
     """
     if not 1 <= n_c <= n_p:
         raise ValueError("horizons must satisfy 1 <= n_c <= n_p")
@@ -198,42 +198,37 @@ def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMat
     n, m = b.shape
     q = c.shape[0]
 
-    t1 = np.zeros((n * n_p, n))
-    s1 = np.zeros((n * n_p, m * n_c))
-    akb = [b]
-    for _ in range(n_p - 1):
-        akb.append(a @ akb[-1])
-    power = np.eye(n)
+    phi = np.zeros((q * n_p, n))
+    gamma = np.zeros((q * n_p, m * n_c))
+    c_a_i = c
+    c_a_b = []  # C A^i B, appended as i grows
     for i in range(n_p):
-        power = a @ power
-        t1[i * n:(i + 1) * n] = power
+        c_a_b.append(c_a_i @ b)
+        c_a_i = c_a_i @ a
+        phi[i * q:(i + 1) * q] = c_a_i
         for j in range(min(i, n_c - 1) + 1):
-            s1[i * n:(i + 1) * n, j * m:(j + 1) * m] = akb[i - j]
-    c1 = np.zeros((q * n_p, n * n_p))
-    for i in range(n_p):
-        c1[i * q:(i + 1) * q, i * n:(i + 1) * n] = c
+            gamma[i * q:(i + 1) * q, j * m:(j + 1) * m] = c_a_b[i - j]
     l1 = np.zeros((m * n_c, n))
     l1[:, n - m:] = np.tile(np.eye(m), (n_c, 1))
     l2 = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(m))
-    return PredictionMatrices(t1, s1, c1, l1, l2, n_p, n_c)
+    return PredictionMatrices(phi, gamma, l1, l2, n_p, n_c)
 
 
 def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
     """Hessian H and linear map F of the condensed tracking cost.
 
-    H = 2 (S1'C1'Q1C1S1 + R1 + L2'Ru1L2); F stacks the state-side and
+    H = 2 (Gamma'Q1Gamma + R1 + L2'Ru1L2); F stacks the state-side and
     reference-side contributions so the per-sample linear coefficient is
     F' [x; rs]. H is symmetrized to kill assembly roundoff.
     """
     q1 = np.kron(np.eye(pm.n_p), weights.q)
     r1 = np.kron(np.eye(pm.n_c), weights.r)
     ru1 = np.kron(np.eye(pm.n_c), weights.r_u)
-    cs = pm.c1 @ pm.s1
-    ct = pm.c1 @ pm.t1
-    h = 2.0 * (cs.T @ q1 @ cs + r1 + pm.l2.T @ ru1 @ pm.l2)
+    q1_gamma = q1 @ pm.gamma
+    h = 2.0 * (pm.gamma.T @ q1_gamma + r1 + pm.l2.T @ ru1 @ pm.l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (ct.T @ q1 @ cs + pm.l1.T @ ru1 @ pm.l2)
-    f_bottom = -2.0 * (q1 @ cs)
+    f_top = 2.0 * (pm.phi.T @ q1_gamma + pm.l1.T @ ru1 @ pm.l2)
+    f_bottom = -2.0 * q1_gamma
     return h, np.vstack([f_top, f_bottom])
 
 
@@ -244,37 +239,19 @@ def condense_constraints(pm: PredictionMatrices, bounds: ConstraintSet):
     over the control horizon; rows whose bound is infinite are omitted. The
     reference block of S is identically zero (references never constrain).
     """
-    n = pm.t1.shape[1]
-    m = pm.l2.shape[0] // pm.n_c
-    q = pm.c1.shape[0] // pm.n_p
-    n_z = n + q * pm.n_p
-    cs = pm.c1 @ pm.s1
-    ct = pm.c1 @ pm.t1
-    eye = np.eye(m * pm.n_c)
-
-    g_rows, w_rows, s_rows = [], [], []
-
-    def add(g_block, w_stack, s_left):
-        mask = np.isfinite(w_stack)
-        if not mask.any():
-            return
-        g_rows.append(g_block[mask])
-        w_rows.append(w_stack[mask])
-        s_block = np.zeros((int(mask.sum()), n_z))
-        if s_left is not None:
-            s_block[:, :n] = s_left[mask]
-        s_rows.append(s_block)
-
-    add(cs, np.tile(bounds.y_max, pm.n_p), -ct)
-    add(-cs, np.tile(-bounds.y_min, pm.n_p), ct)
-    add(pm.l2, np.tile(bounds.u_max, pm.n_c), -pm.l1)
-    add(-pm.l2, np.tile(-bounds.u_min, pm.n_c), pm.l1)
-    add(eye, np.tile(bounds.du_max, pm.n_c), None)
-    add(-eye, np.tile(-bounds.du_min, pm.n_c), None)
-
-    if not g_rows:
-        return (np.zeros((0, m * pm.n_c)), np.zeros(0), np.zeros((0, n_z)))
-    return np.vstack(g_rows), np.concatenate(w_rows), np.vstack(s_rows)
+    # row blocks, in order: y <= y_max, y >= y_min, u <= u_max, u >= u_min,
+    # du <= du_max, du >= du_min
+    eye = np.eye(pm.l2.shape[1])
+    no_state = np.zeros_like(pm.l1)
+    g = np.vstack([pm.gamma, -pm.gamma, pm.l2, -pm.l2, eye, -eye])
+    w = np.concatenate([
+        np.tile(bounds.y_max, pm.n_p), np.tile(-bounds.y_min, pm.n_p),
+        np.tile(bounds.u_max, pm.n_c), np.tile(-bounds.u_min, pm.n_c),
+        np.tile(bounds.du_max, pm.n_c), np.tile(-bounds.du_min, pm.n_c)])
+    s_x = np.vstack([-pm.phi, pm.phi, -pm.l1, pm.l1, no_state, no_state])
+    keep = np.isfinite(w)
+    s = np.hstack([s_x[keep], np.zeros((int(keep.sum()), pm.phi.shape[0]))])
+    return g[keep], w[keep], s
 
 
 def condense(am: AugmentedModel, weights: MpcWeights,

@@ -12,8 +12,7 @@ import numpy as np
 
 from .experiment import LOG_FLOAT_FIELDS, SimLog, torque_total_variation
 
-CSV_HEADER = ("t,v,omega_t,omega_g,t_tw,t_g,beta,t_g_ref,beta_ref,"
-              "p_g,p_t,p_max,omega_g_ref,mode,qp_iters,qp_status")
+CSV_HEADER = ",".join(LOG_FLOAT_FIELDS + ("mode", "qp_iters", "qp_status"))
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e")
 

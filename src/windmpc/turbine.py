@@ -89,11 +89,31 @@ class TurbineParams:
                 self, "omega_g_max",
                 self.n_g * self.lambda_opt * V_RATED / self.radius)
         if self.p_g_max is None:
-            object.__setattr__(
-                self, "p_g_max",
-                0.5 * self.rho * math.pi * self.radius**2 * V_RATED**3 * self.cp_opt)
+            object.__setattr__(self, "p_g_max", max_power(V_RATED, self))
         if self.t_g_max is None:
             object.__setattr__(self, "t_g_max", self.p_g_max / self.omega_g_max)
+
+
+# The standard empirical Cp surface (Heier), beta in degrees:
+#   Cp = C1 (C2 / lambda_i - C3 beta - C4) exp(-C5 / lambda_i) + C6 lambda,
+#   1 / lambda_i = 1 / (lambda + C7 beta) - C8 / (beta^3 + 1).
+CP_C1, CP_C2, CP_C3, CP_C4, CP_C5, CP_C6, CP_C7, CP_C8 = (
+    0.5176, 116.0, 0.4, 5.0, 21.0, 0.0068, 0.08, 0.035)
+
+
+def _cp_surface(lam, beta, exp):
+    """The unclamped surface and the factors its partials reuse.
+
+    Returns (Cp, e, g, d, c) with e = exp(-C5 / lambda_i), g the bracket
+    C2 / lambda_i - C3 beta - C4, d = lambda + C7 beta and c = beta^3 + 1.
+    ``exp`` is ``np.exp`` for array arguments or ``math.exp`` for floats.
+    """
+    d = lam + CP_C7 * beta
+    c = beta**3 + 1.0
+    inv_li = 1.0 / d - CP_C8 / c
+    g = CP_C2 * inv_li - CP_C3 * beta - CP_C4
+    e = exp(-CP_C5 * inv_li)
+    return CP_C1 * g * e + CP_C6 * lam, e, g, d, c
 
 
 def power_coefficient(lam, beta):
@@ -105,13 +125,29 @@ def power_coefficient(lam, beta):
     """
     lam = np.asarray(lam, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
+    if not (np.isfinite(lam) & (lam > 0.0)).all():
         raise DomainError("tip-speed ratio must be finite and positive")
-    inv_li = 1.0 / (lam + 0.08 * beta) - 0.035 / (beta**3 + 1.0)
-    raw = (0.5176 * (116.0 * inv_li - 0.4 * beta - 5.0) * np.exp(-21.0 * inv_li)
-           + 0.0068 * lam)
-    cp = np.maximum(raw, 0.0)
+    cp = np.maximum(_cp_surface(lam, beta, np.exp)[0], 0.0)
     return float(cp) if cp.ndim == 0 else cp
+
+
+def power_coefficient_partials(lam: float, beta: float):
+    """(Cp, dCp/dlambda, dCp/dbeta) at one point, dCp/dbeta per degree.
+
+    Closed-form partials of the surface of :func:`power_coefficient`;
+    where its zero clamp is active all three are zero.
+    """
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError("tip-speed ratio must be finite and positive")
+    cp, e, g, d, c = _cp_surface(lam, beta, math.exp)
+    if cp <= 0.0:
+        return 0.0, 0.0, 0.0
+    d_cp_d_inv_li = CP_C1 * e * (CP_C2 - CP_C5 * g)
+    d_inv_li_d_lam = -1.0 / d**2
+    d_inv_li_d_beta = CP_C7 * d_inv_li_d_lam + 3.0 * CP_C8 * beta**2 / c**2
+    return (cp,
+            d_cp_d_inv_li * d_inv_li_d_lam + CP_C6,
+            d_cp_d_inv_li * d_inv_li_d_beta - CP_C1 * CP_C3 * e)
 
 
 def tip_speed_ratio(omega_t, v, params: TurbineParams):
@@ -121,12 +157,21 @@ def tip_speed_ratio(omega_t, v, params: TurbineParams):
     return omega_t * params.radius / v
 
 
+def wind_power(v, params: TurbineParams):
+    """Power 0.5*rho*pi*R^2*v^3 of the wind through the rotor disc."""
+    return 0.5 * params.rho * math.pi * params.radius**2 * v**3
+
+
+def max_power(v, params: TurbineParams):
+    """Ideal captured power at wind v, the rotor held at the Cp peak cp_opt."""
+    return wind_power(v, params) * params.cp_opt
+
+
 def aerodynamic_power(v, lam, beta, params: TurbineParams):
-    """Captured rotor power 0.5*rho*pi*R^2*v^3*Cp; nonnegative by the Cp clamp."""
+    """Captured rotor power, wind power times Cp; nonnegative by the Cp clamp."""
     if v <= 0.0:
         raise DomainError("wind speed must be positive")
-    area = math.pi * params.radius**2
-    return 0.5 * params.rho * area * v**3 * power_coefficient(lam, beta)
+    return wind_power(v, params) * power_coefficient(lam, beta)
 
 
 def aerodynamic_torque(omega_t, v, beta, params: TurbineParams):
@@ -182,24 +227,21 @@ def unified_matrices(params: TurbineParams):
     return a, b, b2
 
 
-def step(state, u, wind, dt, params: TurbineParams, substeps: int = 10) -> PlantState:
-    """Advance the plant by dt with classical RK4 at step dt/substeps.
-
-    ``wind`` is either a constant wind speed or a callable v(t) over
-    [0, dt]. After integration the pitch angle is clamped to its actuator
-    range and the generator torque to [0, t_g_max] (physical saturation).
+def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantState:
+    """Advance the plant by dt at constant wind speed v with classical RK4
+    at step dt/substeps, then clamp the pitch angle to its actuator range
+    and the generator torque to [0, t_g_max] (physical saturation).
     """
     if dt <= 0.0:
         raise DomainError("dt must be positive")
-    v_fn = wind if callable(wind) else (lambda _t, _v=float(wind): _v)
+    v = float(v)
     x = np.asarray(state, dtype=float)
     h = dt / substeps
-    for i in range(substeps):
-        t0 = i * h
-        k1 = derivatives(x, u, v_fn(t0), params)
-        k2 = derivatives(x + 0.5 * h * k1, u, v_fn(t0 + 0.5 * h), params)
-        k3 = derivatives(x + 0.5 * h * k2, u, v_fn(t0 + 0.5 * h), params)
-        k4 = derivatives(x + h * k3, u, v_fn(t0 + h), params)
+    for _ in range(substeps):
+        k1 = derivatives(x, u, v, params)
+        k2 = derivatives(x + 0.5 * h * k1, u, v, params)
+        k3 = derivatives(x + 0.5 * h * k2, u, v, params)
+        k4 = derivatives(x + h * k3, u, v, params)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(x)):
         raise IntegrationError("non-finite state after integration step")

@@ -22,7 +22,7 @@ from .turbine import TurbineParams, derivatives, power_coefficient
 
 CP_PEAK_REL_TOL = 5e-3          # criterion 1: Cp(lambda_opt, beta_opt) vs cp_opt
 LAMBDA_STAR_TOL = 0.1           # criterion 1: Cp grid argmax vs lambda_opt
-JACOBIAN_REL_TOL = 1e-4         # criterion 2: analytic vs finite differences
+JACOBIAN_REL_TOL = 1e-7         # criterion 2: analytic vs finite differences
 ZOH_DIAGONAL_TOL = 1e-9         # criterion 3: actuator diagonals of A_d
 CONDENSED_COST_REL_TOL = 1e-8   # criterion 4: condensed vs simulated cost
 MIN_MEMBERSHIP_CHECKS = 50      # criterion 4: draws off every row boundary

@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from windmpc import (DomainError, continuous_model, derivatives,
-                     discretize, equilibrium, fd_jacobian, matrix_exponential,
-                     torque_gradients, verify_linearization)
+from windmpc import (DomainError, aerodynamic_torque, continuous_model,
+                     derivatives, discretize, equilibrium, fd_jacobian,
+                     matrix_exponential, torque_gradients, verify_linearization)
+from windmpc.verify import JACOBIAN_REL_TOL
 
 
 class TestTorqueGradients:
@@ -21,25 +23,26 @@ class TestTorqueGradients:
             assert op.l_omega == pytest.approx(-op.t_t_bar / op.x_bar.omega_t,
                                                rel=1e-2)
 
-    def test_step_halving_consistency(self, params):
-        omega_t = params.lambda_opt * 8.0 / params.radius
-        full = torque_gradients(omega_t, 8.0, 0.0, params)
-        # recompute with the half step; the operation itself verifies
-        # consistency internally, so agreement here is the frozen oracle
-        from windmpc.turbine import aerodynamic_torque
+    def test_matches_central_differences_over_grid(self, params):
+        # 5-point central differences of the torque itself; off beta = 0 the
+        # beta^2 term of d(1/lambda_i)/d(beta) is exercised as well
+        for lam, beta, v in itertools.product((5.0, 8.1, 11.0),
+                                              (0.0, 1.0, 3.0, 8.0),
+                                              (4.5, 7.0, 10.5)):
+            omega_t = lam * v / params.radius
+            point = np.array([omega_t, v, beta])
+            closed = torque_gradients(omega_t, v, beta, params)
+            for idx in range(3):
+                h = 1e-3 * max(1.0, abs(point[idx]))
 
-        def central(idx, h):
-            point = [omega_t, 8.0, 0.0]
-            hi, lo = point.copy(), point.copy()
-            hi[idx] += h
-            lo[idx] -= h
-            return (aerodynamic_torque(*hi, params)
-                    - aerodynamic_torque(*lo, params)) / (2.0 * h)
+                def torque(k):
+                    shifted = point.copy()
+                    shifted[idx] += k * h
+                    return aerodynamic_torque(*shifted, params)
 
-        for idx, grad in enumerate(full):
-            h = 0.5e-6 * max(1.0, abs([omega_t, 8.0, 0.0][idx]))
-            half = central(idx, h)
-            assert abs(grad - half) <= 1e-4 * max(1.0, abs(half))
+                fd = (-torque(2) + 8.0 * torque(1) - 8.0 * torque(-1)
+                      + torque(-2)) / (12.0 * h)
+                assert closed[idx] == pytest.approx(fd, rel=1e-7), (lam, beta, v)
 
     def test_rejects_bad_point(self, params):
         with pytest.raises(DomainError):
@@ -98,11 +101,11 @@ class TestContinuousModel:
         for analytic, fd in ((cm.a_c, a_fd), (cm.b_cu, b_u_fd), (cm.b_cv, b_v_fd)):
             floor = 1e-12 * max(1.0, np.abs(analytic).max())
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
-            assert (np.abs(analytic - fd) / denom).max() < 1e-4
+            assert (np.abs(analytic - fd) / denom).max() < JACOBIAN_REL_TOL
 
     def test_fidelity_across_partial_load_band(self, params):
         for v in np.arange(4.0, 11.0 + 1e-9, 0.5):
-            assert verify_linearization(float(v), params) < 1e-4
+            assert verify_linearization(float(v), params) < JACOBIAN_REL_TOL
 
 
 class TestMatrixExponential:

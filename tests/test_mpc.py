@@ -92,23 +92,25 @@ class TestAugmentVelocity:
 class TestPredictionMatrices:
     def test_single_step_horizon(self, augmented):
         pm = prediction_matrices(augmented, 1, 1)
-        assert np.allclose(pm.t1, augmented.a_a)
-        assert np.allclose(pm.s1, augmented.b_a)
+        assert np.allclose(pm.phi, augmented.c_a @ augmented.a_a)
+        assert np.allclose(pm.gamma, augmented.c_a @ augmented.b_a)
         assert np.allclose(pm.l2, np.eye(2))
 
     def test_batch_matches_recursion(self, augmented, rng):
         n_p, n_c = 20, 5
         pm = prediction_matrices(augmented, n_p, n_c)
+        assert pm.phi.shape == (2 * n_p, 8)
+        assert pm.gamma.shape == (2 * n_p, 2 * n_c)
         for _ in range(10):
             x0 = rng.normal(size=8)
             du_seq = rng.normal(size=2 * n_c)
-            batch = pm.t1 @ x0 + pm.s1 @ du_seq
+            batch = pm.phi @ x0 + pm.gamma @ du_seq
             x = x0.copy()
             direct = []
             for j in range(n_p):
                 du = du_seq[2 * j:2 * j + 2] if j < n_c else np.zeros(2)
                 x = augmented.a_a @ x + augmented.b_a @ du
-                direct.append(x)
+                direct.append(augmented.c_a @ x)
             direct = np.concatenate(direct)
             scale = max(1.0, np.abs(direct).max())
             assert np.abs(batch - direct).max() <= 1e-10 * scale

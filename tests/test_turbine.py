@@ -7,6 +7,7 @@ from windmpc import (ControlInput, DomainError, PlantState, TurbineParams,
                      aerodynamic_power, aerodynamic_torque, derivatives,
                      equilibrium, generator_power, power_coefficient, step,
                      tip_speed_ratio, unified_matrices)
+from windmpc.turbine import power_coefficient_partials
 
 # frozen by direct scalar evaluation of the Cp closed form (independent script)
 CP_AT_7_0 = 0.4512823932402688
@@ -30,6 +31,14 @@ class TestPowerCoefficient:
     def test_clamped_to_zero_where_raw_negative(self):
         # raw closed form is negative at (2, 45)
         assert power_coefficient(2.0, 45.0) == 0.0
+        assert power_coefficient_partials(2.0, 45.0) == (0.0, 0.0, 0.0)
+
+    def test_partials_share_the_surface(self):
+        for lam, beta in ((7.0, 0.0), (8.1, 0.0), (5.0, 3.0), (11.0, 8.0)):
+            assert (power_coefficient_partials(lam, beta)[0]
+                    == pytest.approx(power_coefficient(lam, beta), rel=1e-15))
+        with pytest.raises(DomainError):
+            power_coefficient_partials(0.0, 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
