@@ -75,7 +75,8 @@ def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Merge config-file values with CLI overrides into an ExperimentConfig.
 
-    Unknown keys are rejected; overrides win over file values.
+    Unknown keys and negative or NaN durations, gust deviations or
+    hysteresis bands are rejected; overrides win over file values.
     """
     merged: dict = {}
     for source in (file_values or {}, overrides or {}):
@@ -98,6 +99,9 @@ def build_config(file_values: dict | None = None,
         raise ConfigError(f"unknown wind kind {harness_kwargs['wind_kind']!r}")
     if harness_kwargs.get("controller") not in (None, "online", "offline", "both"):
         raise ConfigError(f"unknown controller {harness_kwargs['controller']!r}")
+    for key in ("duration", "wind_std", "hysteresis"):
+        if not harness_kwargs.get(key, 0.0) >= 0.0:  # NaN fails too
+            raise ConfigError(f"config key {key} must be nonnegative")
     try:
         turbine = TurbineParams(**turbine_kwargs)
         weights = MpcWeights(**weight_kwargs)

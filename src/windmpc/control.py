@@ -203,6 +203,8 @@ class OfflineMpc(_MpcControllerBase):
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  op_low=6.4, op_high=10.0, v_switch=8.7, hysteresis=0.0,
                  kappa=0.1):
+        if not hysteresis >= 0.0:
+            raise ValueError("hysteresis must be nonnegative")
         super().__init__(params, weights, kappa)
         self.bank = (build_model_set(op_low, params, self.weights),
                      build_model_set(op_high, params, self.weights))
@@ -211,13 +213,10 @@ class OfflineMpc(_MpcControllerBase):
         self.active_index = 0
 
     def _model_for(self, v) -> ModelSet:
-        if self.hysteresis > 0.0:
-            if self.active_index == 0 and v >= self.v_switch + self.hysteresis:
-                self.active_index = 1
-            elif self.active_index == 1 and v < self.v_switch - self.hysteresis:
-                self.active_index = 0
-        else:
-            self.active_index = 0 if v < self.v_switch else 1
+        if self.active_index == 0 and v >= self.v_switch + self.hysteresis:
+            self.active_index = 1
+        elif self.active_index == 1 and v < self.v_switch - self.hysteresis:
+            self.active_index = 0
         return self.bank[self.active_index]
 
 

@@ -219,15 +219,15 @@ def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
 
     H = 2 (Gamma'Q1Gamma + R1 + L2'Ru1L2); F stacks the state-side and
     reference-side contributions so the per-sample linear coefficient is
-    F' [x; rs]. H is symmetrized to kill assembly roundoff.
+    F' [x; rs]. Q1, R1 and Ru1 are diagonal, so they enter as tiled weight
+    diagonals. H is symmetrized to kill assembly roundoff.
     """
-    q1 = np.kron(np.eye(pm.n_p), weights.q)
-    r1 = np.kron(np.eye(pm.n_c), weights.r)
-    ru1 = np.kron(np.eye(pm.n_c), weights.r_u)
-    q1_gamma = q1 @ pm.gamma
-    h = 2.0 * (pm.gamma.T @ q1_gamma + r1 + pm.l2.T @ ru1 @ pm.l2)
+    q1_gamma = np.tile(weights.q.diagonal(), pm.n_p)[:, None] * pm.gamma
+    ru1_l2 = np.tile(weights.r_u.diagonal(), pm.n_c)[:, None] * pm.l2
+    r1 = np.diag(np.tile(weights.r.diagonal(), pm.n_c))
+    h = 2.0 * (pm.gamma.T @ q1_gamma + r1 + pm.l2.T @ ru1_l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (pm.phi.T @ q1_gamma + pm.l1.T @ ru1 @ pm.l2)
+    f_top = 2.0 * (pm.phi.T @ q1_gamma + pm.l1.T @ ru1_l2)
     f_bottom = -2.0 * q1_gamma
     return h, np.vstack([f_top, f_bottom])
 

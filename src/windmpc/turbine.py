@@ -101,34 +101,31 @@ CP_C1, CP_C2, CP_C3, CP_C4, CP_C5, CP_C6, CP_C7, CP_C8 = (
     0.5176, 116.0, 0.4, 5.0, 21.0, 0.0068, 0.08, 0.035)
 
 
-def _cp_surface(lam, beta, exp):
-    """The unclamped surface and the factors its partials reuse.
+def _cp_surface(lam: float, beta: float):
+    """The unclamped surface at one point and the factors its partials reuse.
 
     Returns (Cp, e, g, d, c) with e = exp(-C5 / lambda_i), g the bracket
     C2 / lambda_i - C3 beta - C4, d = lambda + C7 beta and c = beta^3 + 1.
-    ``exp`` is ``np.exp`` for array arguments or ``math.exp`` for floats.
+    Floats only; beta = -1 deg is a pole (c = 0).
     """
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise DomainError("tip-speed ratio must be finite and positive")
     d = lam + CP_C7 * beta
     c = beta**3 + 1.0
     inv_li = 1.0 / d - CP_C8 / c
     g = CP_C2 * inv_li - CP_C3 * beta - CP_C4
-    e = exp(-CP_C5 * inv_li)
+    e = math.exp(-CP_C5 * inv_li)
     return CP_C1 * g * e + CP_C6 * lam, e, g, d, c
 
 
-def power_coefficient(lam, beta):
-    """Power coefficient Cp(lambda, beta) with beta in degrees.
+def power_coefficient(lam: float, beta: float) -> float:
+    """Power coefficient Cp(lambda, beta) at one point, beta in degrees.
 
     The empirical surface goes negative at extreme arguments; negative
     values are clamped to zero (the rotor never extracts negative power).
-    Accepts scalars or numpy arrays.
+    Takes scalars; sweeps loop over points.
     """
-    lam = np.asarray(lam, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if not (np.isfinite(lam) & (lam > 0.0)).all():
-        raise DomainError("tip-speed ratio must be finite and positive")
-    cp = np.maximum(_cp_surface(lam, beta, np.exp)[0], 0.0)
-    return float(cp) if cp.ndim == 0 else cp
+    return max(_cp_surface(lam, beta)[0], 0.0)
 
 
 def power_coefficient_partials(lam: float, beta: float):
@@ -137,9 +134,7 @@ def power_coefficient_partials(lam: float, beta: float):
     Closed-form partials of the surface of :func:`power_coefficient`;
     where its zero clamp is active all three are zero.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise DomainError("tip-speed ratio must be finite and positive")
-    cp, e, g, d, c = _cp_surface(lam, beta, math.exp)
+    cp, e, g, d, c = _cp_surface(lam, beta)
     if cp <= 0.0:
         return 0.0, 0.0, 0.0
     d_cp_d_inv_li = CP_C1 * e * (CP_C2 - CP_C5 * g)
@@ -193,7 +188,7 @@ def derivatives(state, u, v, params: TurbineParams) -> np.ndarray:
     The torsional torque rate chains the shaft twist rate with the two
     acceleration terms, so it must be evaluated after them.
     """
-    omega_t, omega_g, t_tw, t_g, beta = state
+    omega_t, omega_g, t_tw, t_g, beta = np.asarray(state, dtype=float).tolist()
     t_t = aerodynamic_torque(omega_t, v, beta, params)
     d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
     d_omega_g = (t_tw - t_g) / params.j_g
@@ -247,4 +242,4 @@ def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantSta
         raise IntegrationError("non-finite state after integration step")
     x[3] = min(max(x[3], 0.0), params.t_g_max)
     x[4] = min(max(x[4], params.beta_min), params.beta_max)
-    return PlantState(*x)
+    return PlantState(*x.tolist())

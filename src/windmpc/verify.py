@@ -198,8 +198,8 @@ def run_benchmark(instances=QP_INSTANCES, seed=0):
 def check_cp_peak(params: TurbineParams):
     """Criterion 1: the Cp surface peaks at (lambda_opt, beta_opt) with cp_opt."""
     cp_peak = power_coefficient(params.lambda_opt, params.beta_opt)
-    lams = np.arange(2.0, 14.0 + 1e-9, 0.01)
-    lam_star = float(lams[np.argmax(power_coefficient(lams, params.beta_opt))])
+    lams = np.arange(2.0, 14.0 + 1e-9, 0.01).tolist()
+    lam_star = max(lams, key=lambda lam: power_coefficient(lam, params.beta_opt))
     ok = (abs(cp_peak - params.cp_opt) <= CP_PEAK_REL_TOL * params.cp_opt
           and abs(lam_star - params.lambda_opt) <= LAMBDA_STAR_TOL)
     return ok, (f"Cp peak {cp_peak:.5f} [{params.cp_opt} +- {CP_PEAK_REL_TOL:.1%}], "

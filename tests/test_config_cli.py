@@ -116,6 +116,22 @@ class TestCli:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("args,config", [
+        (["--wind", "turbulent:8.7:-1"], None),
+        (["--duration", "-5"], None),
+        (["--duration", "nan"], None),
+        ([], "hysteresis = -0.2\n"),
+    ], ids=["wind_std", "duration", "duration_nan", "hysteresis"])
+    def test_bad_harness_value_exit_code(self, tmp_path, capsys, args, config):
+        if config is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(config)
+            args = [*args, "--config", str(cfg)]
+        rc = main(["simulate", "--controller", "offline", "--duration", "1",
+                   *args, "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_qpbench_passes(self, capsys):
         rc = main(["qpbench", "--instances", "50", "--seed", "0"])
         assert rc == 0

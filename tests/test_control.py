@@ -114,6 +114,10 @@ class TestOfflineMpc:
             seen.append(controller.active_index)
         assert seen == [0, 1, 1, 0, 1]
 
+    def test_negative_hysteresis_rejected(self, params, weights):
+        with pytest.raises(ValueError, match="hysteresis"):
+            OfflineMpc(params, weights, hysteresis=-0.2)
+
     def test_converges_to_zero_pitch_at_own_operating_point(self, params, weights):
         controller = OfflineMpc(params, weights)
         state = equilibrium(6.4, params).x_bar
