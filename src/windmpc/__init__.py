@@ -19,7 +19,7 @@ from .mpc import (AugmentedModel, CondensedQp, ConstraintSet, MpcWeights,
                   PredictionMatrices, augment_disturbance, augment_velocity,
                   condense, condense_constraints, condense_cost, mpc_step,
                   prediction_matrices)
-from .qp import ActiveSetSolver
+from .qp import ActiveSetSolver, QpFactor, factorize
 from .turbine import (ControlInput, PlantState, TurbineParams,
                       aerodynamic_power, aerodynamic_torque, derivatives,
                       generator_power, power_coefficient, step,

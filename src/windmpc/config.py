@@ -4,6 +4,7 @@ Every TurbineParams and MpcWeights field plus the harness knobs below is
 addressable by its field name; CLI flags override file values.
 """
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -75,8 +76,9 @@ def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Merge config-file values with CLI overrides into an ExperimentConfig.
 
-    Unknown keys and negative or NaN durations, gust deviations or
-    hysteresis bands are rejected; overrides win over file values.
+    Unknown keys, negative durations, gust deviations or hysteresis bands,
+    and non-finite values of any float harness key are rejected; overrides
+    win over file values.
     """
     merged: dict = {}
     for source in (file_values or {}, overrides or {}):
@@ -102,6 +104,10 @@ def build_config(file_values: dict | None = None,
     for key in ("duration", "wind_std", "hysteresis"):
         if not harness_kwargs.get(key, 0.0) >= 0.0:  # NaN fails too
             raise ConfigError(f"config key {key} must be nonnegative")
+    for key in ("duration", "wind_std", "hysteresis", "wind_level", "op_low",
+                "op_high", "v_switch", "kappa"):
+        if key in harness_kwargs and not math.isfinite(harness_kwargs[key]):
+            raise ConfigError(f"config key {key} must be finite")
     try:
         turbine = TurbineParams(**turbine_kwargs)
         weights = MpcWeights(**weight_kwargs)

@@ -92,7 +92,7 @@ def equilibrium(v_bar, params: TurbineParams) -> OperatingPoint:
     t_tw = t_t / params.n_g
     x_bar = PlantState(omega_t, omega_g, t_tw, t_tw, beta)
     u_bar = ControlInput(t_tw, beta)
-    residual = derivatives(x_bar, u_bar, v_bar, params)
+    residual = np.array(derivatives(x_bar, u_bar, v_bar, params))
     scale = np.maximum(1.0, np.abs(np.asarray(x_bar)))
     if np.any(np.abs(residual) > 1e-6 * scale):
         raise DomainError("equilibrium residual check failed")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InfeasibleQpError, QpIterationError
 from .linearize import DiscreteLinearModel
-from .qp import ActiveSetSolver
+from .qp import ActiveSetSolver, QpFactor, factorize
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,6 @@ class ConstraintSet:
             if np.any(lo >= hi):
                 raise ValueError(f"{lo_name} must lie strictly below {hi_name}")
 
-    @classmethod
-    def unbounded(cls, n_in=2, n_out=2):
-        inf_in = np.full(n_in, np.inf)
-        inf_out = np.full(n_out, np.inf)
-        return cls(-inf_in, inf_in, -inf_in, inf_in, -inf_out, inf_out)
-
 
 @dataclass(frozen=True)
 class AugmentedModel:
@@ -135,12 +129,12 @@ class CondensedQp:
     """Cached dense-QP matrices for one model/horizon/weights/bounds tuple.
 
     The per-sample pieces are assembled from the stacked vector
-    z = [x_a; r_s]: linear term f = F' z, bound vector b = W + S z.
+    z = [x_a; r_s]: linear term f = F' z, bound vector b = W + S z. H and G
+    live in the solver's factor, which is built once with them.
     """
 
-    h: np.ndarray
+    factor: QpFactor
     f: np.ndarray
-    g: np.ndarray
     w: np.ndarray
     s: np.ndarray
     bounds: ConstraintSet
@@ -198,19 +192,21 @@ def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMat
     n, m = b.shape
     q = c.shape[0]
 
-    phi = np.zeros((q * n_p, n))
-    gamma = np.zeros((q * n_p, m * n_c))
-    c_a_i = c
-    c_a_b = []  # C A^i B, appended as i grows
+    c_a = np.empty((n_p + 1, q, n))   # C A^0 .. C A^n_p
+    c_a[0] = c
     for i in range(n_p):
-        c_a_b.append(c_a_i @ b)
-        c_a_i = c_a_i @ a
-        phi[i * q:(i + 1) * q] = c_a_i
-        for j in range(min(i, n_c - 1) + 1):
-            gamma[i * q:(i + 1) * q, j * m:(j + 1) * m] = c_a_b[i - j]
+        c_a[i + 1] = c_a[i] @ a
+    phi = c_a[1:].reshape(q * n_p, n)
+    # block (i, j) of Gamma is C A^(i-j) B, gathered by lag from a stack
+    # whose n_c - 1 leading zero blocks serve the lags below zero
+    c_a_b = np.concatenate([np.zeros((n_c - 1, q, m)), c_a[:n_p] @ b])
+    lag = np.arange(n_c - 1, n_c - 1 + n_p)[:, None] - np.arange(n_c)
+    gamma = c_a_b[lag].transpose(0, 2, 1, 3).reshape(q * n_p, m * n_c)
+    # u(k+j) is u(k-1) plus moves 0..j: L1's input block is L2's first column
+    l2 = (np.tril(np.ones((n_c, n_c)))[:, None, :, None]
+          * np.eye(m)[None, :, None, :]).reshape(m * n_c, m * n_c)
     l1 = np.zeros((m * n_c, n))
-    l1[:, n - m:] = np.tile(np.eye(m), (n_c, 1))
-    l2 = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(m))
+    l1[:, n - m:] = l2[:, :m]
     return PredictionMatrices(phi, gamma, l1, l2, n_p, n_c)
 
 
@@ -256,11 +252,12 @@ def condense_constraints(pm: PredictionMatrices, bounds: ConstraintSet):
 
 def condense(am: AugmentedModel, weights: MpcWeights,
              bounds: ConstraintSet) -> CondensedQp:
-    """Build the full cached QP description for one linearization."""
+    """Build the full cached QP description, solver factor included, for
+    one linearization."""
     pm = prediction_matrices(am, weights.n_p, weights.n_c)
     h, f = condense_cost(pm, weights)
     g, w, s = condense_constraints(pm, bounds)
-    return CondensedQp(h=h, f=f, g=g, w=w, s=s, bounds=bounds,
+    return CondensedQp(factor=factorize(h, g), f=f, w=w, s=s, bounds=bounds,
                        n_p=weights.n_p, n_c=weights.n_c, n_in=am.n_in)
 
 
@@ -296,15 +293,15 @@ def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
     b = qp.w + qp.s @ z
     m = qp.n_in
     try:
-        sol = solver.solve(qp.h, f, qp.g, b)
+        sol = solver.solve(qp.factor, f, b)
         du_seq = sol.x
         info = StepInfo("optimal", sol.iterations, len(sol.working_set),
                         sol.objective)
     except (InfeasibleQpError, QpIterationError):
-        du_seq = np.linalg.solve(qp.h, -f)
+        du_seq = -(qp.factor.h_inv @ f)
         lo = np.tile(qp.bounds.du_min, qp.n_c)
         hi = np.tile(qp.bounds.du_max, qp.n_c)
         du_seq = np.clip(du_seq, lo, hi)
-        info = StepInfo("fallback", 0, 0,
-                        float(0.5 * du_seq @ qp.h @ du_seq + f @ du_seq))
+        cost = 0.5 * du_seq @ qp.factor.h @ du_seq + f @ du_seq
+        info = StepInfo("fallback", 0, 0, float(cost))
     return du_seq[:m].copy(), info

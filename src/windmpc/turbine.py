@@ -182,13 +182,13 @@ def generator_power(t_g, omega_g, params: TurbineParams):
     return t_g * omega_g * params.eta
 
 
-def derivatives(state, u, v, params: TurbineParams) -> np.ndarray:
-    """Time derivatives of the five plant states.
+def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
+    """Time derivatives of the five plant states, as a 5-tuple of floats.
 
     The torsional torque rate chains the shaft twist rate with the two
     acceleration terms, so it must be evaluated after them.
     """
-    omega_t, omega_g, t_tw, t_g, beta = np.asarray(state, dtype=float).tolist()
+    omega_t, omega_g, t_tw, t_g, beta = map(float, state)
     t_t = aerodynamic_torque(omega_t, v, beta, params)
     d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
     d_omega_g = (t_tw - t_g) / params.j_g
@@ -196,7 +196,7 @@ def derivatives(state, u, v, params: TurbineParams) -> np.ndarray:
               + params.b_s * (params.n_g * d_omega_t - d_omega_g))
     d_t_g = (u[0] - t_g) / params.tau_g
     d_beta = (u[1] - beta) / params.tau
-    return np.array([d_omega_t, d_omega_g, d_t_tw, d_t_g, d_beta])
+    return d_omega_t, d_omega_g, d_t_tw, d_t_g, d_beta
 
 
 def unified_matrices(params: TurbineParams):
@@ -224,22 +224,26 @@ def unified_matrices(params: TurbineParams):
 
 def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantState:
     """Advance the plant by dt at constant wind speed v with classical RK4
-    at step dt/substeps, then clamp the pitch angle to its actuator range
-    and the generator torque to [0, t_g_max] (physical saturation).
-    """
+    at step dt/substeps, one float per state, then clamp the pitch angle to
+    its actuator range and the generator torque to [0, t_g_max] (physical
+    saturation)."""
     if dt <= 0.0:
         raise DomainError("dt must be positive")
     v = float(v)
-    x = np.asarray(state, dtype=float)
+    x = tuple(map(float, state))
     h = dt / substeps
     for _ in range(substeps):
         k1 = derivatives(x, u, v, params)
-        k2 = derivatives(x + 0.5 * h * k1, u, v, params)
-        k3 = derivatives(x + 0.5 * h * k2, u, v, params)
-        k4 = derivatives(x + h * k3, u, v, params)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x)):
+        k2 = derivatives([xi + 0.5 * h * ki for xi, ki in zip(x, k1)],
+                         u, v, params)
+        k3 = derivatives([xi + 0.5 * h * ki for xi, ki in zip(x, k2)],
+                         u, v, params)
+        k4 = derivatives([xi + h * ki for xi, ki in zip(x, k3)],
+                         u, v, params)
+        x = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x)):
         raise IntegrationError("non-finite state after integration step")
-    x[3] = min(max(x[3], 0.0), params.t_g_max)
-    x[4] = min(max(x[4], params.beta_min), params.beta_max)
-    return PlantState(*x.tolist())
+    omega_t, omega_g, t_tw, t_g, beta = x
+    return PlantState(omega_t, omega_g, t_tw, min(max(t_g, 0.0), params.t_g_max),
+                      min(max(beta, params.beta_min), params.beta_max))

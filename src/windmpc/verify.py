@@ -17,7 +17,7 @@ from .control import build_model_set
 from .errors import InfeasibleQpError, QpIterationError
 from .linearize import continuous_model, discretize, equilibrium
 from .mpc import AugmentedModel, ConstraintSet, MpcWeights
-from .qp import ActiveSetSolver
+from .qp import ActiveSetSolver, factorize
 from .turbine import TurbineParams, derivatives, power_coefficient
 
 CP_PEAK_REL_TOL = 5e-3          # criterion 1: Cp(lambda_opt, beta_opt) vs cp_opt
@@ -49,8 +49,9 @@ def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams, rel_step=1e-6):
         zp, zm = z0.copy(), z0.copy()
         zp[i] += h
         zm[i] -= h
-        jac[:, i] = (derivatives(zp[:5], zp[5:7], zp[7], params)
-                     - derivatives(zm[:5], zm[5:7], zm[7], params)) / (2.0 * h)
+        rates = np.subtract(derivatives(zp[:5], zp[5:7], zp[7], params),
+                            derivatives(zm[:5], zm[5:7], zm[7], params))
+        jac[:, i] = rates / (2.0 * h)
     return jac[:, :5], jac[:, 5:7], jac[:, 7:]
 
 
@@ -184,7 +185,7 @@ def run_benchmark(instances=QP_INSTANCES, seed=0):
         h, f, g, b = random_qp_instance(rng)
         x_ref = enumerate_qp(h, f, g, b)
         try:
-            x = ActiveSetSolver().solve(h, f, g, b).x
+            x = ActiveSetSolver().solve(factorize(h, g), f, b).x
         except (InfeasibleQpError, QpIterationError):
             failures += 1
             continue
@@ -246,12 +247,12 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
         r_s = np.tile(rng.normal(size=2) * np.array([8.0, 5e4]), n_p)
         du = rng.normal(size=2 * n_c) * np.tile([300.0, 0.3], n_c)
         z = np.concatenate([x_a, r_s])
-        condensed = 0.5 * du @ qp.h @ du + z @ qp.f @ du
+        condensed = 0.5 * du @ qp.factor.h @ du + z @ qp.f @ du
         constant = explicit_cost(am, weights, x_a, r_s, np.zeros(2 * n_c))
         explicit = explicit_cost(am, weights, x_a, r_s, du)
         worst = max(worst, abs(explicit - (condensed + constant))
                     / max(1.0, abs(explicit)))
-        residual = qp.g @ du - (qp.w + qp.s @ z)
+        residual = qp.factor.g @ du - (qp.w + qp.s @ z)
         if np.abs(residual).min() >= 1e-9:
             compared += 1
             agreed += bool(residual.max() <= 0.0) == unrolled_bounds_ok(

@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from windmpc import SimLog
+from windmpc import ConstraintSet, PlantState, SimLog, derivatives
+
+
+def unbounded_constraints(n_in=2, n_out=2):
+    """A ConstraintSet whose every bound is infinite, so it adds no rows."""
+    inf_in = np.full(n_in, np.inf)
+    inf_out = np.full(n_out, np.inf)
+    return ConstraintSet(-inf_in, inf_in, -inf_in, inf_in, -inf_out, inf_out)
 
 
 def synthetic_log(n, params, power_error=None):
@@ -18,3 +25,44 @@ def synthetic_log(n, params, power_error=None):
         omega_g_ref=np.full(n, 101.412), mode=["online"] * n,
         qp_iters=np.ones(n, dtype=int), qp_status=["optimal"] * n,
         step_time=np.full(n, 1e-3))
+
+
+def rk4_step_reference(state, u, v, dt, params, substeps=10):
+    """The plant step on numpy 5-vectors: classical RK4 as one vector
+    formula per stage, then the actuator clamps."""
+    def rate(x):
+        return np.array(derivatives(x, u, v, params))
+
+    x = np.asarray(state, dtype=float)
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = rate(x)
+        k2 = rate(x + 0.5 * h * k1)
+        k3 = rate(x + 0.5 * h * k2)
+        k4 = rate(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    x[3] = min(max(x[3], 0.0), params.t_g_max)
+    x[4] = min(max(x[4], params.beta_min), params.beta_max)
+    return PlantState(*x.tolist())
+
+
+def prediction_matrices_reference(am, n_p, n_c):
+    """(Phi, Gamma, L1, L2) with Phi and Gamma filled block by block while
+    walking up the horizon."""
+    a, b, c = am.a_a, am.b_a, am.c_a
+    n, m = b.shape
+    q = c.shape[0]
+    phi = np.zeros((q * n_p, n))
+    gamma = np.zeros((q * n_p, m * n_c))
+    c_a_i = c
+    c_a_b = []  # C A^i B, appended as i grows
+    for i in range(n_p):
+        c_a_b.append(c_a_i @ b)
+        c_a_i = c_a_i @ a
+        phi[i * q:(i + 1) * q] = c_a_i
+        for j in range(min(i, n_c - 1) + 1):
+            gamma[i * q:(i + 1) * q, j * m:(j + 1) * m] = c_a_b[i - j]
+    l1 = np.zeros((m * n_c, n))
+    l1[:, n - m:] = np.tile(np.eye(m), (n_c, 1))
+    l2 = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(m))
+    return phi, gamma, l1, l2

@@ -120,8 +120,17 @@ class TestCli:
         (["--wind", "turbulent:8.7:-1"], None),
         (["--duration", "-5"], None),
         (["--duration", "nan"], None),
+        (["--duration", "inf"], None),
         ([], "hysteresis = -0.2\n"),
-    ], ids=["wind_std", "duration", "duration_nan", "hysteresis"])
+        (["--wind", "turbulent:nan"], None),
+        (["--wind", "turbulent:inf"], None),
+        ([], "kappa = nan\n"),
+        ([], "v_switch = inf\n"),
+        ([], "op_low = -inf\n"),
+        ([], "op_high = nan\n"),
+    ], ids=["wind_std", "duration", "duration_nan", "duration_inf",
+            "hysteresis", "wind_level_nan", "wind_level_inf", "kappa_nan",
+            "v_switch_inf", "op_low_inf", "op_high_nan"])
     def test_bad_harness_value_exit_code(self, tmp_path, capsys, args, config):
         if config is not None:
             cfg = tmp_path / "bad.cfg"

@@ -234,9 +234,9 @@ class TestOnlineMpc:
         ms = build_model_set(8.0, params, weights)
         assert ms.am.a_a.shape == (8, 8)
         assert ms.am.b_a.shape == (8, 2)
-        assert ms.qp.h.shape == (2 * weights.n_c, 2 * weights.n_c)
-        assert ms.qp.g.shape[1] == 2 * weights.n_c
+        assert ms.qp.factor.h.shape == (2 * weights.n_c, 2 * weights.n_c)
+        assert ms.qp.factor.g.shape[1] == 2 * weights.n_c
         # finite bounds only: 2 output caps * n_p + 4 input rows * n_c
         # + 2 pitch move rows * n_c
-        assert ms.qp.g.shape[0] == 2 * weights.n_p + 4 * weights.n_c \
+        assert ms.qp.factor.g.shape[0] == 2 * weights.n_p + 4 * weights.n_c \
             + 2 * weights.n_c

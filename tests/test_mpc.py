@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from windmpc import (ActiveSetSolver, ConstraintSet, MpcWeights,
-                     augment_disturbance, augment_velocity, condense,
-                     condense_constraints, condense_cost, continuous_model,
-                     discretize, equilibrium, mpc_step, prediction_matrices)
+                     augment_disturbance, augment_velocity, build_model_set,
+                     condense, condense_constraints, condense_cost,
+                     continuous_model, discretize, equilibrium, mpc_step,
+                     prediction_matrices)
 from windmpc.verify import explicit_cost, unrolled_bounds_ok
+
+from helpers import prediction_matrices_reference, unbounded_constraints
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +132,15 @@ class TestPredictionMatrices:
         assert np.allclose(stacked, np.concatenate(expected), rtol=0.0,
                            atol=1e-13)
 
+    def test_equals_block_loop(self, discrete_model, weights):
+        params = discrete_model[0]
+        for v in (4.5, 6.4, 8.3, 10.0, 10.9):
+            am = build_model_set(v, params, weights).am
+            pm = prediction_matrices(am, weights.n_p, weights.n_c)
+            expected = prediction_matrices_reference(am, weights.n_p, weights.n_c)
+            for got, want in zip((pm.phi, pm.gamma, pm.l1, pm.l2), expected):
+                assert np.array_equal(got, want)
+
     def test_horizon_validation(self, augmented):
         with pytest.raises(ValueError):
             prediction_matrices(augmented, 5, 6)
@@ -188,7 +200,7 @@ class TestCondenseConstraints:
 
     def test_all_infinite_bounds_empty(self, augmented):
         pm = prediction_matrices(augmented, 4, 2)
-        g, w, s = condense_constraints(pm, ConstraintSet.unbounded())
+        g, w, s = condense_constraints(pm, unbounded_constraints())
         assert g.shape == (0, 4)
         assert w.size == 0
 
@@ -284,7 +296,7 @@ class TestMpcStep:
 
     def test_single_step_horizon_matches_hand_solution(self, augmented):
         w = MpcWeights(q1=2.0, q2=0.0, r1=1.0, r2=1.0, r3=0.0, n_p=1, n_c=1)
-        qp = condense(augmented, w, ConstraintSet.unbounded())
+        qp = condense(augmented, w, unbounded_constraints())
         x_a = np.zeros(8)
         r_s = np.array([5.0, 0.0])
         du, _ = mpc_step(qp, x_a, r_s, ActiveSetSolver())

@@ -9,6 +9,8 @@ from windmpc import (ControlInput, DomainError, PlantState, TurbineParams,
                      tip_speed_ratio, unified_matrices)
 from windmpc.turbine import power_coefficient_partials
 
+from helpers import rk4_step_reference
+
 # frozen by direct scalar evaluation of the Cp closed form (independent script)
 CP_AT_7_0 = 0.4512823932402688
 CP_AT_PEAK = 0.48001190251033915
@@ -188,6 +190,20 @@ class TestStep:
         out = step(state, u, 8.0, params.t_s, params)
         assert out.t_g <= params.t_g_max
         assert out.beta <= params.beta_max
+
+    def test_equals_vector_rk4(self, params, rng):
+        # the float route keeps the vector formula's operation order, so the
+        # two agree bit for bit
+        for _ in range(300):
+            v = rng.uniform(5.0, 10.5)
+            op = equilibrium(v, params)
+            state = np.asarray(op.x_bar) * (1.0 + 0.05 * rng.normal(size=5))
+            state[4] = rng.uniform(0.0, 3.0)
+            u = ControlInput(op.u_bar.t_g_ref * (1.0 + 0.05 * rng.normal()),
+                             rng.uniform(0.0, 3.0))
+            gust = v + 0.3 * rng.normal()
+            assert step(state, u, gust, params.t_s, params) \
+                == rk4_step_reference(state, u, gust, params.t_s, params)
 
     def test_rejects_nonpositive_dt(self, params):
         op = equilibrium(8.0, params)
