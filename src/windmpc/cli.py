@@ -66,13 +66,9 @@ def _run_sim(args) -> int:
     file_values = read_kv_file(args.config) if args.config else {}
     overrides = {"seed": args.seed, "duration": args.duration,
                  "controller": getattr(args, "controller", None) or "both"}
-    if args.wind:
-        kind, level, std = parse_wind_spec(args.wind)
-        overrides["wind_kind"] = kind
-        if level is not None:
-            overrides["wind_level"] = level
-        if std is not None:
-            overrides["wind_std"] = std
+    if args.wind:  # build_config skips the level and std left as None
+        overrides.update(zip(("wind_kind", "wind_level", "wind_std"),
+                             parse_wind_spec(args.wind)))
     config = build_config(file_values, overrides)
     results = run_experiment(config)
     paths = emit(results, args.out)

@@ -125,6 +125,7 @@ class _MpcControllerBase:
         self.solver = ActiveSetSolver()
         self.u_prev: ControlInput | None = None
         self._prediction: tuple[np.ndarray, np.ndarray] | None = None
+        self._ref_index = np.tile(np.arange(2), self.weights.n_p)
 
     def step(self, x_meas, v):
         """Input for measured state x_meas and wind v, with its StepInfo.
@@ -168,9 +169,8 @@ class _MpcControllerBase:
 
         ref = reference(v, p)
         p_g_bar = generator_power(ms.op.x_bar.t_g, ms.op.x_bar.omega_g, p)
-        r_step = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
-                           ref.p_g_ref - p_g_bar])
-        r_s = np.tile(r_step, self.weights.n_p)
+        r_s = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
+                        ref.p_g_ref - p_g_bar])[self._ref_index]
 
         du, info = mpc_step(ms.qp, x_a, r_s, self.solver)
 

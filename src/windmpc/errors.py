@@ -10,7 +10,8 @@ class IntegrationError(RuntimeError):
 
 
 class InfeasibleQpError(RuntimeError):
-    """The QP constraint set admits no solution; carries the most-violated row."""
+    """The QP constraint set admits no solution. ``worst_row`` is the row the
+    solver's path stalled on, not a property of the program."""
 
     def __init__(self, message, worst_row=None):
         super().__init__(message)

@@ -80,19 +80,12 @@ def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
             raise SimulationError(f"controller failed at step {k}: {exc}",
                                   step=k, cause=exc) from exc
         lam = tip_speed_ratio(state.omega_t, v_k, params)
-        rows["t"][k] = t_k
-        rows["v"][k] = v_k
-        rows["omega_t"][k] = state.omega_t
-        rows["omega_g"][k] = state.omega_g
-        rows["t_tw"][k] = state.t_tw
-        rows["t_g"][k] = state.t_g
-        rows["beta"][k] = state.beta
-        rows["t_g_ref"][k] = u.t_g_ref
-        rows["beta_ref"][k] = u.beta_ref
-        rows["p_g"][k] = generator_power(state.t_g, state.omega_g, params)
-        rows["p_t"][k] = aerodynamic_power(v_k, lam, state.beta, params)
-        rows["p_max"][k] = max_power(v_k, params)
-        rows["omega_g_ref"][k] = reference(v_k, params).omega_g_ref
+        sample = (t_k, v_k, *state, *u,  # in the order of LOG_FLOAT_FIELDS
+                  generator_power(state.t_g, state.omega_g, params),
+                  aerodynamic_power(v_k, lam, state.beta, params),
+                  max_power(v_k, params), reference(v_k, params).omega_g_ref)
+        for name, value in zip(LOG_FLOAT_FIELDS, sample):
+            rows[name][k] = value
         mode.append(info.mode)
         qp_iters[k] = info.qp_iterations
         qp_status.append(info.qp_status)

@@ -16,6 +16,8 @@ program and reports it in the shared per-sample ``StepInfo`` record.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -149,12 +151,13 @@ def _append_held_states(a, b, c, coupling, b_rows):
     Returns [[A, coupling], [0, I]], [B; b_rows] and [C, 0].
     """
     n, k = coupling.shape
-    a_new = np.zeros((n + k, n + k))
-    a_new[:n, :n] = a
-    a_new[:n, n:] = coupling
-    a_new[n:, n:] = np.eye(k)
-    return (a_new, np.vstack([b, b_rows]),
-            np.hstack([c, np.zeros((c.shape[0], k))]))
+    a_new = np.eye(n + k)
+    a_new[:n, :n], a_new[:n, n:] = a, coupling
+    b_new = np.empty((n + k, b.shape[1]))
+    b_new[:n], b_new[n:] = b, b_rows
+    c_new = np.zeros((c.shape[0], n + k))
+    c_new[:, :n] = c
+    return a_new, b_new, c_new
 
 
 def augment_disturbance(dm: DiscreteLinearModel):
@@ -177,6 +180,37 @@ def augment_velocity(a_p, b_p, c_p) -> AugmentedModel:
                                                np.eye(b_p.shape[1])))
 
 
+@lru_cache(maxsize=32)
+def _layout(n, m, q, n_p, n_c, weights: MpcWeights | None = None):
+    """Read-only parts of the condensed QP that no model enters: L1, L2, Gamma's
+    lag index and zero blocks, G and S templates, W's gather index, cost terms."""
+    # u(k+j) is u(k-1) plus moves 0..j: L1's input block is L2's first column
+    l2 = (np.tril(np.ones((n_c, n_c)))[:, None, :, None]
+          * np.eye(m)[None, :, None, :]).reshape(m * n_c, m * n_c)
+    l1 = np.zeros((m * n_c, n))
+    l1[:, n - m:] = l2[:, :m]
+    # row blocks y <= y_max, y >= y_min, u <= u_max, u >= u_min, du <= du_max
+    # and du >= du_min; the Gamma rows of G and Phi rows of S are per model
+    g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), l2, -l2, np.eye(m * n_c),
+                   -np.eye(m * n_c)])
+    s = np.zeros((len(g), n + q * n_p))
+    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-l1, l1])
+    w_index = np.concatenate([np.tile(np.arange(k, k + q), n_p) for k in (0, q)] + [
+        np.tile(np.arange(k, k + m), n_c) for k in range(2 * q, 2 * q + 4 * m, m)])
+    lay = SimpleNamespace(
+        l1=l1, l2=l2, g=g, s=s, w_index=w_index,
+        lag=np.arange(n_c - 1, n_c - 1 + n_p)[:, None] - np.arange(n_c),
+        zero_blocks=np.zeros((n_c - 1, q, m)))
+    if weights is not None:
+        ru1_l2 = np.tile(weights.r_u.diagonal(), n_c)[:, None] * l2
+        lay.q_diag = np.tile(weights.q.diagonal(), n_p)[:, None]
+        lay.r1 = np.diag(np.tile(weights.r.diagonal(), n_c))
+        lay.l2t_ru1_l2, lay.l1t_ru1_l2 = l2.T @ ru1_l2, l1.T @ ru1_l2
+    for array in vars(lay).values():
+        array.flags.writeable = False
+    return lay
+
+
 def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMatrices:
     """Batch output and input operators over the horizons.
 
@@ -191,6 +225,7 @@ def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMat
     a, b, c = am.a_a, am.b_a, am.c_a
     n, m = b.shape
     q = c.shape[0]
+    lay = _layout(n, m, q, n_p, n_c)
 
     c_a = np.empty((n_p + 1, q, n))   # C A^0 .. C A^n_p
     c_a[0] = c
@@ -199,15 +234,9 @@ def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMat
     phi = c_a[1:].reshape(q * n_p, n)
     # block (i, j) of Gamma is C A^(i-j) B, gathered by lag from a stack
     # whose n_c - 1 leading zero blocks serve the lags below zero
-    c_a_b = np.concatenate([np.zeros((n_c - 1, q, m)), c_a[:n_p] @ b])
-    lag = np.arange(n_c - 1, n_c - 1 + n_p)[:, None] - np.arange(n_c)
-    gamma = c_a_b[lag].transpose(0, 2, 1, 3).reshape(q * n_p, m * n_c)
-    # u(k+j) is u(k-1) plus moves 0..j: L1's input block is L2's first column
-    l2 = (np.tril(np.ones((n_c, n_c)))[:, None, :, None]
-          * np.eye(m)[None, :, None, :]).reshape(m * n_c, m * n_c)
-    l1 = np.zeros((m * n_c, n))
-    l1[:, n - m:] = l2[:, :m]
-    return PredictionMatrices(phi, gamma, l1, l2, n_p, n_c)
+    c_a_b = np.concatenate([lay.zero_blocks, c_a[:n_p] @ b])
+    gamma = c_a_b[lay.lag].transpose(0, 2, 1, 3).reshape(q * n_p, m * n_c)
+    return PredictionMatrices(phi, gamma, lay.l1, lay.l2, n_p, n_c)
 
 
 def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
@@ -218,14 +247,13 @@ def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
     F' [x; rs]. Q1, R1 and Ru1 are diagonal, so they enter as tiled weight
     diagonals. H is symmetrized to kill assembly roundoff.
     """
-    q1_gamma = np.tile(weights.q.diagonal(), pm.n_p)[:, None] * pm.gamma
-    ru1_l2 = np.tile(weights.r_u.diagonal(), pm.n_c)[:, None] * pm.l2
-    r1 = np.diag(np.tile(weights.r.diagonal(), pm.n_c))
-    h = 2.0 * (pm.gamma.T @ q1_gamma + r1 + pm.l2.T @ ru1_l2)
+    lay = _layout(pm.l1.shape[1], len(pm.l1) // pm.n_c, len(pm.phi) // pm.n_p,
+                  pm.n_p, pm.n_c, weights)
+    q1_gamma = lay.q_diag * pm.gamma
+    h = 2.0 * (pm.gamma.T @ q1_gamma + lay.r1 + lay.l2t_ru1_l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (pm.phi.T @ q1_gamma + pm.l1.T @ ru1_l2)
-    f_bottom = -2.0 * q1_gamma
-    return h, np.vstack([f_top, f_bottom])
+    f_top = 2.0 * (pm.phi.T @ q1_gamma + lay.l1t_ru1_l2)
+    return h, np.vstack([f_top, -2.0 * q1_gamma])
 
 
 def condense_constraints(pm: PredictionMatrices, bounds: ConstraintSet):
@@ -235,19 +263,15 @@ def condense_constraints(pm: PredictionMatrices, bounds: ConstraintSet):
     over the control horizon; rows whose bound is infinite are omitted. The
     reference block of S is identically zero (references never constrain).
     """
-    # row blocks, in order: y <= y_max, y >= y_min, u <= u_max, u >= u_min,
-    # du <= du_max, du >= du_min
-    eye = np.eye(pm.l2.shape[1])
-    no_state = np.zeros_like(pm.l1)
-    g = np.vstack([pm.gamma, -pm.gamma, pm.l2, -pm.l2, eye, -eye])
-    w = np.concatenate([
-        np.tile(bounds.y_max, pm.n_p), np.tile(-bounds.y_min, pm.n_p),
-        np.tile(bounds.u_max, pm.n_c), np.tile(-bounds.u_min, pm.n_c),
-        np.tile(bounds.du_max, pm.n_c), np.tile(-bounds.du_min, pm.n_c)])
-    s_x = np.vstack([-pm.phi, pm.phi, -pm.l1, pm.l1, no_state, no_state])
+    q_n_p, n = pm.phi.shape
+    lay = _layout(n, len(pm.l1) // pm.n_c, q_n_p // pm.n_p, pm.n_p, pm.n_c)
+    g, s = lay.g.copy(), lay.s.copy()
+    g[:q_n_p], g[q_n_p:2 * q_n_p] = pm.gamma, -pm.gamma
+    s[:q_n_p, :n], s[q_n_p:2 * q_n_p, :n] = -pm.phi, pm.phi
+    w = np.concatenate([bounds.y_max, -bounds.y_min, bounds.u_max,
+                        -bounds.u_min, bounds.du_max, -bounds.du_min])[lay.w_index]
     keep = np.isfinite(w)
-    s = np.hstack([s_x[keep], np.zeros((int(keep.sum()), pm.phi.shape[0]))])
-    return g[keep], w[keep], s
+    return g[keep], w[keep], s[keep]
 
 
 def condense(am: AugmentedModel, weights: MpcWeights,

@@ -80,11 +80,11 @@ class ActiveSetSolver:
     def solve(self, factor: QpFactor, f, b=None) -> QpSolution:
         """Minimize 0.5 x'Hx + f'x subject to G x <= b, H and G from ``factor``.
 
-        Raises InfeasibleQpError (carrying the row no step can satisfy)
-        when no feasible point exists and QpIterationError when the
-        iteration cap is hit or the KKT residuals fail to verify. The
-        iteration count includes the start-point solve and each row pruned
-        from the warm start, so it is at least 1.
+        Raises InfeasibleQpError when no feasible point exists, carrying the
+        row this dual path stalled on: the warm start and the step order pick
+        it, so it is not a property of the program. Raises QpIterationError
+        when the iteration cap is hit or the KKT residuals fail to verify. The
+        iteration count includes the start-point solve and each pruned row.
         """
         h, g = factor.h, factor.g
         f = np.asarray(f, dtype=float).ravel()

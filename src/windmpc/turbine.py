@@ -8,6 +8,7 @@ speeds are rad/s.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -183,15 +184,21 @@ def generator_power(t_g, omega_g, params: TurbineParams):
 
 
 def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
-    """Time derivatives of the five plant states, as a 5-tuple of floats.
+    """Time derivatives of the five plant states, as a 5-tuple of floats."""
+    if v <= 0.0:
+        raise DomainError("wind speed must be positive")
+    return _rates(tuple(map(float, state)), u, v, wind_power(v, params), params)
 
-    The torsional torque rate chains the shaft twist rate with the two
-    acceleration terms, so it must be evaluated after them.
-    """
-    omega_t, omega_g, t_tw, t_g, beta = map(float, state)
-    t_t = aerodynamic_torque(omega_t, v, beta, params)
+
+def _rates(state, u, v, p_w, params: TurbineParams):
+    """:func:`derivatives` at a float state, given p_w = wind_power(v), v > 0."""
+    omega_t, omega_g, t_tw, t_g, beta = state
+    if omega_t <= 0.0:
+        raise DomainError("rotor speed must be positive to evaluate torque")
+    t_t = p_w * power_coefficient(omega_t * params.radius / v, beta) / omega_t
     d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
     d_omega_g = (t_tw - t_g) / params.j_g
+    # the twist rate chains the two accelerations, so it comes after them
     d_t_tw = (params.k_s * (params.n_g * omega_t - omega_g)
               + params.b_s * (params.n_g * d_omega_t - d_omega_g))
     d_t_g = (u[0] - t_g) / params.tau_g
@@ -199,12 +206,14 @@ def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
     return d_omega_t, d_omega_g, d_t_tw, d_t_g, d_beta
 
 
+@lru_cache(maxsize=8)
 def unified_matrices(params: TurbineParams):
     """Constant matrices (A, B, B2) of the affine form dx = A x + B u + B2 T_t.
 
     Equivalent to :func:`derivatives` once the aerodynamic torque is fed
     through the B2 column; the pitch row carries -1/tau (stable first-order
     actuator). The linear model of :mod:`windmpc.linearize` is built on them.
+    Built once per parameter set; the cached arrays are read-only.
     """
     p = params
     a = np.array([
@@ -219,6 +228,7 @@ def unified_matrices(params: TurbineParams):
     b[3, 0] = 1.0 / p.tau_g
     b[4, 1] = 1.0 / p.tau
     b2 = np.array([1.0 / p.j_t, 0.0, p.n_g * p.b_s / p.j_t, 0.0, 0.0])
+    a.flags.writeable = b.flags.writeable = b2.flags.writeable = False
     return a, b, b2
 
 
@@ -227,19 +237,19 @@ def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantSta
     at step dt/substeps, one float per state, then clamp the pitch angle to
     its actuator range and the generator torque to [0, t_g_max] (physical
     saturation)."""
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
+    if not (dt > 0.0 and v > 0.0):
+        raise DomainError("dt and wind speed must be positive")
     v = float(v)
+    p_w = wind_power(v, params)
     x = tuple(map(float, state))
     h = dt / substeps
     for _ in range(substeps):
-        k1 = derivatives(x, u, v, params)
-        k2 = derivatives([xi + 0.5 * h * ki for xi, ki in zip(x, k1)],
-                         u, v, params)
-        k3 = derivatives([xi + 0.5 * h * ki for xi, ki in zip(x, k2)],
-                         u, v, params)
-        k4 = derivatives([xi + h * ki for xi, ki in zip(x, k3)],
-                         u, v, params)
+        k1 = _rates(x, u, v, p_w, params)
+        k2 = _rates([xi + 0.5 * h * ki for xi, ki in zip(x, k1)],
+                    u, v, p_w, params)
+        k3 = _rates([xi + 0.5 * h * ki for xi, ki in zip(x, k2)],
+                    u, v, p_w, params)
+        k4 = _rates([xi + h * ki for xi, ki in zip(x, k3)], u, v, p_w, params)
         x = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
              for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
     if not all(map(math.isfinite, x)):

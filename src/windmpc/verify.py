@@ -28,6 +28,7 @@ CONDENSED_COST_REL_TOL = 1e-8   # criterion 4: condensed vs simulated cost
 MIN_MEMBERSHIP_CHECKS = 50      # criterion 4: draws off every row boundary
 QP_ORACLE_TOL = 1e-6            # criterion 5: solver vs enumeration, max norm
 QP_INSTANCES = 500              # criterion 5
+SAMPLE_BUDGET_S = 0.05          # criterion 9: online step mean and p99, s
 # wall-clock budgets of criteria 1, 2 and 5 in the acceptance suite, s
 CP_SWEEP_BUDGET_S = 1.0
 JACOBIAN_SWEEP_BUDGET_S = 10.0

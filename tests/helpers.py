@@ -66,3 +66,30 @@ def prediction_matrices_reference(am, n_p, n_c):
     l1[:, n - m:] = np.tile(np.eye(m), (n_c, 1))
     l2 = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(m))
     return phi, gamma, l1, l2
+
+
+def condense_cost_reference(pm, weights):
+    """(H, F) assembled from tiled weight diagonals on every call."""
+    q1_gamma = np.tile(weights.q.diagonal(), pm.n_p)[:, None] * pm.gamma
+    ru1_l2 = np.tile(weights.r_u.diagonal(), pm.n_c)[:, None] * pm.l2
+    r1 = np.diag(np.tile(weights.r.diagonal(), pm.n_c))
+    h = 2.0 * (pm.gamma.T @ q1_gamma + r1 + pm.l2.T @ ru1_l2)
+    h = 0.5 * (h + h.T)
+    f_top = 2.0 * (pm.phi.T @ q1_gamma + pm.l1.T @ ru1_l2)
+    f_bottom = -2.0 * q1_gamma
+    return h, np.vstack([f_top, f_bottom])
+
+
+def condense_constraints_reference(pm, bounds):
+    """(G, W, S) stacked block by block with tiled bound vectors."""
+    eye = np.eye(pm.l2.shape[1])
+    no_state = np.zeros_like(pm.l1)
+    g = np.vstack([pm.gamma, -pm.gamma, pm.l2, -pm.l2, eye, -eye])
+    w = np.concatenate([
+        np.tile(bounds.y_max, pm.n_p), np.tile(-bounds.y_min, pm.n_p),
+        np.tile(bounds.u_max, pm.n_c), np.tile(-bounds.u_min, pm.n_c),
+        np.tile(bounds.du_max, pm.n_c), np.tile(-bounds.du_min, pm.n_c)])
+    s_x = np.vstack([-pm.phi, pm.phi, -pm.l1, pm.l1, no_state, no_state])
+    keep = np.isfinite(w)
+    s = np.hstack([s_x[keep], np.zeros((int(keep.sum()), pm.phi.shape[0]))])
+    return g[keep], w[keep], s

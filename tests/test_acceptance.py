@@ -15,7 +15,7 @@ from windmpc import (MpcWeights, OfflineMpc, OnlineMpc, PlantState,
                      generate_wind, reference, run_closed_loop, step,
                      torque_total_variation)
 from windmpc.verify import (CP_SWEEP_BUDGET_S, JACOBIAN_SWEEP_BUDGET_S,
-                            QP_BENCH_BUDGET_S, QP_INSTANCES,
+                            QP_BENCH_BUDGET_S, QP_INSTANCES, SAMPLE_BUDGET_S,
                             check_condensation, check_cp_peak,
                             check_linearization, check_qp_solver,
                             check_zoh_diagonals)
@@ -159,8 +159,11 @@ def test_criterion_8_online_beats_offline_on_turbulent_seeds():
 def test_criterion_9_realtime_budget(turbulent_comparison):
     times = turbulent_comparison["online"].step_time
     mean_ms = float(np.mean(times)) * 1e3
+    p99_ms = float(np.percentile(times, 99)) * 1e3
     max_ms = float(np.max(times)) * 1e3
-    ok = mean_ms < 50.0
-    _report("criterion 9 (online step inside the 50 ms sampling budget)", ok,
-            f"mean {mean_ms:.2f} ms, max {max_ms:.2f} ms over "
-            f"{times.size} steps")
+    budget_ms = SAMPLE_BUDGET_S * 1e3
+    ok = mean_ms < budget_ms and p99_ms < budget_ms
+    _report(f"criterion 9 (online step inside the {budget_ms:g} ms sampling "
+            "budget)", ok,
+            f"mean {mean_ms:.2f} ms, p99 {p99_ms:.2f} ms, max {max_ms:.2f} ms "
+            f"over {times.size} steps [mean and p99 below {budget_ms:g} ms]")

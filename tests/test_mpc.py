@@ -5,10 +5,11 @@ from windmpc import (ActiveSetSolver, ConstraintSet, MpcWeights,
                      augment_disturbance, augment_velocity, build_model_set,
                      condense, condense_constraints, condense_cost,
                      continuous_model, discretize, equilibrium, mpc_step,
-                     prediction_matrices)
+                     prediction_matrices, shift_constraints, unified_matrices)
 from windmpc.verify import explicit_cost, unrolled_bounds_ok
 
-from helpers import prediction_matrices_reference, unbounded_constraints
+from helpers import (condense_constraints_reference, condense_cost_reference,
+                     prediction_matrices_reference, unbounded_constraints)
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +267,69 @@ class TestCondenseConstraints:
         du = np.tile([1.0, 0.001], n_c)  # tiny moves from rest stay inside
         z = np.concatenate([x_a, np.zeros(2 * n_p)])
         assert np.all(g @ du <= wvec + s @ z)
+
+
+class TestCachedLayout:
+    """condense_cost and condense_constraints fill per-model blocks into
+    cached model-free templates; the tile/vstack forms in helpers.py are the
+    reference, and they must agree bit for bit."""
+
+    WINDS = (4.5, 6.4, 8.3, 10.0, 10.9)
+
+    @staticmethod
+    def condensed(params, weights, v_bar, bounds=None):
+        op = equilibrium(v_bar, params)
+        dm = discretize(continuous_model(op, params), params.t_s)
+        am = augment_velocity(*augment_disturbance(dm))
+        pm = prediction_matrices(am, weights.n_p, weights.n_c)
+        bounds = shift_constraints(op, params) if bounds is None else bounds
+        got = condense_cost(pm, weights) + condense_constraints(pm, bounds)
+        want = (condense_cost_reference(pm, weights)
+                + condense_constraints_reference(pm, bounds))
+        return pm, got, want
+
+    @staticmethod
+    def assert_identical(got, want):
+        # H, F, G, W, S
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    def test_equals_tiled_form_with_interleaved_keys(self, params):
+        # over the wind envelope, alternate horizons, weights and bound sets
+        # so that a cached piece served under the wrong key would change a
+        # shape or a value
+        weight_sets = [MpcWeights(), MpcWeights(n_p=4, n_c=2),
+                       MpcWeights(q1=3.0, q2=1e-4, r1=2e-6, r2=50.0, r3=7.0),
+                       MpcWeights(q1=3.0, q2=1e-4, r1=2e-6, r2=50.0, r3=7.0,
+                                  n_p=4, n_c=2)]
+        # every bound distinct, so a block gathered into the wrong place shows
+        skewed = ConstraintSet(
+            du_min=np.array([-300.0, -0.4]), du_max=np.array([250.0, 0.5]),
+            u_min=np.array([-2e3, -1.0]), u_max=np.array([1.5e3, 10.0]),
+            y_min=np.array([-40.0, -1e5]), y_max=np.array([50.0, 2e5]))
+        unbounded = unbounded_constraints()
+        for v_bar in self.WINDS:
+            for w in weight_sets:
+                for bounds in (None, unbounded, skewed):
+                    pm, got, want = self.condensed(params, w, v_bar, bounds)
+                    self.assert_identical(got, want)
+                    assert pm.gamma.shape == (2 * w.n_p, 2 * w.n_c)
+                    if bounds is unbounded:
+                        assert got[2].shape == (0, 2 * w.n_c)
+
+    def test_cached_arrays_are_read_only(self, params, weights, augmented):
+        pm = prediction_matrices(augmented, weights.n_p, weights.n_c)
+        cm = continuous_model(equilibrium(8.0, params), params)
+        for cached in (pm.l1, pm.l2, *unified_matrices(params), cm.b_cu):
+            with pytest.raises(ValueError):
+                cached[0, ...] = 1.0
+        # what a call returns is the caller's own
+        h, f = condense_cost(pm, weights)
+        g, w, s = condense_constraints(pm, shift_constraints(
+            equilibrium(8.0, params), params))
+        for fresh in (h, f, g, w, s):
+            fresh[0, ...] = 1.0
 
 
 class TestMpcStep:

@@ -205,6 +205,25 @@ class TestStep:
             assert step(state, u, gust, params.t_s, params) \
                 == rk4_step_reference(state, u, gust, params.t_s, params)
 
+    def test_rotor_speed_driven_nonpositive_raises(self, params):
+        # a torsional torque far above the aerodynamic torque reverses the
+        # rotor within the first substep; the stage rates must refuse it
+        state = PlantState(0.005, 0.3, 1e6, 0.0, 0.0)
+        with pytest.raises(DomainError, match="rotor speed"):
+            step(state, ControlInput(0.0, 0.0), 8.0, params.t_s, params)
+
+    def test_nonpositive_wind_raises_before_integrating(self, params,
+                                                        monkeypatch):
+        import windmpc.turbine as turbine
+        op = equilibrium(8.0, params)
+        calls = []
+        monkeypatch.setattr(turbine, "_rates",
+                            lambda *args: calls.append(args))
+        for v in (0.0, -3.0):
+            with pytest.raises(DomainError):
+                step(op.x_bar, op.u_bar, v, params.t_s, params)
+        assert calls == []
+
     def test_rejects_nonpositive_dt(self, params):
         op = equilibrium(8.0, params)
         with pytest.raises(DomainError):
