@@ -18,7 +18,12 @@ D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G', so a step on working
 set W solves only M_WW r = -M_Wp. Suited to receding-horizon control,
 where H and G are fixed per model and the active set barely changes
 between samples: a solver instance starts from the optimum on its last
-working set, pruned of rows with negative multipliers. The enumeration
+working set, pruned of rows with negative multipliers. Each factor also
+remembers the working sets found optimal on it as affine laws of (f, b),
+the explicit MPC of Bemporad et al. (2002) learned only where the loop goes,
+the partial enumeration of Pannocchia et al. (2007); a solve tries them
+before the dual loop. A law is built on its factor's next solve, so a factor
+solved once builds none, and at most LAW_CAP are kept. The enumeration
 oracle the solver is checked against lives in ``windmpc.verify``.
 """
 
@@ -35,6 +40,72 @@ MAX_ITER_FACTOR = 50    # iteration cap as a multiple of the number of variables
 # it outside their span, H z below, is under this share of the row: closer
 # to dependence the computed step is rounding noise and can point uphill.
 DEP_TOL = 1e-6
+LAW_CAP = 256           # optimal working sets remembered per factor
+
+
+class LawTable(dict):
+    """Working sets found optimal on one factor, in learning order: sorted
+    rows W -> the law (P, Q), lambda_W = P r and x = x_free - Q r for
+    r = G x_free - b, so P holds M_WW^-1 in the columns W and Q = H^-1 G_W' P;
+    None until built. ``stack`` holds the laws stacked for ``match``, None
+    when stale; ``recency`` orders the sets by last use."""
+
+    def __init__(self):
+        super().__init__()
+        self.stack, self.recency = (), {}
+
+    def record(self, key):
+        """Mark ``key`` optimal now, dropping the least recent at LAW_CAP."""
+        self.recency.pop(key, None)
+        self.recency[key] = None
+        if key not in self:
+            if len(self) >= LAW_CAP:
+                old = next(iter(self.recency))
+                del self[old], self.recency[old]
+            self[key], self.stack = None, None
+
+    def match(self, factor: "QpFactor", last, x_free, b, tol):
+        """(W, lambda_W, 1) for a law optimal at (f, b), lambda_W >= 0 and
+        G x - b <= tol: the last working set's law if it is, else the earliest
+        learned; None on a miss."""
+        if not self:
+            return None
+        if self.stack is None:
+            self._build(factor)
+        r, law = factor.g @ x_free - b, self.get(tuple(last))
+        if law is not None:
+            lam = law[0] @ r
+            if lam.min() >= 0.0 and (
+                    factor.g @ (x_free - law[1] @ r) - b).max() <= tol:
+                return list(last), lam, 1
+        if self.stack:
+            keys, p, q, starts = self.stack
+            lam = p @ r
+            dual = np.flatnonzero(np.minimum.reduceat(lam, starts) >= 0.0)
+            x = x_free - q[dual] @ r
+            ok = np.flatnonzero((x @ factor.g.T - b).max(axis=1) <= tol)
+            if ok.size:
+                i = dual[ok[0]]
+                return list(keys[i]), lam[starts[i]:starts[i] + len(keys[i])], 1
+        return None
+
+    def _build(self, factor: "QpFactor"):
+        """Build each pending law, dropping a set whose M_WW fails to invert,
+        and restack them all."""
+        for key in [key for key, law in self.items() if law is None]:
+            try:
+                m_inv = np.linalg.inv(factor.m[np.ix_(key, key)])
+            except np.linalg.LinAlgError:
+                del self[key], self.recency[key]
+                continue
+            p = np.zeros((len(key), len(factor.m)))
+            p[:, key] = m_inv
+            self[key] = p, factor.h_inv_gt[:, key] @ p
+        laws = list(self.values())
+        self.stack = laws and (
+            list(self), np.vstack([p for p, _ in laws]),
+            np.array([q for _, q in laws]),
+            np.cumsum([0] + [len(p) for p, _ in laws[:-1]]))
 
 
 @dataclass(frozen=True)
@@ -46,6 +117,7 @@ class QpFactor:
     h_inv: np.ndarray      # H^-1
     h_inv_gt: np.ndarray   # H^-1 G', n x m
     m: np.ndarray          # G H^-1 G', m x m
+    laws: LawTable = field(default_factory=LawTable, compare=False, repr=False)
 
 
 def factorize(h, g=None) -> QpFactor:
@@ -84,7 +156,8 @@ class ActiveSetSolver:
         row this dual path stalled on: the warm start and the step order pick
         it, so it is not a property of the program. Raises QpIterationError
         when the iteration cap is hit or the KKT residuals fail to verify. The
-        iteration count includes the start-point solve and each pruned row.
+        iteration count includes the start-point solve and each pruned row; a
+        solve taken from the factor's law table counts 1.
         """
         h, g = factor.h, factor.g
         f = np.asarray(f, dtype=float).ravel()
@@ -96,7 +169,9 @@ class ActiveSetSolver:
         b = np.asarray(b, dtype=float).ravel()
         tol = FEAS_TOL * (1.0 + float(np.abs(b).max()))
 
-        ws, lam, iterations = self._warm_start(factor, x_free, b)
+        ws, lam, iterations = (
+            factor.laws.match(factor, self.working_set, x_free, b, tol)
+            or self._warm_start(factor, x_free, b))
         x = x_free - factor.h_inv_gt[:, ws] @ lam
         max_iter = max(10, MAX_ITER_FACTOR * n)
         p = -1          # row being enforced, -1 when none
@@ -151,6 +226,8 @@ class ActiveSetSolver:
         mult[ws] = np.maximum(lam, 0.0)
         self._verify_kkt(h, f, g, b, x, mult)
         self.working_set = sorted(ws)
+        if ws:
+            factor.laws.record(tuple(self.working_set))
         return QpSolution(x, mult, sorted(ws), iterations,
                           self._objective(h, f, x))
 

@@ -243,15 +243,21 @@ def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantSta
     p_w = wind_power(v, params)
     x = tuple(map(float, state))
     h = dt / substeps
+    h2, h6 = 0.5 * h, h / 6.0
     for _ in range(substeps):
-        k1 = _rates(x, u, v, p_w, params)
-        k2 = _rates([xi + 0.5 * h * ki for xi, ki in zip(x, k1)],
-                    u, v, p_w, params)
-        k3 = _rates([xi + 0.5 * h * ki for xi, ki in zip(x, k2)],
-                    u, v, p_w, params)
-        k4 = _rates([xi + h * ki for xi, ki in zip(x, k3)], u, v, p_w, params)
-        x = [xi + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        x1, x2, x3, x4, x5 = x
+        a1, a2, a3, a4, a5 = _rates(x, u, v, p_w, params)
+        b1, b2, b3, b4, b5 = _rates((x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3,
+                                     x4 + h2 * a4, x5 + h2 * a5), u, v, p_w, params)
+        c1, c2, c3, c4, c5 = _rates((x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3,
+                                     x4 + h2 * b4, x5 + h2 * b5), u, v, p_w, params)
+        d1, d2, d3, d4, d5 = _rates((x1 + h * c1, x2 + h * c2, x3 + h * c3,
+                                     x4 + h * c4, x5 + h * c5), u, v, p_w, params)
+        x = (x1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             x2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             x3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+             x4 + h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+             x5 + h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5))
     if not all(map(math.isfinite, x)):
         raise IntegrationError("non-finite state after integration step")
     omega_t, omega_g, t_tw, t_g, beta = x

@@ -179,5 +179,5 @@ class TestCli:
     def test_qpbench_failure_exit_code(self, monkeypatch):
         import windmpc.verify as verify_mod
         monkeypatch.setattr(verify_mod, "run_benchmark",
-                            lambda instances, seed: (3, 1e-2))
+                            lambda instances, seed: (3, 1e-2, 0))
         assert main(["qpbench", "--instances", "10"]) == 3

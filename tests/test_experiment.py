@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import synthetic_log
-from windmpc import (Metrics, OnlineMpc, SimLog, compute_metrics,
+from windmpc import (Metrics, OfflineMpc, OnlineMpc, SimLog, compute_metrics,
                      equilibrium, generate_wind, reference, run_closed_loop,
                      run_experiment, torque_total_variation)
 from windmpc.config import build_config
 from windmpc.errors import SimulationError
+from windmpc.output import write_csv
 
 
 class TestComputeMetrics:
@@ -84,6 +85,30 @@ class TestRunClosedLoop:
         with pytest.raises(SimulationError) as err:
             run_closed_loop(profile, Broken(), params)
         assert err.value.step == 3
+
+
+class TestOfflineDeterminism:
+    # each OfflineMpc learns its own QP law tables as it runs, so a run must
+    # still be a pure function of its profile and initial state
+    def _csv_rows(self, params, weights, duration, path):
+        profile = generate_wind("turbulent", 2024, duration, params, level=8.7,
+                                std=1.0)
+        log = run_closed_loop(profile, OfflineMpc(params, weights), params)
+        return write_csv(log, path).read_text().splitlines()
+
+    @staticmethod
+    def _first_difference(rows, other):
+        # an index, so that a failure reports one row, not a 1,200-row diff
+        return next((i for i, (a, b) in enumerate(zip(rows, other)) if a != b),
+                    None)
+
+    def test_fresh_runs_repeat_byte_for_byte(self, params, weights, tmp_path):
+        first = self._csv_rows(params, weights, 60.0, tmp_path / "a.csv")
+        again = self._csv_rows(params, weights, 60.0, tmp_path / "b.csv")
+        prefix = self._csv_rows(params, weights, 10.0, tmp_path / "c.csv")
+        assert (len(first), len(again), len(prefix)) == (1201, 1201, 201)
+        assert self._first_difference(first, again) is None
+        assert self._first_difference(first, prefix) is None
 
 
 class TestRunExperiment:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import windmpc.qp
 from windmpc import (ActiveSetSolver, InfeasibleQpError, build_model_set,
                      factorize)
 from windmpc.verify import enumerate_qp, random_qp_instance, run_benchmark
@@ -48,9 +51,10 @@ class TestAgainstEnumeration:
                 * (1.0 + np.abs(sol.multipliers).max())
 
     def test_benchmark_clean(self):
-        failures, worst = run_benchmark(instances=200, seed=7)
+        failures, worst, hits = run_benchmark(instances=200, seed=7)
         assert failures == 0
         assert worst <= 1e-6
+        assert hits > 0           # some perturbed re-solves take a stored law
 
 
 class TestScalingInvariance:
@@ -110,11 +114,11 @@ class TestPrunedWarmStart:
     b = np.array([0.5, 0.5, 0.5, 10.0])
 
     def test_negative_row_pruned_not_restarted_cold(self):
-        factor = factorize(self.h, self.g)
-        cold = ActiveSetSolver().solve(factor, self.f, self.b)
+        cold = ActiveSetSolver().solve(factorize(self.h, self.g), self.f, self.b)
         solver = ActiveSetSolver()
         solver.working_set = [0, 1, 2, 3]
-        sol = solver.solve(factor, self.f, self.b)
+        # a fresh factor: on the cold solve's, [0, 1, 2] is a stored law
+        sol = solver.solve(factorize(self.h, self.g), self.f, self.b)
         assert sol.working_set == [0, 1, 2]
         assert sol.iterations == 2       # the start solve and one prune
         assert cold.iterations == 4      # the start and three adding steps
@@ -130,6 +134,116 @@ class TestPrunedWarmStart:
         assert sol.working_set == []
         assert sol.iterations == 5       # the start solve and four prunes
         assert np.array_equal(sol.x, ActiveSetSolver().solve(factor, self.f, b).x)
+
+
+class TestLawTable:
+    # the program of TestPrunedWarmStart: x = 1 unconstrained, so row i binds
+    # exactly when b_i < 1, and the optimal working set is {i : b_i < 1}
+    h = np.diag([1.0, 2.0, 3.0, 4.0])
+    f = -np.diag([1.0, 2.0, 3.0, 4.0]) @ np.ones(4)
+    g = np.eye(4)
+
+    def _solve(self, solver, factor, b):
+        sol = solver.solve(factor, self.f, b)
+        assert np.abs(sol.x - enumerate_qp(self.h, self.f, self.g, b)).max() <= 1e-6
+        return sol
+
+    def test_new_solver_on_shared_factor_hits(self):
+        factor = factorize(self.h, self.g)
+        first = self._solve(ActiveSetSolver(), factor, np.array([0.5, 0.5, 0.5, 9.0]))
+        assert first.iterations == 4     # a cold start and three adding steps
+        sol = self._solve(ActiveSetSolver(), factor, np.array([0.4, 0.6, 0.3, 8.0]))
+        assert sol.working_set == [0, 1, 2]
+        assert sol.iterations == 1
+
+    def _learn(self, factor, *active_rows):
+        for rows in active_rows:
+            b = np.full(4, 9.0)
+            b[list(rows)] = 0.5
+            self._solve(ActiveSetSolver(), factor, b)
+        assert list(factor.laws) == list(active_rows)
+
+    def test_law_with_negative_multiplier_skipped(self):
+        factor = factorize(self.h, self.g)
+        self._learn(factor, (0, 1, 2), (1, 2))
+        # row 0 slack: the law of [0, 1, 2] keeps x feasible, lambda_0 < 0
+        sol = self._solve(ActiveSetSolver(), factor, np.array([2.0, 0.4, 0.6, 9.0]))
+        assert sol.working_set == [1, 2]
+        assert sol.iterations == 1
+
+    def test_law_with_violated_row_skipped(self):
+        factor = factorize(self.h, self.g)
+        self._learn(factor, (0,), (0, 1))
+        # the law of [0] has lambda_0 > 0 but leaves row 1 violated, whether
+        # it is tried as the last working set's or among all laws
+        for last in ([], [0]):
+            solver = ActiveSetSolver()
+            solver.working_set = last
+            sol = self._solve(solver, factor, np.array([0.3, 0.7, 9.0, 9.0]))
+            assert sol.working_set == [0, 1]
+            assert sol.iterations == 1
+
+    def test_no_optimal_law_runs_the_dual_loop(self):
+        factor = factorize(self.h, self.g)
+        self._learn(factor, (0, 1, 2), (0,))
+        sol = self._solve(ActiveSetSolver(), factor, np.array([2.0, 0.5, 0.5, 9.0]))
+        assert sol.working_set == [1, 2]
+        assert sol.iterations > 1
+        assert list(factor.laws) == [(0, 1, 2), (0,), (1, 2)]
+
+    def test_tie_prefers_last_set_then_earliest_learned(self):
+        # b_0 = 1 is where row 0 binds with a zero multiplier, so the laws of
+        # [1] and [0, 1] are both optimal there
+        factor = factorize(self.h, self.g)
+        self._learn(factor, (1,), (0, 1))
+        b = np.array([1.0, 0.5, 9.0, 9.0])
+        assert self._solve(ActiveSetSolver(), factor, b).working_set == [1]
+        solver = ActiveSetSolver()
+        solver.working_set = [0, 1]
+        assert self._solve(solver, factor, b).working_set == [0, 1]
+
+    def test_factor_solved_once_builds_no_law(self):
+        factor = factorize(self.h, self.g)
+        self._solve(ActiveSetSolver(), factor, np.array([0.5, 0.5, 9.0, 9.0]))
+        assert dict(factor.laws) == {(0, 1): None}
+        assert factor.laws.stack is None
+
+    def test_cap_drops_least_recently_optimal(self, monkeypatch):
+        monkeypatch.setattr(windmpc.qp, "LAW_CAP", 3)
+        factor, solver = factorize(self.h, self.g), ActiveSetSolver()
+        for rows in ([0], [1], [2], [0], [3], [1, 2], [0]):
+            b = np.full(4, 9.0)
+            b[rows] = 0.5
+            assert self._solve(solver, factor, b).working_set == rows
+            assert len(factor.laws) <= 3
+        assert list(factor.laws) == [(0,), (3,), (1, 2)]
+
+    def test_singular_working_set_not_learned(self):
+        g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        factor = factorize(np.eye(2), g)
+        factor.laws.record((0, 1))       # rows 0 and 1 coincide: M_WW singular
+        factor.laws.record((2,))
+        f, b = np.array([-1.0, -1.0]), np.array([2.0, 2.0, 0.5])
+        sol = ActiveSetSolver().solve(factor, f, b)
+        assert (0, 1) not in factor.laws
+        assert sol.working_set == [2] and sol.iterations == 1
+        assert np.abs(sol.x - enumerate_qp(np.eye(2), f, g, b)).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 25),
+           scale=st.floats(1e-3, 1.0))
+    def test_perturbed_sequences_match_oracle(self, seed, steps, scale):
+        # two solvers share one factor, so solves meet the last working
+        # set's law, the stacked laws and the dual loop; b only grows, so
+        # the instance's interior point stays feasible
+        rng = np.random.default_rng(seed)
+        h, f, g, b = random_qp_instance(rng)
+        factor, solvers = factorize(h, g), (ActiveSetSolver(), ActiveSetSolver())
+        for k in range(steps):
+            f_k = f + scale * rng.normal(size=f.size)
+            b_k = b + scale * np.abs(rng.normal(size=b.size))
+            x = solvers[k % 2].solve(factor, f_k, b_k).x
+            assert np.abs(x - enumerate_qp(h, f_k, g, b_k)).max() <= 1e-6
 
 
 class TestFactor:
