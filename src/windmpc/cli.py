@@ -122,6 +122,8 @@ def _lincheck(args) -> int:
 
 
 def _qpbench(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     t0 = time.perf_counter()
     result = check_qp_solver(args.instances, args.seed)
     print(f"qp benchmark: {args.instances} instances, seed {args.seed}, "

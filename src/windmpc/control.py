@@ -67,12 +67,18 @@ def shift_constraints(op: OperatingPoint, params: TurbineParams) -> ConstraintSe
 
 @dataclass(frozen=True)
 class ModelSet:
-    """One linearization point bundled with its cached controller matrices."""
+    """One linearization point bundled with its cached controller matrices
+    and step offsets."""
 
     op: OperatingPoint
     dm: DiscreteLinearModel
     am: AugmentedModel
     qp: CondensedQp
+    x_bar: np.ndarray  # op.x_bar as an array
+    u_bar: np.ndarray  # op.u_bar as an array
+    p_g_bar: float     # generator power at the point, W
+    b_d: np.ndarray    # dm.b_d raveled
+    b_d_sq: float      # b_d . b_d
 
 
 def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelSet:
@@ -81,7 +87,10 @@ def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelS
     dm = discretize(continuous_model(op, params), params.t_s)
     am = augment_velocity(*augment_disturbance(dm))
     qp = condense(am, weights, shift_constraints(op, params))
-    return ModelSet(op, dm, am, qp)
+    b_d = dm.b_d.ravel()
+    return ModelSet(op, dm, am, qp, np.array(op.x_bar), np.array(op.u_bar),
+                    generator_power(op.x_bar.t_g, op.x_bar.omega_g, params),
+                    b_d, float(b_d @ b_d))
 
 
 class DisturbanceEstimator:
@@ -98,11 +107,10 @@ class DisturbanceEstimator:
         self.limit = limit
         self.d_hat = 0.0
 
-    def update(self, innovation, b_d) -> float:
-        bd = np.asarray(b_d, dtype=float).ravel()
-        denom = float(bd @ bd)
-        if denom > 0.0:
-            self.d_hat += self.kappa * float(bd @ np.asarray(innovation)) / denom
+    def update(self, innovation, b_d, b_d_sq) -> float:
+        """Fold in one innovation along the raveled b_d; b_d_sq = b_d . b_d."""
+        if b_d_sq > 0.0:
+            self.d_hat += self.kappa * float(b_d @ np.asarray(innovation)) / b_d_sq
             self.d_hat = min(max(self.d_hat, -self.limit), self.limit)
         return self.d_hat
 
@@ -124,7 +132,7 @@ class _MpcControllerBase:
         self.estimator = DisturbanceEstimator(kappa=kappa)
         self.solver = ActiveSetSolver()
         self.u_prev: ControlInput | None = None
-        self._prediction: tuple[np.ndarray, np.ndarray] | None = None
+        self._prediction: tuple[np.ndarray, ModelSet] | None = None
         self._ref_index = np.tile(np.arange(2), self.weights.n_p)
 
     def step(self, x_meas, v):
@@ -155,36 +163,34 @@ class _MpcControllerBase:
         p = self.params
         x = np.asarray(x_meas, dtype=float)
         if self._prediction is not None:
-            x_pred, b_d_prev = self._prediction
-            self.estimator.update(x - x_pred, b_d_prev)
+            x_pred, ms_prev = self._prediction
+            self.estimator.update(x - x_pred, ms_prev.b_d, ms_prev.b_d_sq)
         if self.u_prev is None:
             # before the first sample the actuators are assumed settled
             self.u_prev = ControlInput(float(x[3]), float(x[4]))
 
-        x_bar = np.asarray(ms.op.x_bar, dtype=float)
-        u_bar = np.asarray(ms.op.u_bar, dtype=float)
-        dx = x - x_bar
-        du_prev = np.asarray(self.u_prev, dtype=float) - u_bar
+        dx = x - ms.x_bar
+        u_prev = np.asarray(self.u_prev, dtype=float)
+        du_prev = u_prev - ms.u_bar
         x_a = np.concatenate([dx, [self.estimator.d_hat], du_prev])
 
         ref = reference(v, p)
-        p_g_bar = generator_power(ms.op.x_bar.t_g, ms.op.x_bar.omega_g, p)
         r_s = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
-                        ref.p_g_ref - p_g_bar])[self._ref_index]
+                        ref.p_g_ref - ms.p_g_bar])[self._ref_index]
 
         du, info = mpc_step(ms.qp, x_a, r_s, self.solver)
 
-        u = np.asarray(self.u_prev, dtype=float) + du
+        u = u_prev + du
         u[0] = min(max(u[0], 0.0), p.t_g_max)
         u[1] = min(max(u[1], p.beta_min), p.beta_max)
         u_out = ControlInput(float(u[0]), float(u[1]))
 
         # one-step-ahead prediction with the applied (saturated) input,
         # consumed by the estimator at the next sample
-        du_applied = u - np.asarray(self.u_prev, dtype=float)
-        x_pred = (x_bar + ms.dm.a_d @ dx + ms.dm.b_du @ (du_prev + du_applied)
-                  + ms.dm.b_d.ravel() * self.estimator.d_hat)
-        self._prediction = (x_pred, ms.dm.b_d.ravel().copy())
+        du_applied = u - u_prev
+        x_pred = (ms.x_bar + ms.dm.a_d @ dx + ms.dm.b_du @ (du_prev + du_applied)
+                  + ms.b_d * self.estimator.d_hat)
+        self._prediction = (x_pred, ms)
         self.u_prev = u_out
         return u_out, info
 

@@ -7,8 +7,8 @@ import numpy as np
 from .control import OfflineMpc, OnlineMpc, reference
 from .errors import SimulationError
 from .linearize import equilibrium
-from .turbine import (PlantState, TurbineParams, aerodynamic_power,
-                      generator_power, max_power, step, tip_speed_ratio)
+from .turbine import (PlantState, TurbineParams, generator_power,
+                      power_coefficient, step, tip_speed_ratio, wind_power)
 from .wind import WindProfile
 
 LOG_FLOAT_FIELDS = ("t", "v", "omega_t", "omega_g", "t_tw", "t_g", "beta",
@@ -79,11 +79,12 @@ def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
         except Exception as exc:
             raise SimulationError(f"controller failed at step {k}: {exc}",
                                   step=k, cause=exc) from exc
+        p_w = wind_power(v_k, params)  # captured P_w Cp, ideal P_w cp_opt
         lam = tip_speed_ratio(state.omega_t, v_k, params)
         sample = (t_k, v_k, *state, *u,  # in the order of LOG_FLOAT_FIELDS
                   generator_power(state.t_g, state.omega_g, params),
-                  aerodynamic_power(v_k, lam, state.beta, params),
-                  max_power(v_k, params), reference(v_k, params).omega_g_ref)
+                  p_w * power_coefficient(lam, state.beta),
+                  p_w * params.cp_opt, reference(v_k, params).omega_g_ref)
         for name, value in zip(LOG_FLOAT_FIELDS, sample):
             rows[name][k] = value
         mode.append(info.mode)

@@ -22,12 +22,11 @@ MAX_PLOT_POINTS = 4000
 def write_csv(log: SimLog, path) -> Path:
     """One row per sample under the fixed header; floats round-trip exactly."""
     path = Path(path)
-    lines = [CSV_HEADER]
-    for k in range(len(log)):
-        floats = [repr(float(getattr(log, name)[k])) for name in LOG_FLOAT_FIELDS]
-        lines.append(",".join(floats + [log.mode[k], str(int(log.qp_iters[k])),
-                                        log.qp_status[k]]))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [map(repr, np.asarray(getattr(log, name), dtype=float).tolist())
+               for name in LOG_FLOAT_FIELDS]
+    iters = map(str, np.asarray(log.qp_iters, dtype=int).tolist())
+    rows = zip(*columns, log.mode, iters, log.qp_status)
+    path.write_text("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
     return path
 
 
@@ -114,7 +113,8 @@ def svg_line_plot(series, title, y_label, path=None, x_label="time [s]",
     for i, (label, x, y) in enumerate(series):
         x_t, y_t = _thin(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         color = PALETTE[i % len(PALETTE)]
-        points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x_t, y_t))
+        points = " ".join(map("{:.2f},{:.2f}".format, px(x_t).tolist(),
+                              py(y_t).tolist()))
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="1.2" points="{points}"/>')
         ly = margin_t + 16 + 16 * i

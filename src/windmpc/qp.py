@@ -47,12 +47,14 @@ class LawTable(dict):
     """Working sets found optimal on one factor, in learning order: sorted
     rows W -> the law (P, Q), lambda_W = P r and x = x_free - Q r for
     r = G x_free - b, so P holds M_WW^-1 in the columns W and Q = H^-1 G_W' P;
-    None until built. ``stack`` holds the laws stacked for ``match``, None
-    when stale; ``recency`` orders the sets by last use."""
+    None until built. ``stack`` holds the built laws in learning order for
+    ``match``, None until a build and after an eviction: their sets, buffers
+    that double when full of the P blocks row by row, of Q and of each block's
+    first row, and the filled P rows. ``recency`` orders sets by last use."""
 
     def __init__(self):
         super().__init__()
-        self.stack, self.recency = (), {}
+        self.stack, self.recency = None, {}
 
     def record(self, key):
         """Mark ``key`` optimal now, dropping the least recent at LAW_CAP."""
@@ -62,7 +64,8 @@ class LawTable(dict):
             if len(self) >= LAW_CAP:
                 old = next(iter(self.recency))
                 del self[old], self.recency[old]
-            self[key], self.stack = None, None
+                self.stack = None  # restack in full
+            self[key] = None
 
     def match(self, factor: "QpFactor", last, x_free, b, tol):
         """(W, lambda_W, 1) for a law optimal at (f, b), lambda_W >= 0 and
@@ -70,7 +73,7 @@ class LawTable(dict):
         learned; None on a miss."""
         if not self:
             return None
-        if self.stack is None:
+        if self.stack is None or len(self.stack[0]) < len(self):
             self._build(factor)
         r, law = factor.g @ x_free - b, self.get(tuple(last))
         if law is not None:
@@ -78,10 +81,11 @@ class LawTable(dict):
             if lam.min() >= 0.0 and (
                     factor.g @ (x_free - law[1] @ r) - b).max() <= tol:
                 return list(last), lam, 1
-        if self.stack:
-            keys, p, q, starts = self.stack
-            lam = p @ r
-            dual = np.flatnonzero(np.minimum.reduceat(lam, starts) >= 0.0)
+        keys, p, q, starts, rows = self.stack
+        if keys:
+            lam = p[:rows] @ r
+            dual = np.flatnonzero(
+                np.minimum.reduceat(lam, starts[:len(keys)]) >= 0.0)
             x = x_free - q[dual] @ r
             ok = np.flatnonzero((x @ factor.g.T - b).max(axis=1) <= tol)
             if ok.size:
@@ -91,21 +95,33 @@ class LawTable(dict):
 
     def _build(self, factor: "QpFactor"):
         """Build each pending law, dropping a set whose M_WW fails to invert,
-        and restack them all."""
-        for key in [key for key, law in self.items() if law is None]:
-            try:
-                m_inv = np.linalg.inv(factor.m[np.ix_(key, key)])
-            except np.linalg.LinAlgError:
-                del self[key], self.recency[key]
-                continue
-            p = np.zeros((len(key), len(factor.m)))
-            p[:, key] = m_inv
-            self[key] = p, factor.h_inv_gt[:, key] @ p
-        laws = list(self.values())
-        self.stack = laws and (
-            list(self), np.vstack([p for p, _ in laws]),
-            np.array([q for _, q in laws]),
-            np.cumsum([0] + [len(p) for p, _ in laws[:-1]]))
+        and append the laws not yet stacked."""
+        m, n = factor.g.shape
+        keys, p, q, starts, rows = self.stack or (
+            [], np.empty((0, m)), np.empty((0, n, m)), np.empty(0, np.intp), 0)
+        new = []
+        for key in list(self)[len(keys):]:
+            if self[key] is None:
+                try:
+                    m_inv = np.linalg.inv(factor.m[np.ix_(key, key)])
+                except np.linalg.LinAlgError:
+                    del self[key], self.recency[key]
+                    continue
+                p_w = np.zeros((len(key), m))
+                p_w[:, key] = m_inv
+                self[key] = p_w, factor.h_inv_gt[:, key] @ p_w
+            new.append(key)
+        if rows + sum(map(len, new)) > len(p):  # np.resize keeps the head
+            p = np.resize(p, (max(rows + sum(map(len, new)), 2 * len(p)), m))
+        if len(keys) + len(new) > len(q):
+            q = np.resize(q, (max(len(keys) + len(new), 2 * len(q)), n, m))
+            starts = np.resize(starts, len(q))
+        for key in new:
+            starts[len(keys)], q[len(keys)] = rows, self[key][1]
+            p[rows:rows + len(key)] = self[key][0]
+            keys.append(key)
+            rows += len(key)
+        self.stack = keys, p, q, starts, rows
 
 
 @dataclass(frozen=True)

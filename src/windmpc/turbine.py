@@ -187,15 +187,11 @@ def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
     """Time derivatives of the five plant states, as a 5-tuple of floats."""
     if v <= 0.0:
         raise DomainError("wind speed must be positive")
-    return _rates(tuple(map(float, state)), u, v, wind_power(v, params), params)
-
-
-def _rates(state, u, v, p_w, params: TurbineParams):
-    """:func:`derivatives` at a float state, given p_w = wind_power(v), v > 0."""
-    omega_t, omega_g, t_tw, t_g, beta = state
+    omega_t, omega_g, t_tw, t_g, beta = map(float, state)
     if omega_t <= 0.0:
         raise DomainError("rotor speed must be positive to evaluate torque")
-    t_t = p_w * power_coefficient(omega_t * params.radius / v, beta) / omega_t
+    t_t = (wind_power(v, params)
+           * power_coefficient(omega_t * params.radius / v, beta) / omega_t)
     d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
     d_omega_g = (t_tw - t_g) / params.j_g
     # the twist rate chains the two accelerations, so it comes after them
@@ -233,33 +229,50 @@ def unified_matrices(params: TurbineParams):
 
 
 def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantState:
-    """Advance the plant by dt at constant wind speed v with classical RK4
-    at step dt/substeps, one float per state, then clamp the pitch angle to
-    its actuator range and the generator torque to [0, t_g_max] (physical
-    saturation)."""
+    """Advance the plant by dt at constant wind speed v with classical RK4 at
+    step dt/substeps, then clamp pitch and generator torque to their actuator
+    ranges. :func:`derivatives` and the Cp surface are inlined on local floats
+    in their operation order, so this is bit for bit the vector RK4."""
     if not (dt > 0.0 and v > 0.0):
         raise DomainError("dt and wind speed must be positive")
     v = float(v)
     p_w = wind_power(v, params)
-    x = tuple(map(float, state))
+    u_t, u_b = map(float, u)
+    radius, n_g, j_t, j_g, k_s, b_s, tau_g, tau = (
+        params.radius, params.n_g, params.j_t, params.j_g, params.k_s,
+        params.b_s, params.tau_g, params.tau)
+    x1, x2, x3, x4, x5 = y1, y2, y3, y4, y5 = tuple(map(float, state))
     h = dt / substeps
-    h2, h6 = 0.5 * h, h / 6.0
-    for _ in range(substeps):
-        x1, x2, x3, x4, x5 = x
-        a1, a2, a3, a4, a5 = _rates(x, u, v, p_w, params)
-        b1, b2, b3, b4, b5 = _rates((x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3,
-                                     x4 + h2 * a4, x5 + h2 * a5), u, v, p_w, params)
-        c1, c2, c3, c4, c5 = _rates((x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3,
-                                     x4 + h2 * b4, x5 + h2 * b5), u, v, p_w, params)
-        d1, d2, d3, d4, d5 = _rates((x1 + h * c1, x2 + h * c2, x3 + h * c3,
-                                     x4 + h * c4, x5 + h * c5), u, v, p_w, params)
-        x = (x1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-             x2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-             x3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-             x4 + h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
-             x5 + h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5))
-    if not all(map(math.isfinite, x)):
+    h6, stage_h = h / 6.0, (0.5 * h, 0.5 * h, h)  # stage j + 1 at x + stage_h[j] k_j
+    for i in range(4 * substeps):
+        if y1 <= 0.0:
+            raise DomainError("rotor speed must be positive to evaluate torque")
+        lam = y1 * radius / v
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise DomainError("tip-speed ratio must be finite and positive")
+        inv_li = 1.0 / (lam + CP_C7 * y5) - CP_C8 / (y5**3 + 1.0)
+        cp = (CP_C1 * (CP_C2 * inv_li - CP_C3 * y5 - CP_C4)
+              * math.exp(-CP_C5 * inv_li) + CP_C6 * lam)
+        k1 = (p_w * (0.0 if cp < 0.0 else cp) / y1 - n_g * y3) / j_t
+        k2 = (y3 - y4) / j_g
+        k3 = k_s * (n_g * y1 - y2) + b_s * (n_g * k1 - k2)
+        k4 = (u_t - y4) / tau_g
+        k5 = (u_b - y5) / tau
+        j = i & 3  # stage j of a substep: k_j, summed as k_0 + 2 k_1 + 2 k_2 + k_3
+        if j == 0:
+            s1, s2, s3, s4, s5 = k1, k2, k3, k4, k5
+        elif j < 3:
+            s1, s2, s3, s4, s5 = (s1 + 2.0 * k1, s2 + 2.0 * k2, s3 + 2.0 * k3,
+                                  s4 + 2.0 * k4, s5 + 2.0 * k5)
+        else:
+            x1, x2, x3, x4, x5 = y1, y2, y3, y4, y5 = (
+                x1 + h6 * (s1 + k1), x2 + h6 * (s2 + k2), x3 + h6 * (s3 + k3),
+                x4 + h6 * (s4 + k4), x5 + h6 * (s5 + k5))
+            continue
+        c = stage_h[j]
+        y1, y2, y3, y4, y5 = (x1 + c * k1, x2 + c * k2, x3 + c * k3,
+                              x4 + c * k4, x5 + c * k5)
+    if not all(map(math.isfinite, (x1, x2, x3, x4, x5))):
         raise IntegrationError("non-finite state after integration step")
-    omega_t, omega_g, t_tw, t_g, beta = x
-    return PlantState(omega_t, omega_g, t_tw, min(max(t_g, 0.0), params.t_g_max),
-                      min(max(beta, params.beta_min), params.beta_max))
+    return PlantState(x1, x2, x3, min(max(x4, 0.0), params.t_g_max),
+                      min(max(x5, params.beta_min), params.beta_max))

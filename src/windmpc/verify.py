@@ -276,6 +276,8 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
 
 def check_qp_solver(instances=QP_INSTANCES, seed=0):
     """Criterion 5: the active-set solver against the enumeration oracle."""
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     failures, worst, hits = run_benchmark(instances, seed)
     return failures == 0 and worst <= QP_ORACLE_TOL, (
         f"failures {failures}/{instances}, worst deviation from the "

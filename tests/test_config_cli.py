@@ -147,6 +147,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_qpbench_nonpositive_instances_exit_code(self, count, capsys):
+        assert main(["qpbench", "--instances", count]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "PASS" not in captured.out
+
     def test_lincheck_coarse_grid(self, capsys):
         rc = main(["lincheck", "--v-range", "4:11:1.0"])
         assert rc == 0

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from windmpc import (DisturbanceEstimator, DomainError, OfflineMpc, OnlineMpc,
-                     PlantState, build_model_set, equilibrium, reference,
-                     shift_constraints, step)
+                     PlantState, build_model_set, equilibrium,
+                     generator_power, reference, shift_constraints, step)
 
 
 class TestReference:
@@ -53,13 +53,13 @@ class TestDisturbanceEstimator:
         est = DisturbanceEstimator()
         b_d = np.array([1e-3, 0.2, 300.0, 0.0, 0.0])
         for _ in range(50):
-            est.update(np.zeros(5), b_d)
+            est.update(np.zeros(5), b_d, b_d @ b_d)
         assert abs(est.d_hat) <= 1e-9
 
     def test_gain_off_freezes_estimate(self):
         est = DisturbanceEstimator(kappa=0.0)
         est.d_hat = 0.3
-        est.update(np.ones(5), np.ones(5))
+        est.update(np.ones(5), np.ones(5), 5.0)
         assert est.d_hat == 0.3
 
     def test_recovers_injected_bias_in_closed_loop(self, params, weights):
@@ -79,7 +79,7 @@ class TestDisturbanceEstimator:
         est = DisturbanceEstimator(kappa=1.0, limit=5.0)
         b_d = np.array([1.0])
         for _ in range(20):
-            est.update(np.array([10.0]), b_d)
+            est.update(np.array([10.0]), b_d, 1.0)
         assert est.d_hat == 5.0
 
 
@@ -240,3 +240,12 @@ class TestOnlineMpc:
         # + 2 pitch move rows * n_c
         assert ms.qp.factor.g.shape[0] == 2 * weights.n_p + 4 * weights.n_c \
             + 2 * weights.n_c
+
+    def test_model_set_caches_the_step_offsets(self, params, weights):
+        ms = build_model_set(8.0, params, weights)
+        assert ms.x_bar.tolist() == list(ms.op.x_bar)
+        assert ms.u_bar.tolist() == list(ms.op.u_bar)
+        assert ms.p_g_bar == generator_power(ms.op.x_bar.t_g,
+                                             ms.op.x_bar.omega_g, params)
+        assert ms.b_d.tolist() == ms.dm.b_d.ravel().tolist()
+        assert ms.b_d_sq == float(ms.dm.b_d.ravel() @ ms.dm.b_d.ravel())

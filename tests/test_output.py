@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from windmpc import OnlineMpc, compute_metrics, generate_wind, run_closed_loop
+import windmpc.output
+from windmpc import (OfflineMpc, OnlineMpc, compute_metrics, generate_wind,
+                     run_closed_loop)
 from windmpc.experiment import LOG_FLOAT_FIELDS
 from windmpc.output import CSV_HEADER, emit, read_csv, svg_line_plot, write_csv
+
+from helpers import svg_line_plot_reference, synthetic_log, write_csv_reference
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +28,6 @@ class TestCsv:
         assert len(lines) == len(log) + 1
 
     def test_twelve_hundred_samples_give_1201_lines(self, tmp_path, params):
-        from helpers import synthetic_log
         path = write_csv(synthetic_log(1200, params), tmp_path / "long.csv")
         assert len(path.read_text().strip().splitlines()) == 1201
 
@@ -87,3 +90,44 @@ class TestEmit:
         assert {"rms_power_error", "rms_speed_error", "constraint_violations",
                 "step_time_mean", "step_time_max", "energy",
                 "torque_total_variation"} <= set(doc["online"])
+
+
+class TestAgainstRowWiseReference:
+    """Column-wise emission writes the bytes of the row-wise, per-point
+    formatters kept in ``helpers``."""
+
+    @staticmethod
+    def _emit_both(results, tmp_path, monkeypatch):
+        emit(results, tmp_path / "columns")
+        with monkeypatch.context() as patch:
+            patch.setattr(windmpc.output, "write_csv", write_csv_reference)
+            patch.setattr(windmpc.output, "svg_line_plot",
+                          svg_line_plot_reference)
+            emit(results, tmp_path / "rows")
+        names = sorted(p.name for p in (tmp_path / "columns").iterdir())
+        assert len(names) == 10  # 2 CSVs, 7 SVGs, metrics.json
+        for name in names:
+            assert ((tmp_path / "columns" / name).read_bytes()
+                    == (tmp_path / "rows" / name).read_bytes()), name
+
+    def test_closed_loop_logs(self, short_log, tmp_path, monkeypatch):
+        params, online = short_log
+        profile = generate_wind("turbulent", 2024, 60.0, params, level=8.7,
+                                std=1.0)
+        offline = run_closed_loop(profile, OfflineMpc(params), params)
+        assert len(offline) == 1200
+        self._emit_both({name: (log, compute_metrics(log, params))
+                         for name, log in (("offline", offline),
+                                           ("online", online))},
+                        tmp_path, monkeypatch)
+
+    def test_non_finite_and_negative_zero(self, params, tmp_path, monkeypatch):
+        odd = synthetic_log(50, params)
+        odd.t[7], odd.omega_g[3], odd.p_t[11] = np.nan, np.inf, -np.inf
+        odd.beta[:20] = odd.t_g_ref[5] = -0.0
+        plain = synthetic_log(30, params)
+        with np.errstate(all="ignore"):
+            self._emit_both({name: (log, compute_metrics(log, params))
+                             for name, log in (("a", odd), ("b", plain))},
+                            tmp_path, monkeypatch)
+        assert "-0.0" in (tmp_path / "columns" / "a.csv").read_text()

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import windmpc.qp
 from windmpc import (ActiveSetSolver, InfeasibleQpError, build_model_set,
                      factorize)
-from windmpc.verify import enumerate_qp, random_qp_instance, run_benchmark
+from windmpc.verify import (check_qp_solver, enumerate_qp, random_qp_instance,
+                            run_benchmark)
 
 
 class TestScalarCases:
@@ -55,6 +56,11 @@ class TestAgainstEnumeration:
         assert failures == 0
         assert worst <= 1e-6
         assert hits > 0           # some perturbed re-solves take a stored law
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_check_rejects_a_count_that_verifies_nothing(self, count):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_qp_solver(count)
 
 
 class TestScalingInvariance:
@@ -228,6 +234,45 @@ class TestLawTable:
         assert (0, 1) not in factor.laws
         assert sol.working_set == [2] and sol.iterations == 1
         assert np.abs(sol.x - enumerate_qp(np.eye(2), f, g, b)).max() <= 1e-12
+
+    def test_appended_stack_matches_a_restack(self, monkeypatch):
+        # each solve learns at most one set, which the next match appends
+        # until LAW_CAP = 4 sets are stacked; later sets evict stacked laws.
+        # A table stacked from scratch must match the same (W, lambda_W)
+        monkeypatch.setattr(windmpc.qp, "LAW_CAP", 4)
+        rng = np.random.default_rng(4)
+        h, f, g, b = random_qp_instance(rng)
+        factor, solver = factorize(h, g), ActiveSetSolver()
+        learned, hits = set(), 0
+        for _ in range(150):
+            f_k = f + np.abs(f).max() * rng.normal(size=f.size)
+            b_k = b + 0.3 * np.abs(rng.normal(size=b.size))
+            x_free, tol = -(factor.h_inv @ f_k), 1e-9 * (1.0 + np.abs(b_k).max())
+            scratch = windmpc.qp.LawTable()
+            for key in factor.laws:
+                scratch.record(key)
+            for last in (solver.working_set, []):
+                got = factor.laws.match(factor, last, x_free, b_k, tol)
+                want = scratch.match(factor, last, x_free, b_k, tol)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+                    hits += 1
+            if factor.laws:  # the buffers hold the laws as restacked whole
+                keys, p, q, starts, rows = factor.laws.stack
+                laws = [factor.laws[key] for key in keys]
+                assert keys == list(factor.laws) == list(scratch)
+                assert np.array_equal(p[:rows],
+                                      np.vstack([law[0] for law in laws]))
+                assert np.array_equal(q[:len(keys)],
+                                      np.array([law[1] for law in laws]))
+                assert np.array_equal(starts[:len(keys)], np.cumsum(
+                    [0] + [len(key) for key in keys[:-1]]))
+            try:
+                learned.add(tuple(solver.solve(factor, f_k, b_k).working_set))
+            except InfeasibleQpError:
+                pass
+        assert len(learned) > 8 and hits > 50
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 25),

@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from windmpc import (ControlInput, DomainError, PlantState, TurbineParams,
                      aerodynamic_power, aerodynamic_torque, derivatives,
@@ -205,6 +208,33 @@ class TestStep:
             assert step(state, u, gust, params.t_s, params) \
                 == rk4_step_reference(state, u, gust, params.t_s, params)
 
+    @settings(max_examples=300, deadline=None)
+    @given(omega_t=st.floats(0.005, 3.0), omega_g=st.floats(0.0, 200.0),
+           t_tw=st.floats(-2e4, 1e6), t_g=st.floats(0.0, 9.4e3),
+           beta=st.floats(0.0, 45.0), t_g_ref=st.floats(-2e3, 1.2e4),
+           beta_ref=st.floats(-2.0, 60.0),
+           v=st.floats(4.0, 11.0, exclude_max=True))
+    # the rotor reverses mid-substep; the Cp clamp (lambda = 26); the
+    # upper and the lower actuator clamps
+    @example(0.005, 0.3, 1e6, 0.0, 0.0, 0.0, 0.0, 8.0)
+    @example(3.0, 190.0, 1e3, 1e3, 0.0, 1e3, 0.0, 4.0)
+    @example(1.8, 110.0, 4.9e3, 9.4e3, 44.0, 1.2e4, 60.0, 8.0)
+    @example(1.2, 75.0, 2e3, 10.0, 0.2, -2e3, -1.5, 6.0)
+    def test_equals_vector_rk4_on_every_branch(self, omega_t, omega_g, t_tw,
+                                               t_g, beta, t_g_ref, beta_ref, v):
+        # bit for bit, or the same error from both routes
+        params = TurbineParams()
+        state = PlantState(omega_t, omega_g, t_tw, t_g, beta)
+        u = ControlInput(t_g_ref, beta_ref)
+        try:
+            expected = rk4_step_reference(state, u, v, params.t_s, params)
+        except Exception as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                step(state, u, v, params.t_s, params)
+        else:
+            got = step(state, u, v, params.t_s, params)
+            assert list(map(float.hex, got)) == list(map(float.hex, expected))
+
     def test_rotor_speed_driven_nonpositive_raises(self, params):
         # a torsional torque far above the aerodynamic torque reverses the
         # rotor within the first substep; the stage rates must refuse it
@@ -217,7 +247,7 @@ class TestStep:
         import windmpc.turbine as turbine
         op = equilibrium(8.0, params)
         calls = []
-        monkeypatch.setattr(turbine, "_rates",
+        monkeypatch.setattr(turbine, "wind_power",
                             lambda *args: calls.append(args))
         for v in (0.0, -3.0):
             with pytest.raises(DomainError):
