@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate`` (one controller over one profile), ``compare``
 (both controllers over a shared profile, with comparison plots),
-``lincheck`` (analytic linear model vs finite-difference Jacobian) and
+``lincheck`` (analytic linear model vs finite-difference Jacobian, and the
+online model's expansion vs the direct build) and
 ``qpbench`` (active-set solver vs enumeration oracle). Exit codes:
 0 success, 1 config error, 2 simulation failure, 3 verification failure.
 """
@@ -20,7 +21,8 @@ from .mpc import MpcWeights
 from .output import emit
 from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams
 from .verify import QP_INSTANCES, check_condensation, check_cp_peak, \
-    check_linearization, check_qp_solver, check_zoh_diagonals
+    check_linearization, check_model_expansion, check_qp_solver, \
+    check_zoh_diagonals
 
 
 def _add_run_options(parser):
@@ -115,7 +117,8 @@ def _lincheck(args) -> int:
     t0 = time.perf_counter()
     results = [check_cp_peak(params), check_linearization(params, grid),
                check_zoh_diagonals(params, float(grid[0])),
-               check_condensation(params, MpcWeights())]
+               check_condensation(params, MpcWeights()),
+               check_model_expansion(params, MpcWeights(), grid)]
     print(f"model verification over {len(grid)} operating points "
           f"in {time.perf_counter() - t0:.2f} s")
     return _report(results)

@@ -2,26 +2,33 @@
 
 One controller step serves two model sources, which differ only in where
 the prediction model for the measured wind comes from: a switched bank of
-two fixed linearizations (``OfflineMpc``), or a fresh linearization at the
-measured wind every sample (``OnlineMpc``). The step runs on full state
-feedback, shifts measurements into deviation coordinates of the model's
-operating point, and tracks the optimal-tip-speed-ratio generator speed
-reference.
+two fixed linearizations (``OfflineMpc``), or a model at the measured wind
+every sample (``OnlineMpc``), evaluated from a Chebyshev expansion in wind
+speed of the linearized, discretized and condensed model. The step runs on
+full state feedback, shifts measurements into deviation coordinates of the
+model's operating point, and tracks the optimal-tip-speed-ratio generator
+speed reference.
 """
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError
-from .linearize import OperatingPoint, DiscreteLinearModel, continuous_model, \
-    discretize, equilibrium
-from .mpc import AugmentedModel, CondensedQp, ConstraintSet, MpcWeights, \
-    StepInfo, augment_disturbance, augment_velocity, condense, mpc_step
-from .qp import ActiveSetSolver
+from .linearize import OperatingPoint, continuous_model, discretize, \
+    equilibrium
+# unused here, but perfbench's traced runs wrap control.condense
+from .mpc import CondensedQp, ConstraintSet, MpcWeights, PredictionMatrices, \
+    StepInfo, _layout, augment_disturbance, augment_velocity, condense, \
+    condense_constraints, condense_cost, mpc_step, prediction_matrices
+from .qp import ActiveSetSolver, factorize
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
     generator_power, max_power
+
+EXPANSION_DEGREE = 12     # Chebyshev degree in v: q2 > 0 needs 12, q2 = 0 only 8
+EXPANSION_REL_TOL = 1e-8  # expansion tail and error, of each array's maximum
 
 
 @dataclass(frozen=True)
@@ -67,30 +74,94 @@ def shift_constraints(op: OperatingPoint, params: TurbineParams) -> ConstraintSe
 
 @dataclass(frozen=True)
 class ModelSet:
-    """One linearization point bundled with its cached controller matrices
-    and step offsets."""
+    """One operating point bundled with its discrete model, cached
+    controller matrices and step offsets."""
 
     op: OperatingPoint
-    dm: DiscreteLinearModel
-    am: AugmentedModel
+    a_d: np.ndarray    # discrete state matrix
+    b_du: np.ndarray   # discrete input matrix
     qp: CondensedQp
     x_bar: np.ndarray  # op.x_bar as an array
     u_bar: np.ndarray  # op.u_bar as an array
     p_g_bar: float     # generator power at the point, W
-    b_d: np.ndarray    # dm.b_d raveled
+    b_d: np.ndarray    # discrete wind-disturbance column, raveled
     b_d_sq: float      # b_d . b_d
 
 
-def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelSet:
-    """Full pipeline for one operating point: linearize, discretize, condense."""
-    op = equilibrium(v_bar, params)
+def model_arrays(op: OperatingPoint, params: TurbineParams, weights: MpcWeights):
+    """The ModelSet arrays that vary with wind speed, built directly at an
+    operating point: (A_d, B_du, b_d, H, F, Gamma, Phi)."""
     dm = discretize(continuous_model(op, params), params.t_s)
-    am = augment_velocity(*augment_disturbance(dm))
-    qp = condense(am, weights, shift_constraints(op, params))
-    b_d = dm.b_d.ravel()
-    return ModelSet(op, dm, am, qp, np.array(op.x_bar), np.array(op.u_bar),
+    pm = prediction_matrices(augment_velocity(*augment_disturbance(dm)),
+                             weights.n_p, weights.n_c)
+    return (dm.a_d, dm.b_du, dm.b_d, *condense_cost(pm, weights), pm.gamma,
+            pm.phi)
+
+
+def assemble_model_set(op: OperatingPoint, arrays, params: TurbineParams,
+                       weights: MpcWeights) -> ModelSet:
+    """ModelSet at an operating point from its ``model_arrays``: Gamma and
+    Phi fill the cached G and S templates, W comes from the operating
+    point's bounds, and H and G are factored."""
+    a_d, b_du, b_d, h, f, gamma, phi = arrays
+    n_p, n_c, m = weights.n_p, weights.n_c, b_du.shape[1]
+    lay = _layout(phi.shape[1], m, len(phi) // n_p, n_p, n_c)
+    bounds = shift_constraints(op, params)
+    g, w, s = condense_constraints(
+        PredictionMatrices(phi, gamma, lay.l1, lay.l2, n_p, n_c), bounds)
+    b_d = b_d.ravel()
+    return ModelSet(op, a_d, b_du,
+                    CondensedQp(factorize(h, g), f, w, s, bounds, n_p, n_c, m),
+                    np.array(op.x_bar), np.array(op.u_bar),
                     generator_power(op.x_bar.t_g, op.x_bar.omega_g, params),
                     b_d, float(b_d @ b_d))
+
+
+def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelSet:
+    """Direct pipeline for one operating point: linearize, discretize, condense."""
+    op = equilibrium(v_bar, params)
+    return assemble_model_set(op, model_arrays(op, params, weights), params,
+                              weights)
+
+
+@lru_cache(maxsize=8)
+def model_expansion(params: TurbineParams, weights: MpcWeights):
+    """Degree-n Chebyshev interpolant in v of ``model_arrays`` on [4, 11]
+    m/s, where the model is analytic (Trefethen, Approximation Theory and
+    Approximation Practice, 2013): a read-only (n + 1) x entries coefficient
+    matrix and each array's (start, stop, shape) in its columns. Raises
+    DomainError when an array's two top coefficients exceed
+    EXPANSION_REL_TOL of its maximum: degree n misses that model."""
+    n = EXPANSION_DEGREE
+    k = np.arange(n + 1)
+    s = np.cos(np.pi * k / n)  # Chebyshev points of the second kind
+    winds = V_PARTIAL_MIN + 0.5 * (V_RATED - V_PARTIAL_MIN) * (1.0 + s)
+    builds = [model_arrays(equilibrium(v, params), params, weights)
+              for v in winds.tolist()]
+    values = np.array([np.concatenate([a.ravel() for a in arrays])
+                       for arrays in builds])
+    coef = np.linalg.solve(np.cos(np.pi * np.outer(k, k) / n), values)  # T_k(s)
+    stops = np.cumsum([a.size for a in builds[0]])
+    blocks = tuple((int(stop - a.size), int(stop), a.shape)
+                   for stop, a in zip(stops, builds[0]))
+    for start, stop, _ in blocks:
+        tail = np.abs(coef[n - 1:, start:stop]).max()
+        if tail > EXPANSION_REL_TOL * np.abs(values[:, start:stop]).max():
+            raise DomainError(f"degree-{n} model expansion leaves a tail of "
+                              f"{tail:.3e}; the model is not resolved")
+    coef.flags.writeable = False
+    return coef, blocks
+
+
+def expanded_arrays(expansion, v):
+    """``model_arrays`` at wind v evaluated from ``model_expansion``."""
+    coef, blocks = expansion
+    s = (2.0 * v - (V_PARTIAL_MIN + V_RATED)) / (V_RATED - V_PARTIAL_MIN)
+    t = [1.0, s]  # T_0(s) .. T_n(s)
+    while len(t) < len(coef):
+        t.append(2.0 * s * t[-1] - t[-2])
+    flat = np.array(t) @ coef
+    return tuple(flat[start:stop].reshape(shape) for start, stop, shape in blocks)
 
 
 class DisturbanceEstimator:
@@ -146,8 +217,9 @@ class _MpcControllerBase:
             raise DomainError(
                 f"wind speed {v} m/s outside the partial-load range [4, 11)")
         t0 = time.perf_counter()
+        ref = reference(v, self.params)
         try:
-            u, info = self._apply(self._model_for(v), x_meas, v)
+            u, info = self._apply(self._model_for(v), x_meas, ref)
         except (DomainError, ArithmeticError, np.linalg.LinAlgError):
             if self.u_prev is None:
                 raise
@@ -157,9 +229,10 @@ class _MpcControllerBase:
         info.mode = self.mode
         info.solve_time = time.perf_counter() - t0
         info.d_hat = self.estimator.d_hat
+        info.omega_g_ref = ref.omega_g_ref
         return u, info
 
-    def _apply(self, ms: ModelSet, x_meas, v):
+    def _apply(self, ms: ModelSet, x_meas, ref: ReferenceSignal):
         p = self.params
         x = np.asarray(x_meas, dtype=float)
         if self._prediction is not None:
@@ -174,7 +247,6 @@ class _MpcControllerBase:
         du_prev = u_prev - ms.u_bar
         x_a = np.concatenate([dx, [self.estimator.d_hat], du_prev])
 
-        ref = reference(v, p)
         r_s = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
                         ref.p_g_ref - ms.p_g_bar])[self._ref_index]
 
@@ -188,7 +260,7 @@ class _MpcControllerBase:
         # one-step-ahead prediction with the applied (saturated) input,
         # consumed by the estimator at the next sample
         du_applied = u - u_prev
-        x_pred = (ms.x_bar + ms.dm.a_d @ dx + ms.dm.b_du @ (du_prev + du_applied)
+        x_pred = (ms.x_bar + ms.a_d @ dx + ms.b_du @ (du_prev + du_applied)
                   + ms.b_d * self.estimator.d_hat)
         self._prediction = (x_pred, ms)
         self.u_prev = u_out
@@ -227,13 +299,20 @@ class OfflineMpc(_MpcControllerBase):
 
 
 class OnlineMpc(_MpcControllerBase):
-    """Controller that re-linearizes at the measured wind speed every sample.
+    """Controller with a model at the measured wind speed every sample.
 
-    The whole pipeline (operating point, gradients, ZOH discretization,
-    augmentation, condensation, QP) runs inside one sampling period.
+    Construction builds (or finds cached) its ``model_expansion``; each
+    sample runs the equilibrium, evaluates the expansion and factors the QP.
     """
 
     mode = "online"
 
+    def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
+                 kappa=0.1):
+        super().__init__(params, weights, kappa)
+        self.expansion = model_expansion(params, self.weights)
+
     def _model_for(self, v) -> ModelSet:
-        return build_model_set(v, self.params, self.weights)
+        return assemble_model_set(equilibrium(v, self.params),
+                                  expanded_arrays(self.expansion, v),
+                                  self.params, self.weights)

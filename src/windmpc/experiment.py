@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import OfflineMpc, OnlineMpc, reference
+from .control import OfflineMpc, OnlineMpc
 from .errors import SimulationError
 from .linearize import equilibrium
 from .turbine import (PlantState, TurbineParams, generator_power,
@@ -84,7 +84,7 @@ def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
         sample = (t_k, v_k, *state, *u,  # in the order of LOG_FLOAT_FIELDS
                   generator_power(state.t_g, state.omega_g, params),
                   p_w * power_coefficient(lam, state.beta),
-                  p_w * params.cp_opt, reference(v_k, params).omega_g_ref)
+                  p_w * params.cp_opt, info.omega_g_ref)
         for name, value in zip(LOG_FLOAT_FIELDS, sample):
             rows[name][k] = value
         mode.append(info.mode)

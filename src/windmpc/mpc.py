@@ -290,7 +290,7 @@ class StepInfo:
     """Per-sample controller diagnostics.
 
     mpc_step fills the QP fields; the controller step adds its mode, its
-    own wall-clock time and the disturbance estimate.
+    own wall-clock time, the disturbance estimate and the speed reference.
     """
 
     qp_status: str      # "optimal", "fallback" or "hold"
@@ -300,6 +300,7 @@ class StepInfo:
     mode: str = ""
     solve_time: float = 0.0   # full controller step, wall-clock seconds
     d_hat: float = 0.0
+    omega_g_ref: float = 0.0  # generator speed reference, rad/s
 
 
 def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):

@@ -81,6 +81,9 @@ class TurbineParams:
             raise ValueError("eta must lie in (0, 1]")
         if not self.beta_min < self.beta_max:
             raise ValueError("beta_min must lie below beta_max")
+        if not self.beta_min > -1.0:
+            raise ValueError("beta_min must lie above -1 deg, the pole of "
+                             "the Cp surface")
         if not self.beta_rate_min < 0.0 < self.beta_rate_max:
             raise ValueError("pitch rate limits must straddle zero")
         if not 0.0 < self.cp_opt < BETZ_LIMIT:

@@ -2,10 +2,13 @@
 
 Independent routes to what the runtime pipeline computes: a
 finite-difference Jacobian of the plant ODEs, a forward simulation of the
-augmented model, and exhaustive active-set enumeration for the QP. The
-``check_*`` functions are acceptance criteria 1-5, each returning
-(ok, one-line report) against the thresholds named once below; the
-``lincheck`` and ``qpbench`` subcommands and the acceptance suite call them.
+augmented model, exhaustive active-set enumeration for the QP, and the
+direct model build that the online model's expansion must reproduce. The
+``check_*`` functions are acceptance criteria 1-5 and the expansion check,
+each returning (ok, one-line report) against the thresholds named once
+below; the ``lincheck`` and ``qpbench`` subcommands and the acceptance
+suite call them. ``compare_logs`` states how far two closed-loop logs of
+one profile agree.
 """
 
 import math
@@ -13,12 +16,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .control import build_model_set
+from .control import EXPANSION_REL_TOL, assemble_model_set, build_model_set, \
+    expanded_arrays, model_expansion
 from .errors import InfeasibleQpError, QpIterationError
+from .experiment import LOG_FLOAT_FIELDS, SimLog, count_violations
 from .linearize import continuous_model, discretize, equilibrium
-from .mpc import AugmentedModel, ConstraintSet, MpcWeights
+from .mpc import AugmentedModel, ConstraintSet, MpcWeights, \
+    augment_disturbance, augment_velocity
 from .qp import ActiveSetSolver, factorize
-from .turbine import TurbineParams, derivatives, power_coefficient
+from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams, derivatives, \
+    power_coefficient
 
 CP_PEAK_REL_TOL = 5e-3          # criterion 1: Cp(lambda_opt, beta_opt) vs cp_opt
 LAMBDA_STAR_TOL = 0.1           # criterion 1: Cp grid argmax vs lambda_opt
@@ -29,6 +36,8 @@ MIN_MEMBERSHIP_CHECKS = 50      # criterion 4: draws off every row boundary
 QP_ORACLE_TOL = 1e-6            # criterion 5: solver vs enumeration, max norm
 QP_INSTANCES = 500              # criterion 5
 SAMPLE_BUDGET_S = 0.05          # criterion 9: online step mean and p99, s
+EXPANSION_RANDOM_WINDS = 200    # expansion check: seeded winds beyond the grid
+LOG_REL_TOL = 1e-6              # compare_logs: worst gap of a logged float
 # wall-clock budgets of criteria 1, 2 and 5 in the acceptance suite, s
 CP_SWEEP_BUDGET_S = 1.0
 JACOBIAN_SWEEP_BUDGET_S = 10.0
@@ -246,7 +255,9 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
     :func:`unrolled_bounds_ok` wherever no row is within 1e-9 of its bound.
     """
     ms = build_model_set(8.0, params, weights)
-    qp, am, n_p, n_c = ms.qp, ms.am, weights.n_p, weights.n_c
+    am = augment_velocity(*augment_disturbance(
+        discretize(continuous_model(ms.op, params), params.t_s)))
+    qp, n_p, n_c = ms.qp, weights.n_p, weights.n_c
     rng = np.random.default_rng(4)
     scale_x = np.array([0.3, 8.0, 800.0, 800.0, 1.5, 0.5, 400.0, 0.4])
     draws, worst, compared, agreed = 100, 0.0, 0, 0
@@ -283,3 +294,65 @@ def check_qp_solver(instances=QP_INSTANCES, seed=0):
         f"failures {failures}/{instances}, worst deviation from the "
         f"enumeration oracle {worst:.3e} [tolerance {QP_ORACLE_TOL:g}], "
         f"{hits}/{instances} perturbed re-solves from the law table")
+
+
+def check_model_expansion(params: TurbineParams, weights: MpcWeights, grid):
+    """The online model's Chebyshev expansion against the direct build, over
+    ``grid`` and seeded random winds in [4, 11): each array's worst gap
+    relative to its largest entry, W included, must stay within
+    EXPANSION_REL_TOL."""
+    expansion = model_expansion(params, weights)
+    winds = np.concatenate([grid, np.random.default_rng(5).uniform(
+        V_PARTIAL_MIN, V_RATED, EXPANSION_RANDOM_WINDS)])
+    names = ("A_d", "B_du", "b_d", "H", "F", "G", "W", "S")
+    worst = dict.fromkeys(names, 0.0)
+    for v in winds.tolist():
+        direct = build_model_set(v, params, weights)
+        expanded = assemble_model_set(direct.op, expanded_arrays(expansion, v),
+                                      params, weights)
+        for name, want, got in zip(names, *(
+                (ms.a_d, ms.b_du, ms.b_d, ms.qp.factor.h, ms.qp.f,
+                 ms.qp.factor.g, ms.qp.w, ms.qp.s) for ms in (direct, expanded))):
+            worst[name] = max(worst[name], float(
+                np.abs(got - want).max() / np.abs(want).max()))
+    return max(worst.values()) <= EXPANSION_REL_TOL, (
+        "model expansion vs direct build over "
+        f"{len(winds)} winds, worst relative gap: "
+        + ", ".join(f"{name} {gap:.1e}" for name, gap in worst.items())
+        + f" [tolerance {EXPANSION_REL_TOL:g}]")
+
+
+def compare_logs(a: SimLog, b: SimLog, params: TurbineParams):
+    """How far two closed-loop logs of one profile agree, as (ok, report).
+
+    ok needs equal row counts, identical mode, qp_status and qp_iters on
+    every row and every logged float within LOG_REL_TOL of its counterpart,
+    relative to its column's largest magnitude in either log (a torque
+    crossing zero would make a gap relative to the value itself
+    meaningless). The report gives each float column's worst gap with its
+    row, the first row that differs in anything, and each side's
+    fallback-or-hold and violation counts.
+    """
+    if len(a) != len(b):
+        return False, f"row counts differ: {len(a)} against {len(b)}"
+    same = ((np.array(a.mode) == np.array(b.mode))
+            & (np.array(a.qp_status) == np.array(b.qp_status))
+            & (a.qp_iters == b.qp_iters))
+    differs, gaps = ~same, {}
+    for name in LOG_FLOAT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        differs |= x != y
+        scale = max(np.abs(x).max(initial=0.0), np.abs(y).max(initial=0.0))
+        gaps[name] = np.abs(x - y) / (scale or 1.0)
+    worst = max(gap.max(initial=0.0) for gap in gaps.values())
+    first = int(np.argmax(differs)) if differs.any() else None
+    counts = [(sum(s != "optimal" for s in log.qp_status),
+               count_violations(log, params)) for log in (a, b)]
+    return bool(same.all()) and worst <= LOG_REL_TOL, (
+        f"{len(a)} rows, mode/qp_status/qp_iters differ on "
+        f"{int(np.count_nonzero(~same))}, first differing row {first}; worst "
+        "relative gap: " + ", ".join(
+            f"{name} {gap.max():.1e} (row {int(np.argmax(gap))})"
+            for name, gap in gaps.items() if gap.size)
+        + f" [tolerance {LOG_REL_TOL:g}]; fallback or hold / violations "
+        f"{counts[0][0]}/{counts[0][1]} against {counts[1][0]}/{counts[1][1]}")

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
-from windmpc import (ConstraintSet, IntegrationError, PlantState, SimLog,
-                     derivatives, output)
+from windmpc import (ConstraintSet, IntegrationError, OnlineMpc, PlantState,
+                     SimLog, build_model_set, derivatives, output)
 from windmpc.experiment import LOG_FLOAT_FIELDS
 
 
@@ -29,6 +29,14 @@ def synthetic_log(n, params, power_error=None):
         omega_g_ref=np.full(n, 101.412), mode=["online"] * n,
         qp_iters=np.ones(n, dtype=int), qp_status=["optimal"] * n,
         step_time=np.full(n, 1e-3))
+
+
+class DirectOnlineMpc(OnlineMpc):
+    """OnlineMpc that linearizes, discretizes and condenses at the measured
+    wind on every sample: the oracle of the model expansion."""
+
+    def _model_for(self, v):
+        return build_model_set(v, self.params, self.weights)
 
 
 def rk4_step_reference(state, u, v, dt, params, substeps=10):

@@ -17,8 +17,8 @@ from windmpc import (MpcWeights, OfflineMpc, OnlineMpc, PlantState,
 from windmpc.verify import (CP_SWEEP_BUDGET_S, JACOBIAN_SWEEP_BUDGET_S,
                             QP_BENCH_BUDGET_S, QP_INSTANCES, SAMPLE_BUDGET_S,
                             check_condensation, check_cp_peak,
-                            check_linearization, check_qp_solver,
-                            check_zoh_diagonals)
+                            check_linearization, check_model_expansion,
+                            check_qp_solver, check_zoh_diagonals)
 
 PARAMS = TurbineParams()
 WEIGHTS = MpcWeights()
@@ -68,6 +68,12 @@ def test_criterion_3_discretization_diagonals():
 def test_criterion_4_condensation_equivalence():
     ok, detail = check_condensation(PARAMS, WEIGHTS)
     _report("criterion 4 (condensed cost/constraint equivalence)", ok, detail)
+
+
+def test_model_expansion_matches_direct_build():
+    grid = np.arange(4.0, 11.0 + 1e-9, 0.1)
+    ok, detail = check_model_expansion(PARAMS, WEIGHTS, grid)
+    _report("online model expansion vs direct build", ok, detail)
 
 
 def test_criterion_5_qp_solver_vs_enumeration():

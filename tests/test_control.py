@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from windmpc import (DisturbanceEstimator, DomainError, OfflineMpc, OnlineMpc,
-                     PlantState, build_model_set, equilibrium,
-                     generator_power, reference, shift_constraints, step)
+import windmpc.control as control_mod
+from windmpc import (DisturbanceEstimator, DomainError, MpcWeights,
+                     OfflineMpc, OnlineMpc, PlantState, TurbineParams, build_model_set, equilibrium,
+                     generate_wind, generator_power, reference,
+                     run_closed_loop, shift_constraints, step)
+from windmpc.control import (EXPANSION_REL_TOL, expanded_arrays,
+                             model_arrays, model_expansion)
+from windmpc.verify import compare_logs
+
+from helpers import DirectOnlineMpc
 
 
 class TestReference:
@@ -220,20 +229,31 @@ class TestOnlineMpc:
         u_first, info = controller.step(state, 8.0)
         assert info.qp_status == "optimal"
 
-        import windmpc.control as control_mod
+        def boom(*args, **kwargs):
+            raise DomainError("synthetic failure")
+
+        monkeypatch.setattr(control_mod, "equilibrium", boom)
+        u_held, info = controller.step(state, 8.0)
+        assert info.qp_status == "hold"
+        assert u_held == u_first
+        assert info.omega_g_ref == reference(8.0, params).omega_g_ref
+
+    def test_pipeline_failure_before_first_input_propagates(self, params,
+                                                           weights,
+                                                           monkeypatch):
+        controller = OnlineMpc(params, weights)
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(control_mod, "build_model_set", boom)
-        u_held, info = controller.step(state, 8.0)
-        assert info.qp_status == "hold"
-        assert u_held == u_first
+        monkeypatch.setattr(control_mod, "factorize", boom)
+        with pytest.raises(np.linalg.LinAlgError, match="synthetic"):
+            controller.step(equilibrium(8.0, params).x_bar, 8.0)
 
     def test_model_set_pipeline_shapes(self, params, weights):
         ms = build_model_set(8.0, params, weights)
-        assert ms.am.a_a.shape == (8, 8)
-        assert ms.am.b_a.shape == (8, 2)
+        assert ms.a_d.shape == (5, 5)
+        assert ms.b_du.shape == (5, 2)
         assert ms.qp.factor.h.shape == (2 * weights.n_c, 2 * weights.n_c)
         assert ms.qp.factor.g.shape[1] == 2 * weights.n_c
         # finite bounds only: 2 output caps * n_p + 4 input rows * n_c
@@ -247,5 +267,50 @@ class TestOnlineMpc:
         assert ms.u_bar.tolist() == list(ms.op.u_bar)
         assert ms.p_g_bar == generator_power(ms.op.x_bar.t_g,
                                              ms.op.x_bar.omega_g, params)
-        assert ms.b_d.tolist() == ms.dm.b_d.ravel().tolist()
-        assert ms.b_d_sq == float(ms.dm.b_d.ravel() @ ms.dm.b_d.ravel())
+        b_d = model_arrays(ms.op, params, weights)[2].ravel()
+        assert ms.b_d.tolist() == b_d.tolist()
+        assert ms.b_d_sq == float(b_d @ b_d)
+
+
+class TestModelExpansion:
+    @settings(max_examples=50, deadline=None)
+    @given(v=st.floats(4.0, 11.0, exclude_max=True))
+    def test_equals_direct_build_within_tolerance(self, params, weights, v):
+        direct = model_arrays(equilibrium(v, params), params, weights)
+        expanded = expanded_arrays(model_expansion(params, weights), v)
+        for want, got in zip(direct, expanded):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= EXPANSION_REL_TOL * np.abs(
+                want).max()
+
+    def test_cached_read_only_and_built_at_construction(self, params, weights):
+        model_expansion.cache_clear()
+        controller = OnlineMpc(params, weights)
+        assert model_expansion.cache_info().currsize == 1
+        assert OnlineMpc(params, weights).expansion is controller.expansion
+        coef, _ = controller.expansion
+        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 1340)
+        assert not coef.flags.writeable
+
+    @pytest.mark.parametrize("changed", [dict(q2=1.0), dict(n_p=60, n_c=10)],
+                             ids=["power_weight", "long_horizon"])
+    def test_resolves_other_weights(self, params, changed):
+        # a power-error weight resolves only from degree 12, a 60-sample
+        # horizon from 10; the default weights from 8
+        model_expansion.__wrapped__(params, MpcWeights(**changed))
+
+    def test_unresolved_model_rejected(self, weights, monkeypatch):
+        monkeypatch.setattr(control_mod, "EXPANSION_DEGREE", 4)
+        with pytest.raises(DomainError, match="not resolved"):
+            model_expansion.__wrapped__(TurbineParams(), weights)
+
+    def test_closed_loop_matches_direct_build_every_sample(self, params,
+                                                           weights):
+        # 60 s of perfbench's online_turbulent wind
+        profile = generate_wind("turbulent", 2024, 60.0, params, level=8.7,
+                                std=1.0)
+        x0 = equilibrium(profile.v[0], params).x_bar
+        logs = [run_closed_loop(profile, cls(params, weights), params, x0)
+                for cls in (OnlineMpc, DirectOnlineMpc)]
+        ok, report = compare_logs(*logs, params)
+        assert ok, report

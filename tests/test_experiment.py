@@ -10,6 +10,7 @@ from windmpc import (Metrics, OfflineMpc, OnlineMpc, SimLog, compute_metrics,
 from windmpc.config import build_config
 from windmpc.errors import SimulationError
 from windmpc.output import write_csv
+from windmpc.verify import LOG_REL_TOL, compare_logs
 
 
 class TestComputeMetrics:
@@ -60,6 +61,26 @@ class TestRunClosedLoop:
         assert abs(log.omega_g[-1] - ref) / ref < 0.01
         assert len(log) == 1200
 
+    def test_logs_the_controllers_reference_hold_samples_included(
+            self, params, weights, monkeypatch):
+        import windmpc.control as control_mod
+
+        solve = control_mod.mpc_step
+        calls = []
+
+        def every_third_fails(*args):
+            calls.append(None)
+            if len(calls) % 3 == 0:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return solve(*args)
+
+        monkeypatch.setattr(control_mod, "mpc_step", every_third_fails)
+        profile = generate_wind("turbulent", 3, 3.0, params, level=8.7, std=1.0)
+        log = run_closed_loop(profile, OfflineMpc(params, weights), params)
+        assert log.qp_status.count("hold") == 20
+        assert log.omega_g_ref.tolist() == [
+            reference(v, params).omega_g_ref for v in log.v.tolist()]
+
     def test_zero_length_profile(self, params, weights):
         profile = generate_wind("constant", 0, 0.0, params)
         log = run_closed_loop(profile, OnlineMpc(params, weights), params)
@@ -80,7 +101,8 @@ class TestRunClosedLoop:
                 return ControlInput(3e3, 0.0), type("I", (), {
                     "mode": "online", "qp_status": "optimal",
                     "qp_iterations": 1, "n_active": 0, "cost": 0.0,
-                    "solve_time": 0.0, "d_hat": 0.0})()
+                    "solve_time": 0.0, "d_hat": 0.0,
+                    "omega_g_ref": 101.412})()
 
         with pytest.raises(SimulationError) as err:
             run_closed_loop(profile, Broken(), params)
@@ -109,6 +131,35 @@ class TestOfflineDeterminism:
         assert (len(first), len(again), len(prefix)) == (1201, 1201, 201)
         assert self._first_difference(first, again) is None
         assert self._first_difference(first, prefix) is None
+
+
+class TestCompareLogs:
+    def test_identical_logs_agree(self, params):
+        ok, report = compare_logs(synthetic_log(5, params),
+                                  synthetic_log(5, params), params)
+        assert ok
+        assert "first differing row None" in report
+
+    def test_reports_status_and_gap_and_first_row(self, params):
+        a, b = synthetic_log(6, params), synthetic_log(6, params)
+        b.qp_status[4] = "hold"
+        b.qp_iters[5] = 7
+        b.omega_g[2] *= 1.0 + 2.0 * LOG_REL_TOL
+        ok, report = compare_logs(a, b, params)
+        assert not ok
+        assert "differ on 2, first differing row 2" in report
+        assert "omega_g 2.0e-06 (row 2)" in report
+        assert "0/0 against 1/0" in report
+
+    def test_gap_within_tolerance_agrees(self, params):
+        a, b = synthetic_log(3, params), synthetic_log(3, params)
+        b.p_t = b.p_t * (1.0 + 0.5 * LOG_REL_TOL)
+        assert compare_logs(a, b, params)[0]
+
+    def test_row_count_mismatch(self, params):
+        ok, report = compare_logs(synthetic_log(3, params),
+                                  synthetic_log(4, params), params)
+        assert not ok and "3 against 4" in report
 
 
 class TestRunExperiment:

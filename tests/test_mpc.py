@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from windmpc import (ActiveSetSolver, ConstraintSet, MpcWeights,
-                     augment_disturbance, augment_velocity, build_model_set,
+                     augment_disturbance, augment_velocity,
                      condense, condense_constraints, condense_cost,
                      continuous_model, discretize, equilibrium, mpc_step,
                      prediction_matrices, shift_constraints, unified_matrices)
@@ -136,7 +136,8 @@ class TestPredictionMatrices:
     def test_equals_block_loop(self, discrete_model, weights):
         params = discrete_model[0]
         for v in (4.5, 6.4, 8.3, 10.0, 10.9):
-            am = build_model_set(v, params, weights).am
+            am = augment_velocity(*augment_disturbance(discretize(
+                continuous_model(equilibrium(v, params), params), params.t_s)))
             pm = prediction_matrices(am, weights.n_p, weights.n_c)
             expected = prediction_matrices_reference(am, weights.n_p, weights.n_c)
             for got, want in zip((pm.phi, pm.gamma, pm.l1, pm.l2), expected):

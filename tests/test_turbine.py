@@ -293,6 +293,14 @@ class TestTurbineParams:
         with pytest.raises(ValueError):
             TurbineParams(eta=0.0)
 
+    @pytest.mark.parametrize("beta_min", [-1.0, -2.0])
+    def test_beta_min_at_or_below_cp_pole_rejected(self, beta_min):
+        with pytest.raises(ValueError, match="pole"):
+            TurbineParams(beta_min=beta_min)
+
+    def test_beta_min_above_cp_pole_accepted(self):
+        assert TurbineParams(beta_min=-0.5).beta_min == -0.5
+
     def test_explicit_bounds_override_derived_defaults(self):
         p = TurbineParams(omega_g_max=150.0, p_g_max=1.4e6, t_g_max=9000.0)
         assert (p.omega_g_max, p.p_g_max, p.t_g_max) == (150.0, 1.4e6, 9000.0)
