@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (one controller over one profile), ``compare``
 (both controllers over a shared profile, with comparison plots),
 ``lincheck`` (analytic linear model vs finite-difference Jacobian, and the
-online model's expansion vs the direct build) and
-``qpbench`` (active-set solver vs enumeration oracle). Exit codes:
-0 success, 1 config error, 2 simulation failure, 3 verification failure.
+online model's expansion vs the direct build), ``qpbench`` (active-set
+solver vs enumeration oracle) and ``compare-logs`` (how far two emitted
+CSV logs of one profile agree). Exit codes: 0 success, 1 config error,
+2 simulation failure, 3 verification failure.
 """
 
 import argparse
@@ -18,11 +19,11 @@ from .config import build_config, parse_wind_spec, read_kv_file
 from .errors import ConfigError, SimulationError
 from .experiment import run_experiment, torque_total_variation
 from .mpc import MpcWeights
-from .output import emit
+from .output import emit, read_csv
 from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams
 from .verify import QP_INSTANCES, check_condensation, check_cp_peak, \
     check_linearization, check_model_expansion, check_qp_solver, \
-    check_zoh_diagonals
+    check_zoh_diagonals, compare_logs
 
 
 def _add_run_options(parser):
@@ -61,6 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "enumeration oracle on random instances")
     p_qp.add_argument("--instances", type=int, default=QP_INSTANCES)
     p_qp.add_argument("--seed", type=int, default=0)
+
+    p_logs = sub.add_parser("compare-logs",
+                            help="compare two CSV logs of one profile with "
+                                 "the default turbine's bounds")
+    p_logs.add_argument("logs", nargs=2, metavar="CSV")
     return parser
 
 
@@ -134,6 +140,15 @@ def _qpbench(args) -> int:
     return _report([result])
 
 
+def _compare_logs(args) -> int:
+    try:
+        logs = [read_csv(path) for path in args.logs]
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read a log: {exc}") from exc
+    print(f"log comparison: {args.logs[0]} against {args.logs[1]}")
+    return _report([compare_logs(*logs, TurbineParams())])
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -141,6 +156,8 @@ def main(argv=None) -> int:
             return _run_sim(args)
         if args.command == "lincheck":
             return _lincheck(args)
+        if args.command == "compare-logs":
+            return _compare_logs(args)
         return _qpbench(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,15 +4,17 @@ One controller step serves two model sources, which differ only in where
 the prediction model for the measured wind comes from: a switched bank of
 two fixed linearizations (``OfflineMpc``), or a model at the measured wind
 every sample (``OnlineMpc``), evaluated from a Chebyshev expansion in wind
-speed of the linearized, discretized and condensed model. The step runs on
-full state feedback, shifts measurements into deviation coordinates of the
-model's operating point, and tracks the optimal-tip-speed-ratio generator
-speed reference.
+speed of the linearized, discretized and condensed model and its QP
+factor's root, certified on every sample. The step runs on full state
+feedback, shifts measurements into deviation coordinates of the model's
+operating point, and tracks the optimal-tip-speed-ratio generator speed
+reference.
 """
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,15 +22,17 @@ from .errors import DomainError
 from .linearize import OperatingPoint, continuous_model, discretize, \
     equilibrium
 # unused here, but perfbench's traced runs wrap control.condense
-from .mpc import CondensedQp, ConstraintSet, MpcWeights, PredictionMatrices, \
-    StepInfo, _layout, augment_disturbance, augment_velocity, condense, \
-    condense_constraints, condense_cost, mpc_step, prediction_matrices
-from .qp import ActiveSetSolver, factorize
+from .mpc import CondensedQp, ConstraintSet, MpcWeights, StepInfo, _layout, \
+    augment_disturbance, augment_velocity, condense, condense_cost, \
+    mpc_step, prediction_matrices
+from .qp import ActiveSetSolver, cholesky_root, factor_from_root
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
     generator_power, max_power
 
 EXPANSION_DEGREE = 12     # Chebyshev degree in v: q2 > 0 needs 12, q2 = 0 only 8
 EXPANSION_REL_TOL = 1e-8  # expansion tail and error, of each array's maximum
+FACTOR_TOL = 1e-10        # certificate of a QP factor's root: max|R'HR - I|
+FACTOR_STEPS = 3          # Newton-Schulz corrections before a root is rejected
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,18 @@ def reference(v, params: TurbineParams) -> ReferenceSignal:
     return ReferenceSignal(omega_g_ref, max_power(v, params) * params.eta)
 
 
+def _bounds_about(params: TurbineParams, omega_g=0.0, p_g=0.0, t_g=0.0,
+                  beta=0.0):
+    """``ConstraintSet``'s fields stacked, about the point (omega_g, P_g, T_g,
+    beta); about the zero point they are the absolute bounds."""
+    return np.array([
+        -np.inf, params.beta_rate_min * params.t_s,
+        np.inf, params.beta_rate_max * params.t_s,
+        0.0 - t_g, params.beta_min - beta, params.t_g_max - t_g,
+        params.beta_max - beta, -np.inf, -np.inf, params.omega_g_max - omega_g,
+        params.p_g_max - p_g])
+
+
 def shift_constraints(op: OperatingPoint, params: TurbineParams) -> ConstraintSet:
     """Absolute actuator and output bounds expressed about an operating point.
 
@@ -58,18 +74,9 @@ def shift_constraints(op: OperatingPoint, params: TurbineParams) -> ConstraintSe
     Output upper bounds cap generator speed and power; they have no lower
     bounds in the partial-load region.
     """
-    t_g_bar = op.u_bar.t_g_ref
-    beta_bar = op.u_bar.beta_ref
     p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, params)
-    return ConstraintSet(
-        du_min=np.array([-np.inf, params.beta_rate_min * params.t_s]),
-        du_max=np.array([np.inf, params.beta_rate_max * params.t_s]),
-        u_min=np.array([0.0 - t_g_bar, params.beta_min - beta_bar]),
-        u_max=np.array([params.t_g_max - t_g_bar, params.beta_max - beta_bar]),
-        y_min=np.array([-np.inf, -np.inf]),
-        y_max=np.array([params.omega_g_max - op.x_bar.omega_g,
-                        params.p_g_max - p_g_bar]),
-    )
+    return ConstraintSet(*_bounds_about(params, op.x_bar.omega_g, p_g_bar,
+                                        *op.u_bar).reshape(6, 2))
 
 
 @dataclass(frozen=True)
@@ -90,38 +97,79 @@ class ModelSet:
 
 def model_arrays(op: OperatingPoint, params: TurbineParams, weights: MpcWeights):
     """The ModelSet arrays that vary with wind speed, built directly at an
-    operating point: (A_d, B_du, b_d, H, F, Gamma, Phi)."""
+    operating point: (A_d, B_du, b_d, H, F, Gamma, Phi, R), R = H's
+    ``cholesky_root``."""
     dm = discretize(continuous_model(op, params), params.t_s)
     pm = prediction_matrices(augment_velocity(*augment_disturbance(dm)),
                              weights.n_p, weights.n_c)
-    return (dm.a_d, dm.b_du, dm.b_d, *condense_cost(pm, weights), pm.gamma,
-            pm.phi)
+    h, f = condense_cost(pm, weights)
+    return dm.a_d, dm.b_du, dm.b_d, h, f, pm.gamma, pm.phi, cholesky_root(h)
 
 
-def assemble_model_set(op: OperatingPoint, arrays, params: TurbineParams,
-                       weights: MpcWeights) -> ModelSet:
-    """ModelSet at an operating point from its ``model_arrays``: Gamma and
-    Phi fill the cached G and S templates, W comes from the operating
-    point's bounds, and H and G are factored."""
-    a_d, b_du, b_d, h, f, gamma, phi = arrays
-    n_p, n_c, m = weights.n_p, weights.n_c, b_du.shape[1]
-    lay = _layout(phi.shape[1], m, len(phi) // n_p, n_p, n_c)
-    bounds = shift_constraints(op, params)
-    g, w, s = condense_constraints(
-        PredictionMatrices(phi, gamma, lay.l1, lay.l2, n_p, n_c), bounds)
+@lru_cache(maxsize=8)
+def assembly_plan(params: TurbineParams, weights: MpcWeights):
+    """``condense_constraints(pm, shift_constraints(op, params))`` less its
+    per-model work, done once: the kept rows of the G and S templates, the
+    signed entries of ``_bounds_about`` that W gathers, and the tiled move
+    bounds. lo < hi holds about every point if about the zero point."""
+    bounds = ConstraintSet(*_bounds_about(params).reshape(6, 2))
+    n_p, n_c = weights.n_p, weights.n_c
+    # 8 states (the plant's 5, the disturbance, the last input), 2 inputs
+    # and 2 outputs
+    lay = _layout(8, 2, 2, n_p, n_c)
+    # W stacks y_max, -y_min, u_max, -u_min, du_max, -du_min; the outputs
+    # are unbounded below, so only the y_max rows take Gamma and Phi
+    index = np.array([10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1])[lay.w_index]
+    flip = np.array([1.0, 1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1])[lay.w_index]
+    keep = np.isfinite(_bounds_about(params)[index])
+    plan = SimpleNamespace(
+        params=params, g=lay.g[keep], s=lay.s[keep], w_index=index[keep],
+        rows=np.flatnonzero(keep[:2 * n_p]), w_flip=flip[keep],
+        du_min=np.tile(bounds.du_min, n_c), du_max=np.tile(bounds.du_max, n_c))
+    for array in (plan.g, plan.s, plan.du_min, plan.du_max):
+        array.flags.writeable = False
+    return plan
+
+
+def certified_root(h, root):
+    """``root`` with E = R'HR - I within FACTOR_TOL, so H^-1 = R R', after
+    at most FACTOR_STEPS Newton-Schulz steps R <- R - RE/2, each of which
+    squares E (Higham, Functions of Matrices, 2008); else LinAlgError."""
+    for step in range(FACTOR_STEPS + 1):
+        if step:
+            root = root - 0.5 * (root @ e)
+        e = root.T @ h @ root
+        e.flat[::len(e) + 1] -= 1.0
+        if np.abs(e).max() <= FACTOR_TOL:
+            return root
+    raise np.linalg.LinAlgError(f"QP factor root off by {np.abs(e).max():.1e}"
+                                f" after {FACTOR_STEPS} corrections")
+
+
+def assemble_model_set(op: OperatingPoint, arrays, plan) -> ModelSet:
+    """ModelSet at an operating point from its ``model_arrays`` through an
+    ``assembly_plan``: Gamma and Phi fill the G and S templates, W gathers
+    the bounds about the point, and the factor is built on the certified
+    root."""
+    a_d, b_du, b_d, h, f, gamma, phi, root = arrays
+    k = len(plan.rows)
+    g, s = plan.g.copy(), plan.s.copy()
+    g[:k], s[:k, :phi.shape[1]] = gamma[plan.rows], -phi[plan.rows]
+    p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, plan.params)
+    w = plan.w_flip * _bounds_about(plan.params, op.x_bar.omega_g, p_g_bar,
+                                    *op.u_bar)[plan.w_index]
     b_d = b_d.ravel()
-    return ModelSet(op, a_d, b_du,
-                    CondensedQp(factorize(h, g), f, w, s, bounds, n_p, n_c, m),
-                    np.array(op.x_bar), np.array(op.u_bar),
-                    generator_power(op.x_bar.t_g, op.x_bar.omega_g, params),
-                    b_d, float(b_d @ b_d))
+    qp = CondensedQp(factor_from_root(h, g, certified_root(h, root)), f, w, s,
+                     plan.du_min, plan.du_max, b_du.shape[1])
+    return ModelSet(op, a_d, b_du, qp, np.array(op.x_bar), np.array(op.u_bar),
+                    p_g_bar, b_d, float(b_d @ b_d))
 
 
 def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelSet:
     """Direct pipeline for one operating point: linearize, discretize, condense."""
     op = equilibrium(v_bar, params)
-    return assemble_model_set(op, model_arrays(op, params, weights), params,
-                              weights)
+    return assemble_model_set(op, model_arrays(op, params, weights),
+                              assembly_plan(params, weights))
 
 
 @lru_cache(maxsize=8)
@@ -131,7 +179,8 @@ def model_expansion(params: TurbineParams, weights: MpcWeights):
     Approximation Practice, 2013): a read-only (n + 1) x entries coefficient
     matrix and each array's (start, stop, shape) in its columns. Raises
     DomainError when an array's two top coefficients exceed
-    EXPANSION_REL_TOL of its maximum: degree n misses that model."""
+    EXPANSION_REL_TOL of its maximum: degree n misses that model; the root
+    R is exempt, as ``certified_root`` corrects it on every sample."""
     n = EXPANSION_DEGREE
     k = np.arange(n + 1)
     s = np.cos(np.pi * k / n)  # Chebyshev points of the second kind
@@ -144,7 +193,7 @@ def model_expansion(params: TurbineParams, weights: MpcWeights):
     stops = np.cumsum([a.size for a in builds[0]])
     blocks = tuple((int(stop - a.size), int(stop), a.shape)
                    for stop, a in zip(stops, builds[0]))
-    for start, stop, _ in blocks:
+    for start, stop, _ in blocks[:-1]:
         tail = np.abs(coef[n - 1:, start:stop]).max()
         if tail > EXPANSION_REL_TOL * np.abs(values[:, start:stop]).max():
             raise DomainError(f"degree-{n} model expansion leaves a tail of "
@@ -301,8 +350,9 @@ class OfflineMpc(_MpcControllerBase):
 class OnlineMpc(_MpcControllerBase):
     """Controller with a model at the measured wind speed every sample.
 
-    Construction builds (or finds cached) its ``model_expansion``; each
-    sample runs the equilibrium, evaluates the expansion and factors the QP.
+    Construction builds (or finds cached) its ``model_expansion`` and
+    ``assembly_plan``; each sample runs the equilibrium, one expansion
+    product, W, the G and S fill, the root's certificate and the factor.
     """
 
     mode = "online"
@@ -311,8 +361,8 @@ class OnlineMpc(_MpcControllerBase):
                  kappa=0.1):
         super().__init__(params, weights, kappa)
         self.expansion = model_expansion(params, self.weights)
+        self.plan = assembly_plan(params, self.weights)
 
     def _model_for(self, v) -> ModelSet:
         return assemble_model_set(equilibrium(v, self.params),
-                                  expanded_arrays(self.expansion, v),
-                                  self.params, self.weights)
+                                  expanded_arrays(self.expansion, v), self.plan)

@@ -132,16 +132,16 @@ class CondensedQp:
 
     The per-sample pieces are assembled from the stacked vector
     z = [x_a; r_s]: linear term f = F' z, bound vector b = W + S z. H and G
-    live in the solver's factor, which is built once with them.
+    live in the solver's factor, which is built once with them. The move
+    bounds, tiled over the control horizon, clip the fallback.
     """
 
     factor: QpFactor
     f: np.ndarray
     w: np.ndarray
     s: np.ndarray
-    bounds: ConstraintSet
-    n_p: int
-    n_c: int
+    du_min: np.ndarray
+    du_max: np.ndarray
     n_in: int
 
 
@@ -281,8 +281,9 @@ def condense(am: AugmentedModel, weights: MpcWeights,
     pm = prediction_matrices(am, weights.n_p, weights.n_c)
     h, f = condense_cost(pm, weights)
     g, w, s = condense_constraints(pm, bounds)
-    return CondensedQp(factor=factorize(h, g), f=f, w=w, s=s, bounds=bounds,
-                       n_p=weights.n_p, n_c=weights.n_c, n_in=am.n_in)
+    return CondensedQp(factorize(h, g), f, w, s,
+                       np.tile(bounds.du_min, weights.n_c),
+                       np.tile(bounds.du_max, weights.n_c), am.n_in)
 
 
 @dataclass
@@ -323,10 +324,7 @@ def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
         info = StepInfo("optimal", sol.iterations, len(sol.working_set),
                         sol.objective)
     except (InfeasibleQpError, QpIterationError):
-        du_seq = -(qp.factor.h_inv @ f)
-        lo = np.tile(qp.bounds.du_min, qp.n_c)
-        hi = np.tile(qp.bounds.du_max, qp.n_c)
-        du_seq = np.clip(du_seq, lo, hi)
+        du_seq = np.clip(-(qp.factor.h_inv @ f), qp.du_min, qp.du_max)
         cost = 0.5 * du_seq @ qp.factor.h @ du_seq + f @ du_seq
         info = StepInfo("fallback", 0, 0, float(cost))
     return du_seq[:m].copy(), info

@@ -13,12 +13,12 @@ No feasible starting point is needed, and a row that no step can reduce
 proves the program infeasible.
 
 The steps run in range-space form on a factor of (H, G) that
-``factorize`` builds once: H^-1 through the diagonally scaled D H D,
-D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G', so a step on working
-set W solves only M_WW r = -M_Wp. Suited to receding-horizon control,
-where H and G are fixed per model and the active set barely changes
-between samples: a solver instance starts from the optimum on its last
-working set, pruned of rows with negative multipliers. Each factor also
+``factorize`` builds once: a root R of H^-1 = R R' through the diagonally
+scaled D H D, D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G', so a step
+on working set W solves only M_WW r = -M_Wp. Suited to receding-horizon
+control, where H and G are fixed per model and the active set barely
+changes between samples: a solver instance starts from the optimum on its
+last working set, pruned of rows with negative multipliers. Each factor also
 remembers the working sets found optimal on it as affine laws of (f, b),
 the explicit MPC of Bemporad et al. (2002) learned only where the loop goes,
 the partial enumeration of Pannocchia et al. (2007); a solve tries them
@@ -136,17 +136,25 @@ class QpFactor:
     laws: LawTable = field(default_factory=LawTable, compare=False, repr=False)
 
 
-def factorize(h, g=None) -> QpFactor:
-    """Factor of (H, G), G None when unconstrained: with D H D = L L',
-    H^-1 = R R' for R = D L^-T. cond(D H D) is about 5e3 for the MPC Hessian
-    against 7e9 for H. Raises LinAlgError unless H is positive definite."""
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(np.zeros((0, len(h))) if g is None else g, dtype=float)
+def cholesky_root(h):
+    """R = D L^-T with D H D = L L', so H^-1 = R R'. cond(D H D) is about 5e3
+    for the MPC Hessian against 7e9 for H. Raises LinAlgError unless H is
+    positive definite."""
     d = 1.0 / np.sqrt(h.diagonal())
-    l_inv = np.linalg.inv(np.linalg.cholesky(d[:, None] * h * d))
-    root = d[:, None] * l_inv.T
+    return d[:, None] * np.linalg.inv(np.linalg.cholesky(d[:, None] * h * d)).T
+
+
+def factor_from_root(h, g, root) -> QpFactor:
+    """Factor of (H, G) on a root R of H^-1 = R R'."""
     g_root = g @ root
     return QpFactor(h, g, root @ root.T, root @ g_root.T, g_root @ g_root.T)
+
+
+def factorize(h, g=None) -> QpFactor:
+    """Factor of (H, G) on H's Cholesky root, G None when unconstrained."""
+    h = np.asarray(h, dtype=float)
+    g = np.asarray(np.zeros((0, len(h))) if g is None else g, dtype=float)
+    return factor_from_root(h, g, cholesky_root(h))
 
 
 @dataclass

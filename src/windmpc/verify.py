@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .control import EXPANSION_REL_TOL, assemble_model_set, build_model_set, \
-    expanded_arrays, model_expansion
+from .control import EXPANSION_REL_TOL, assemble_model_set, assembly_plan, \
+    build_model_set, expanded_arrays, model_expansion, shift_constraints
 from .errors import InfeasibleQpError, QpIterationError
 from .experiment import LOG_FLOAT_FIELDS, SimLog, count_violations
 from .linearize import continuous_model, discretize, equilibrium
@@ -258,12 +258,13 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
     am = augment_velocity(*augment_disturbance(
         discretize(continuous_model(ms.op, params), params.t_s)))
     qp, n_p, n_c = ms.qp, weights.n_p, weights.n_c
+    bounds = shift_constraints(ms.op, params)
     rng = np.random.default_rng(4)
     scale_x = np.array([0.3, 8.0, 800.0, 800.0, 1.5, 0.5, 400.0, 0.4])
     draws, worst, compared, agreed = 100, 0.0, 0, 0
     for _ in range(draws):
         x_a = rng.normal(size=8) * scale_x
-        x_a[6:] = np.clip(x_a[6:], qp.bounds.u_min, qp.bounds.u_max)
+        x_a[6:] = np.clip(x_a[6:], bounds.u_min, bounds.u_max)
         r_s = np.tile(rng.normal(size=2) * np.array([8.0, 5e4]), n_p)
         du = rng.normal(size=2 * n_c) * np.tile([300.0, 0.3], n_c)
         z = np.concatenate([x_a, r_s])
@@ -276,7 +277,7 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
         if np.abs(residual).min() >= 1e-9:
             compared += 1
             agreed += bool(residual.max() <= 0.0) == unrolled_bounds_ok(
-                am, qp.bounds, x_a, du, n_p, n_c)
+                am, bounds, x_a, du, n_p, n_c)
     ok = (worst < CONDENSED_COST_REL_TOL and agreed == compared
           and compared >= MIN_MEMBERSHIP_CHECKS)
     return ok, (f"condensed-cost equivalence mismatch {worst:.3e} over {draws} "
@@ -299,27 +300,36 @@ def check_qp_solver(instances=QP_INSTANCES, seed=0):
 def check_model_expansion(params: TurbineParams, weights: MpcWeights, grid):
     """The online model's Chebyshev expansion against the direct build, over
     ``grid`` and seeded random winds in [4, 11): each array's worst gap
-    relative to its largest entry, W included, must stay within
-    EXPANSION_REL_TOL."""
+    relative to its largest entry, W and the QP factor on the certified
+    root included, must stay within EXPANSION_REL_TOL. The report adds the
+    expanded root's worst max|R'HR - I| before its certificate."""
     expansion = model_expansion(params, weights)
+    plan = assembly_plan(params, weights)
     winds = np.concatenate([grid, np.random.default_rng(5).uniform(
         V_PARTIAL_MIN, V_RATED, EXPANSION_RANDOM_WINDS)])
-    names = ("A_d", "B_du", "b_d", "H", "F", "G", "W", "S")
-    worst = dict.fromkeys(names, 0.0)
+    names = ("A_d", "B_du", "b_d", "H", "F", "G", "W", "S", "H^-1", "H^-1 G'",
+             "M")
+    worst, residual = dict.fromkeys(names, 0.0), 0.0
     for v in winds.tolist():
         direct = build_model_set(v, params, weights)
-        expanded = assemble_model_set(direct.op, expanded_arrays(expansion, v),
-                                      params, weights)
+        arrays = expanded_arrays(expansion, v)
+        h, root = arrays[3], arrays[-1]
+        residual = max(residual, float(
+            np.abs(root.T @ h @ root - np.eye(len(h))).max()))
+        expanded = assemble_model_set(direct.op, arrays, plan)
         for name, want, got in zip(names, *(
                 (ms.a_d, ms.b_du, ms.b_d, ms.qp.factor.h, ms.qp.f,
-                 ms.qp.factor.g, ms.qp.w, ms.qp.s) for ms in (direct, expanded))):
+                 ms.qp.factor.g, ms.qp.w, ms.qp.s, ms.qp.factor.h_inv,
+                 ms.qp.factor.h_inv_gt, ms.qp.factor.m)
+                for ms in (direct, expanded))):
             worst[name] = max(worst[name], float(
                 np.abs(got - want).max() / np.abs(want).max()))
     return max(worst.values()) <= EXPANSION_REL_TOL, (
         "model expansion vs direct build over "
         f"{len(winds)} winds, worst relative gap: "
         + ", ".join(f"{name} {gap:.1e}" for name, gap in worst.items())
-        + f" [tolerance {EXPANSION_REL_TOL:g}]")
+        + f" [tolerance {EXPANSION_REL_TOL:g}]; expanded root max|R'HR - I| "
+        f"{residual:.1e} before its certificate")
 
 
 def compare_logs(a: SimLog, b: SimLog, params: TurbineParams):

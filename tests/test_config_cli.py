@@ -187,3 +187,37 @@ class TestCli:
         monkeypatch.setattr(verify_mod, "run_benchmark",
                             lambda instances, seed: (3, 1e-2, 0))
         assert main(["qpbench", "--instances", "10"]) == 3
+
+    @pytest.fixture(scope="class")
+    def logs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("logs")
+        for name in ("a", "b"):
+            assert main(["simulate", "--wind", "turbulent", "--duration", "2",
+                         "--seed", "7", "--out", str(out / name)]) == 0
+        return out / "a" / "online.csv", out / "b" / "online.csv"
+
+    def test_compare_logs_passes_on_equal_logs(self, logs, capsys):
+        assert main(["compare-logs", *map(str, logs)]) == 0
+        out = capsys.readouterr().out
+        assert "40 rows" in out and "PASS" in out
+
+    def test_compare_logs_fails_on_a_changed_status(self, logs, tmp_path,
+                                                    capsys):
+        lines = logs[1].read_text().splitlines()
+        lines[5] = lines[5].replace("optimal", "hold")
+        changed = tmp_path / "changed.csv"
+        changed.write_text("\n".join(lines) + "\n")
+        assert main(["compare-logs", str(logs[0]), str(changed)]) == 3
+        out = capsys.readouterr().out
+        assert "first differing row 4" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("text", [None, "not,a,log\n", "HEADER\n1,2\n"],
+                             ids=["missing", "bad_header", "short_row"])
+    def test_compare_logs_unreadable_csv_exit_code(self, logs, tmp_path,
+                                                   capsys, text):
+        bad = tmp_path / "bad.csv"
+        if text is not None:
+            header = logs[0].read_text().splitlines()[0]
+            bad.write_text(text.replace("HEADER", header))
+        assert main(["compare-logs", str(logs[0]), str(bad)]) == 1
+        assert "config error" in capsys.readouterr().err

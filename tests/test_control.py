@@ -8,8 +8,14 @@ from windmpc import (DisturbanceEstimator, DomainError, MpcWeights,
                      OfflineMpc, OnlineMpc, PlantState, TurbineParams, build_model_set, equilibrium,
                      generate_wind, generator_power, reference,
                      run_closed_loop, shift_constraints, step)
-from windmpc.control import (EXPANSION_REL_TOL, expanded_arrays,
-                             model_arrays, model_expansion)
+from windmpc.control import (EXPANSION_REL_TOL, FACTOR_TOL,
+                             assemble_model_set, assembly_plan,
+                             certified_root, expanded_arrays, model_arrays,
+                             model_expansion)
+from windmpc.linearize import continuous_model, discretize
+from windmpc.mpc import (PredictionMatrices, _layout, augment_disturbance,
+                         augment_velocity, condense, condense_constraints)
+from windmpc.qp import cholesky_root, factor_from_root
 from windmpc.verify import compare_logs
 
 from helpers import DirectOnlineMpc
@@ -242,13 +248,20 @@ class TestOnlineMpc:
                                                            weights,
                                                            monkeypatch):
         controller = OnlineMpc(params, weights)
+        state = equilibrium(8.0, params).x_bar
 
         def boom(*args, **kwargs):
             raise np.linalg.LinAlgError("synthetic failure")
 
-        monkeypatch.setattr(control_mod, "factorize", boom)
+        monkeypatch.setattr(control_mod, "certified_root", boom)
         with pytest.raises(np.linalg.LinAlgError, match="synthetic"):
-            controller.step(equilibrium(8.0, params).x_bar, 8.0)
+            controller.step(state, 8.0)
+        monkeypatch.undo()
+        u_first, _ = controller.step(state, 8.0)
+        monkeypatch.setattr(control_mod, "certified_root", boom)
+        u_held, info = controller.step(state, 8.0)
+        assert info.qp_status == "hold"
+        assert u_held == u_first
 
     def test_model_set_pipeline_shapes(self, params, weights):
         ms = build_model_set(8.0, params, weights)
@@ -289,7 +302,7 @@ class TestModelExpansion:
         assert model_expansion.cache_info().currsize == 1
         assert OnlineMpc(params, weights).expansion is controller.expansion
         coef, _ = controller.expansion
-        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 1340)
+        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 1440)
         assert not coef.flags.writeable
 
     @pytest.mark.parametrize("changed", [dict(q2=1.0), dict(n_p=60, n_c=10)],
@@ -314,3 +327,99 @@ class TestModelExpansion:
                 for cls in (OnlineMpc, DirectOnlineMpc)]
         ok, report = compare_logs(*logs, params)
         assert ok, report
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestCertifiedRoot:
+    @pytest.fixture
+    def factor(self, params, weights):
+        return build_model_set(8.3, params, weights).qp.factor
+
+    def test_direct_root_passes_unchanged(self, factor):
+        root = cholesky_root(factor.h)
+        assert certified_root(factor.h, root) is root
+
+    def test_refines_a_scaled_root_to_a_fresh_factor(self, factor):
+        # E = 2e-4 I, then about 3e-8, then rounding: quadratic convergence
+        root = certified_root(factor.h, 1.0001 * cholesky_root(factor.h))
+        e = root.T @ factor.h @ root - np.eye(len(root))
+        assert np.abs(e).max() <= FACTOR_TOL
+        got, want = factor_from_root(factor.h, factor.g, root), factor
+        for name in ("h_inv", "h_inv_gt", "m"):
+            gap = np.abs(getattr(got, name) - getattr(want, name)).max()
+            assert gap <= 1e-12 * np.abs(getattr(want, name)).max()
+
+    def test_refines_a_perturbed_root_to_the_tolerance(self, factor, rng):
+        # the correction stops once E is within FACTOR_TOL, so the factor
+        # on it is as close to the fresh one as that
+        exact = cholesky_root(factor.h)
+        for _ in range(5):
+            noisy = exact * (1.0 + 1e-4 * rng.standard_normal(exact.shape))
+            root = certified_root(factor.h, noisy)
+            e = root.T @ factor.h @ root - np.eye(len(root))
+            assert np.abs(e).max() <= FACTOR_TOL
+            got = factor_from_root(factor.h, factor.g, root)
+            for name in ("h_inv", "h_inv_gt", "m"):
+                want = getattr(factor, name)
+                gap = np.abs(getattr(got, name) - want).max()
+                assert gap <= 10.0 * FACTOR_TOL * np.abs(want).max()
+
+    def test_unrepairable_root_rejected(self, factor):
+        with pytest.raises(np.linalg.LinAlgError, match="corrections"):
+            certified_root(factor.h, np.zeros_like(factor.h))
+
+
+class TestAssemblyPlan:
+    @settings(max_examples=30, deadline=None)
+    @given(v=st.floats(4.0, 11.0, exclude_max=True),
+           t_g_max=st.floats(1e3, 3e4), omega_g_max=st.floats(50.0, 400.0),
+           p_g_max=st.floats(1e5, 5e6), beta_min=st.floats(-0.9, 5.0),
+           beta_span=st.floats(0.5, 90.0),
+           rate_min=st.floats(-30.0, -0.01), rate_max=st.floats(0.01, 30.0))
+    def test_equals_the_condense_route_bit_for_bit(
+            self, weights, v, t_g_max, omega_g_max, p_g_max, beta_min,
+            beta_span, rate_min, rate_max):
+        params = TurbineParams(
+            t_g_max=t_g_max, omega_g_max=omega_g_max, p_g_max=p_g_max,
+            beta_min=beta_min, beta_max=beta_min + beta_span,
+            beta_rate_min=rate_min, beta_rate_max=rate_max)
+        n_p, n_c = weights.n_p, weights.n_c
+        op = equilibrium(v, params)
+        arrays = model_arrays(op, params, weights)
+        qp = assemble_model_set(op, arrays, assembly_plan(params,
+                                                          weights)).qp
+        lay = _layout(8, 2, 2, n_p, n_c)
+        bounds = shift_constraints(op, params)
+        g, w, s = condense_constraints(
+            PredictionMatrices(arrays[6], arrays[5], lay.l1, lay.l2, n_p,
+                               n_c), bounds)
+        assert_bitwise(qp.factor.g, g)
+        assert_bitwise(qp.w, w)
+        assert_bitwise(qp.s, s)
+        assert_bitwise(qp.du_min, np.tile(bounds.du_min, n_c))
+        assert_bitwise(qp.du_max, np.tile(bounds.du_max, n_c))
+        for ms in OfflineMpc(params, weights).bank:
+            dm = discretize(continuous_model(ms.op, params), params.t_s)
+            want = condense(augment_velocity(*augment_disturbance(dm)),
+                            weights, shift_constraints(ms.op, params))
+            for name in ("h", "g", "h_inv", "h_inv_gt", "m"):
+                assert_bitwise(getattr(ms.qp.factor, name),
+                               getattr(want.factor, name))
+            for name in ("f", "w", "s", "du_min", "du_max"):
+                assert_bitwise(getattr(ms.qp, name), getattr(want, name))
+
+    def test_cached_and_read_only(self, params, weights):
+        plan = assembly_plan(params, weights)
+        assert assembly_plan(params, weights) is plan
+        assert OnlineMpc(params, weights).plan is plan
+        assert not plan.g.flags.writeable
+        assert not plan.du_max.flags.writeable
+
+    def test_empty_bounds_rejected_when_the_plan_is_built(self, weights):
+        params = TurbineParams(t_g_max=-1.0)
+        with pytest.raises(ValueError, match="u_min"):
+            assembly_plan(params, weights)

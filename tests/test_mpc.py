@@ -386,5 +386,5 @@ class TestMpcStep:
         x_a[1] = 500.0
         du, info = mpc_step(qp, x_a, np.zeros(2 * weights.n_p), ActiveSetSolver())
         assert info.qp_status == "fallback"
-        assert np.all(du <= qp.bounds.du_max + 1e-12)
-        assert np.all(du >= qp.bounds.du_min - 1e-12)
+        assert np.all(du <= bounds.du_max + 1e-12)
+        assert np.all(du >= bounds.du_min - 1e-12)
