@@ -17,8 +17,7 @@ from .linearize import (ContinuousLinearModel, DiscreteLinearModel,
                         equilibrium, matrix_exponential, torque_gradients)
 from .mpc import (AugmentedModel, CondensedQp, ConstraintSet, MpcWeights,
                   PredictionMatrices, augment_disturbance, augment_velocity,
-                  condense, condense_constraints, condense_cost, mpc_step,
-                  prediction_matrices)
+                  condense, condense_cost, mpc_step, prediction_matrices)
 from .qp import ActiveSetSolver, QpFactor, factorize
 from .turbine import (ControlInput, PlantState, TurbineParams,
                       aerodynamic_power, aerodynamic_torque, derivatives,

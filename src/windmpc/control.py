@@ -4,28 +4,27 @@ One controller step serves two model sources, which differ only in where
 the prediction model for the measured wind comes from: a switched bank of
 two fixed linearizations (``OfflineMpc``), or a model at the measured wind
 every sample (``OnlineMpc``), evaluated from a Chebyshev expansion in wind
-speed of the linearized, discretized and condensed model and its QP
-factor's root, certified on every sample. The step runs on full state
-feedback, shifts measurements into deviation coordinates of the model's
-operating point, and tracks the optimal-tip-speed-ratio generator speed
-reference.
+speed of the linearized model's cost, prediction blocks and QP factor's
+root, certified on every sample. Both sources build their QP through
+``condense``, the bank at construction and the online model every sample.
+The step runs on full state feedback, shifts measurements into deviation
+coordinates of the model's operating point, and tracks the
+optimal-tip-speed-ratio generator speed reference.
 """
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import DomainError
 from .linearize import OperatingPoint, continuous_model, discretize, \
     equilibrium
-# unused here, but perfbench's traced runs wrap control.condense
-from .mpc import CondensedQp, ConstraintSet, MpcWeights, StepInfo, _layout, \
+from .mpc import CondensedQp, ConstraintSet, MpcWeights, StepInfo, \
     augment_disturbance, augment_velocity, condense, condense_cost, \
     mpc_step, prediction_matrices
-from .qp import ActiveSetSolver, cholesky_root, factor_from_root
+from .qp import ActiveSetSolver, cholesky_root
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
     generator_power, max_power
 
@@ -106,31 +105,6 @@ def model_arrays(op: OperatingPoint, params: TurbineParams, weights: MpcWeights)
     return dm.a_d, dm.b_du, dm.b_d, h, f, pm.gamma, pm.phi, cholesky_root(h)
 
 
-@lru_cache(maxsize=8)
-def assembly_plan(params: TurbineParams, weights: MpcWeights):
-    """``condense_constraints(pm, shift_constraints(op, params))`` less its
-    per-model work, done once: the kept rows of the G and S templates, the
-    signed entries of ``_bounds_about`` that W gathers, and the tiled move
-    bounds. lo < hi holds about every point if about the zero point."""
-    bounds = ConstraintSet(*_bounds_about(params).reshape(6, 2))
-    n_p, n_c = weights.n_p, weights.n_c
-    # 8 states (the plant's 5, the disturbance, the last input), 2 inputs
-    # and 2 outputs
-    lay = _layout(8, 2, 2, n_p, n_c)
-    # W stacks y_max, -y_min, u_max, -u_min, du_max, -du_min; the outputs
-    # are unbounded below, so only the y_max rows take Gamma and Phi
-    index = np.array([10, 11, 8, 9, 6, 7, 4, 5, 2, 3, 0, 1])[lay.w_index]
-    flip = np.array([1.0, 1, -1, -1, 1, 1, -1, -1, 1, 1, -1, -1])[lay.w_index]
-    keep = np.isfinite(_bounds_about(params)[index])
-    plan = SimpleNamespace(
-        params=params, g=lay.g[keep], s=lay.s[keep], w_index=index[keep],
-        rows=np.flatnonzero(keep[:2 * n_p]), w_flip=flip[keep],
-        du_min=np.tile(bounds.du_min, n_c), du_max=np.tile(bounds.du_max, n_c))
-    for array in (plan.g, plan.s, plan.du_min, plan.du_max):
-        array.flags.writeable = False
-    return plan
-
-
 def certified_root(h, root):
     """``root`` with E = R'HR - I within FACTOR_TOL, so H^-1 = R R', after
     at most FACTOR_STEPS Newton-Schulz steps R <- R - RE/2, each of which
@@ -146,21 +120,15 @@ def certified_root(h, root):
                                 f" after {FACTOR_STEPS} corrections")
 
 
-def assemble_model_set(op: OperatingPoint, arrays, plan) -> ModelSet:
-    """ModelSet at an operating point from its ``model_arrays`` through an
-    ``assembly_plan``: Gamma and Phi fill the G and S templates, W gathers
-    the bounds about the point, and the factor is built on the certified
-    root."""
+def assemble_model_set(op: OperatingPoint, arrays, params: TurbineParams,
+                       weights: MpcWeights) -> ModelSet:
+    """ModelSet at an operating point from its ``model_arrays``: ``condense``
+    takes the certified root and the bounds about the point."""
     a_d, b_du, b_d, h, f, gamma, phi, root = arrays
-    k = len(plan.rows)
-    g, s = plan.g.copy(), plan.s.copy()
-    g[:k], s[:k, :phi.shape[1]] = gamma[plan.rows], -phi[plan.rows]
-    p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, plan.params)
-    w = plan.w_flip * _bounds_about(plan.params, op.x_bar.omega_g, p_g_bar,
-                                    *op.u_bar)[plan.w_index]
+    p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, params)
+    qp = condense(h, f, gamma, phi, certified_root(h, root), _bounds_about(
+        params, op.x_bar.omega_g, p_g_bar, *op.u_bar), weights.n_c)
     b_d = b_d.ravel()
-    qp = CondensedQp(factor_from_root(h, g, certified_root(h, root)), f, w, s,
-                     plan.du_min, plan.du_max, b_du.shape[1])
     return ModelSet(op, a_d, b_du, qp, np.array(op.x_bar), np.array(op.u_bar),
                     p_g_bar, b_d, float(b_d @ b_d))
 
@@ -168,8 +136,8 @@ def assemble_model_set(op: OperatingPoint, arrays, plan) -> ModelSet:
 def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelSet:
     """Direct pipeline for one operating point: linearize, discretize, condense."""
     op = equilibrium(v_bar, params)
-    return assemble_model_set(op, model_arrays(op, params, weights),
-                              assembly_plan(params, weights))
+    return assemble_model_set(op, model_arrays(op, params, weights), params,
+                              weights)
 
 
 @lru_cache(maxsize=8)
@@ -180,7 +148,9 @@ def model_expansion(params: TurbineParams, weights: MpcWeights):
     matrix and each array's (start, stop, shape) in its columns. Raises
     DomainError when an array's two top coefficients exceed
     EXPANSION_REL_TOL of its maximum: degree n misses that model; the root
-    R is exempt, as ``certified_root`` corrects it on every sample."""
+    R is exempt, as ``certified_root`` corrects it on every sample. That the
+    expanded arrays then stay within EXPANSION_REL_TOL of the direct build
+    is verified at the default weights only (``verify.check_model_expansion``)."""
     n = EXPANSION_DEGREE
     k = np.arange(n + 1)
     s = np.cos(np.pi * k / n)  # Chebyshev points of the second kind
@@ -247,6 +217,8 @@ class _MpcControllerBase:
 
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  kappa=0.1):
+        # lo < hi about every operating point if about the zero point
+        ConstraintSet(*_bounds_about(params).reshape(6, 2))
         self.params = params
         self.weights = weights if weights is not None else MpcWeights()
         self.estimator = DisturbanceEstimator(kappa=kappa)
@@ -350,9 +322,9 @@ class OfflineMpc(_MpcControllerBase):
 class OnlineMpc(_MpcControllerBase):
     """Controller with a model at the measured wind speed every sample.
 
-    Construction builds (or finds cached) its ``model_expansion`` and
-    ``assembly_plan``; each sample runs the equilibrium, one expansion
-    product, W, the G and S fill, the root's certificate and the factor.
+    Construction builds (or finds cached) its ``model_expansion``; each
+    sample runs the equilibrium, one expansion product, the root's
+    certificate and ``condense`` on the bounds about that point.
     """
 
     mode = "online"
@@ -361,8 +333,8 @@ class OnlineMpc(_MpcControllerBase):
                  kappa=0.1):
         super().__init__(params, weights, kappa)
         self.expansion = model_expansion(params, self.weights)
-        self.plan = assembly_plan(params, self.weights)
 
     def _model_for(self, v) -> ModelSet:
         return assemble_model_set(equilibrium(v, self.params),
-                                  expanded_arrays(self.expansion, v), self.plan)
+                                  expanded_arrays(self.expansion, v),
+                                  self.params, self.weights)

@@ -11,8 +11,9 @@ tracking cost and the stacked bounds into
 
 where everything except the per-sample linear term and bound vector
 depends only on the model, horizons, weights and bounds, and is therefore
-built once and cached per linearization. ``mpc_step`` solves one sample's
-program and reports it in the shared per-sample ``StepInfo`` record.
+built once and cached per linearization, by ``condense`` for any pattern
+of finite bounds. ``mpc_step`` solves one sample's program and reports it
+in the shared per-sample ``StepInfo`` record.
 """
 
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleQpError, QpIterationError
 from .linearize import DiscreteLinearModel
-from .qp import ActiveSetSolver, QpFactor, factorize
+from .qp import ActiveSetSolver, QpFactor, factor_from_root
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class CondensedQp:
 
     The per-sample pieces are assembled from the stacked vector
     z = [x_a; r_s]: linear term f = F' z, bound vector b = W + S z. H and G
-    live in the solver's factor, which is built once with them. The move
-    bounds, tiled over the control horizon, clip the fallback.
+    live in the solver's factor, which is built once with them. The bounds
+    of one move, tiled over the control horizon, clip the fallback.
     """
 
     factor: QpFactor
@@ -142,7 +143,6 @@ class CondensedQp:
     s: np.ndarray
     du_min: np.ndarray
     du_max: np.ndarray
-    n_in: int
 
 
 def _append_held_states(a, b, c, coupling, b_rows):
@@ -183,22 +183,14 @@ def augment_velocity(a_p, b_p, c_p) -> AugmentedModel:
 @lru_cache(maxsize=32)
 def _layout(n, m, q, n_p, n_c, weights: MpcWeights | None = None):
     """Read-only parts of the condensed QP that no model enters: L1, L2, Gamma's
-    lag index and zero blocks, G and S templates, W's gather index, cost terms."""
+    lag index and zero blocks, cost terms."""
     # u(k+j) is u(k-1) plus moves 0..j: L1's input block is L2's first column
     l2 = (np.tril(np.ones((n_c, n_c)))[:, None, :, None]
           * np.eye(m)[None, :, None, :]).reshape(m * n_c, m * n_c)
     l1 = np.zeros((m * n_c, n))
     l1[:, n - m:] = l2[:, :m]
-    # row blocks y <= y_max, y >= y_min, u <= u_max, u >= u_min, du <= du_max
-    # and du >= du_min; the Gamma rows of G and Phi rows of S are per model
-    g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), l2, -l2, np.eye(m * n_c),
-                   -np.eye(m * n_c)])
-    s = np.zeros((len(g), n + q * n_p))
-    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-l1, l1])
-    w_index = np.concatenate([np.tile(np.arange(k, k + q), n_p) for k in (0, q)] + [
-        np.tile(np.arange(k, k + m), n_c) for k in range(2 * q, 2 * q + 4 * m, m)])
     lay = SimpleNamespace(
-        l1=l1, l2=l2, g=g, s=s, w_index=w_index,
+        l1=l1, l2=l2,
         lag=np.arange(n_c - 1, n_c - 1 + n_p)[:, None] - np.arange(n_c),
         zero_blocks=np.zeros((n_c - 1, q, m)))
     if weights is not None:
@@ -209,6 +201,35 @@ def _layout(n, m, q, n_p, n_c, weights: MpcWeights | None = None):
     for array in vars(lay).values():
         array.flags.writeable = False
     return lay
+
+
+@lru_cache(maxsize=32)
+def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
+    """Read-only parts of G dU <= W + S [x; rs] for one pattern of finite
+    stacked bounds: the kept rows of the G and S templates, W's signed
+    gather of the bounds and the signed Gamma/Phi rows of its output rows."""
+    lay = _layout(n, m, q, n_p, n_c)
+    # row blocks y <= y_max, y >= y_min, u <= u_max, u >= u_min, du <= du_max
+    # and du >= du_min; the Gamma rows of G and Phi rows of S are per model
+    eye = np.eye(m * n_c)
+    g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), lay.l2, -lay.l2, eye, -eye])
+    s = np.zeros((len(g), n + q * n_p))
+    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-lay.l1, lay.l1])
+    # each block's bound in ConstraintSet's field order: du_min, du_max,
+    # u_min, u_max, y_min, y_max
+    w_gather = np.concatenate(
+        [np.tile(np.arange(k, k + q), n_p) for k in (4 * m + q, 4 * m)]
+        + [np.tile(np.arange(k, k + m), n_c) for k in (3 * m, 2 * m, m, 0)])
+    w_sign = np.tile([1.0, -1.0], 3).repeat([q * n_p] * 2 + [m * n_c] * 4)
+    keep = np.frombuffer(finite, dtype=bool)[w_gather]
+    kept_y = np.flatnonzero(keep[:2 * q * n_p])
+    rows = SimpleNamespace(
+        g=g[keep], s=s[keep], w_gather=w_gather[keep], w_sign=w_sign[keep],
+        y_rows=kept_y % (q * n_p), g_sign=w_sign[kept_y, None],
+        s_sign=-w_sign[kept_y, None])
+    for array in vars(rows).values():
+        array.flags.writeable = False
+    return rows
 
 
 def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMatrices:
@@ -256,34 +277,27 @@ def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
     return h, np.vstack([f_top, -2.0 * q1_gamma])
 
 
-def condense_constraints(pm: PredictionMatrices, bounds: ConstraintSet):
-    """Stacked inequality description G dU <= W + S [x; rs].
+def condense(h, f, gamma, phi, root, bounds, n_c) -> CondensedQp:
+    """The cached QP of one model from its cost (H, F), the root R of
+    H^-1 = R R', Gamma, Phi and ``bounds``: ``ConstraintSet``'s fields
+    stacked in one vector, whose move bounds the QP keeps as views.
 
     Output bounds repeat over the prediction horizon, input and move bounds
     over the control horizon; rows whose bound is infinite are omitted. The
     reference block of S is identically zero (references never constrain).
     """
-    q_n_p, n = pm.phi.shape
-    lay = _layout(n, len(pm.l1) // pm.n_c, q_n_p // pm.n_p, pm.n_p, pm.n_c)
-    g, s = lay.g.copy(), lay.s.copy()
-    g[:q_n_p], g[q_n_p:2 * q_n_p] = pm.gamma, -pm.gamma
-    s[:q_n_p, :n], s[q_n_p:2 * q_n_p, :n] = -pm.phi, pm.phi
-    w = np.concatenate([bounds.y_max, -bounds.y_min, bounds.u_max,
-                        -bounds.u_min, bounds.du_max, -bounds.du_min])[lay.w_index]
-    keep = np.isfinite(w)
-    return g[keep], w[keep], s[keep]
-
-
-def condense(am: AugmentedModel, weights: MpcWeights,
-             bounds: ConstraintSet) -> CondensedQp:
-    """Build the full cached QP description, solver factor included, for
-    one linearization."""
-    pm = prediction_matrices(am, weights.n_p, weights.n_c)
-    h, f = condense_cost(pm, weights)
-    g, w, s = condense_constraints(pm, bounds)
-    return CondensedQp(factorize(h, g), f, w, s,
-                       np.tile(bounds.du_min, weights.n_c),
-                       np.tile(bounds.du_max, weights.n_c), am.n_in)
+    q_n_p, n = phi.shape
+    m = gamma.shape[1] // n_c
+    q = len(bounds) // 2 - 2 * m
+    rows = _constraint_rows(n, m, q, q_n_p // q, n_c,
+                            np.isfinite(bounds).tobytes())
+    k = len(rows.y_rows)
+    g, s = rows.g.copy(), rows.s.copy()
+    np.multiply(rows.g_sign, gamma.take(rows.y_rows, 0), out=g[:k])
+    np.multiply(rows.s_sign, phi.take(rows.y_rows, 0), out=s[:k, :n])
+    w = rows.w_sign * bounds[rows.w_gather]
+    return CondensedQp(factor_from_root(h, g, root), f, w, s, bounds[:m],
+                       bounds[m:2 * m])
 
 
 @dataclass
@@ -317,14 +331,15 @@ def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
                         np.asarray(r_s, dtype=float)])
     f = qp.f.T @ z
     b = qp.w + qp.s @ z
-    m = qp.n_in
+    m = len(qp.du_min)
     try:
         sol = solver.solve(qp.factor, f, b)
         du_seq = sol.x
         info = StepInfo("optimal", sol.iterations, len(sol.working_set),
                         sol.objective)
     except (InfeasibleQpError, QpIterationError):
-        du_seq = np.clip(-(qp.factor.h_inv @ f), qp.du_min, qp.du_max)
+        du_seq = np.clip(-(qp.factor.h_inv @ f).reshape(-1, m), qp.du_min,
+                         qp.du_max).ravel()
         cost = 0.5 * du_seq @ qp.factor.h @ du_seq + f @ du_seq
         info = StepInfo("fallback", 0, 0, float(cost))
     return du_seq[:m].copy(), info

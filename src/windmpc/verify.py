@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .control import EXPANSION_REL_TOL, assemble_model_set, assembly_plan, \
-    build_model_set, expanded_arrays, model_expansion, shift_constraints
+from .control import EXPANSION_REL_TOL, assemble_model_set, build_model_set, \
+    expanded_arrays, model_expansion, shift_constraints
 from .errors import InfeasibleQpError, QpIterationError
 from .experiment import LOG_FLOAT_FIELDS, SimLog, count_violations
 from .linearize import continuous_model, discretize, equilibrium
@@ -304,7 +304,6 @@ def check_model_expansion(params: TurbineParams, weights: MpcWeights, grid):
     root included, must stay within EXPANSION_REL_TOL. The report adds the
     expanded root's worst max|R'HR - I| before its certificate."""
     expansion = model_expansion(params, weights)
-    plan = assembly_plan(params, weights)
     winds = np.concatenate([grid, np.random.default_rng(5).uniform(
         V_PARTIAL_MIN, V_RATED, EXPANSION_RANDOM_WINDS)])
     names = ("A_d", "B_du", "b_d", "H", "F", "G", "W", "S", "H^-1", "H^-1 G'",
@@ -316,7 +315,7 @@ def check_model_expansion(params: TurbineParams, weights: MpcWeights, grid):
         h, root = arrays[3], arrays[-1]
         residual = max(residual, float(
             np.abs(root.T @ h @ root - np.eye(len(h))).max()))
-        expanded = assemble_model_set(direct.op, arrays, plan)
+        expanded = assemble_model_set(direct.op, arrays, params, weights)
         for name, want, got in zip(names, *(
                 (ms.a_d, ms.b_du, ms.b_d, ms.qp.factor.h, ms.qp.f,
                  ms.qp.factor.g, ms.qp.w, ms.qp.s, ms.qp.factor.h_inv,

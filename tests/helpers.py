@@ -1,12 +1,15 @@
 """Fixtures shared by the unit suites."""
 
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 
 from windmpc import (ConstraintSet, IntegrationError, OnlineMpc, PlantState,
-                     SimLog, build_model_set, derivatives, output)
+                     SimLog, build_model_set, condense, condense_cost,
+                     derivatives, output, prediction_matrices)
 from windmpc.experiment import LOG_FLOAT_FIELDS
+from windmpc.qp import cholesky_root
 
 
 def unbounded_constraints(n_in=2, n_out=2):
@@ -14,6 +17,16 @@ def unbounded_constraints(n_in=2, n_out=2):
     inf_in = np.full(n_in, np.inf)
     inf_out = np.full(n_out, np.inf)
     return ConstraintSet(-inf_in, inf_in, -inf_in, inf_in, -inf_out, inf_out)
+
+
+def condensed_qp(am, weights, bounds):
+    """``condense`` fed as the controllers feed it: the prediction matrices,
+    the condensed cost, H's Cholesky root and the bounds stacked in
+    ``ConstraintSet``'s field order."""
+    pm = prediction_matrices(am, weights.n_p, weights.n_c)
+    h, f = condense_cost(pm, weights)
+    return condense(h, f, pm.gamma, pm.phi, cholesky_root(h),
+                    np.concatenate(astuple(bounds)), weights.n_c)
 
 
 def synthetic_log(n, params, power_error=None):

@@ -76,6 +76,16 @@ def test_model_expansion_matches_direct_build():
     _report("online model expansion vs direct build", ok, detail)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "open: at q2 = 1 the expansion's H is off by 2.2e-8 and H^-1 by 1.1e-7 "
+    "against 1e-8; the degree-12 tail test under-reads the interpolation "
+    "error there"))
+def test_model_expansion_matches_direct_build_with_power_weight():
+    grid = np.arange(4.0, 11.0 + 1e-9, 0.5)
+    ok, detail = check_model_expansion(PARAMS, MpcWeights(q2=1.0), grid)
+    _report("online model expansion vs direct build, q2 = 1", ok, detail)
+
+
 def test_criterion_5_qp_solver_vs_enumeration():
     # every accepted solve is KKT-verified at 1e-8 scaling inside the solver
     ok, detail, elapsed = _timed(check_qp_solver, QP_INSTANCES, 0)

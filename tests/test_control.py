@@ -9,16 +9,14 @@ from windmpc import (DisturbanceEstimator, DomainError, MpcWeights,
                      generate_wind, generator_power, reference,
                      run_closed_loop, shift_constraints, step)
 from windmpc.control import (EXPANSION_REL_TOL, FACTOR_TOL,
-                             assemble_model_set, assembly_plan,
-                             certified_root, expanded_arrays, model_arrays,
-                             model_expansion)
-from windmpc.linearize import continuous_model, discretize
-from windmpc.mpc import (PredictionMatrices, _layout, augment_disturbance,
-                         augment_velocity, condense, condense_constraints)
-from windmpc.qp import cholesky_root, factor_from_root
+                             assemble_model_set, certified_root,
+                             expanded_arrays, model_arrays, model_expansion)
+from windmpc.mpc import PredictionMatrices, _layout
+from windmpc.qp import cholesky_root, factor_from_root, factorize
 from windmpc.verify import compare_logs
 
-from helpers import DirectOnlineMpc
+from helpers import (DirectOnlineMpc, condense_constraints_reference,
+                     condense_cost_reference)
 
 
 class TestReference:
@@ -373,53 +371,77 @@ class TestCertifiedRoot:
             certified_root(factor.h, np.zeros_like(factor.h))
 
 
-class TestAssemblyPlan:
+class TestCondenseRoute:
     @settings(max_examples=30, deadline=None)
     @given(v=st.floats(4.0, 11.0, exclude_max=True),
            t_g_max=st.floats(1e3, 3e4), omega_g_max=st.floats(50.0, 400.0),
            p_g_max=st.floats(1e5, 5e6), beta_min=st.floats(-0.9, 5.0),
            beta_span=st.floats(0.5, 90.0),
            rate_min=st.floats(-30.0, -0.01), rate_max=st.floats(0.01, 30.0))
-    def test_equals_the_condense_route_bit_for_bit(
+    def test_equals_the_reference_route_bit_for_bit(
             self, weights, v, t_g_max, omega_g_max, p_g_max, beta_min,
             beta_span, rate_min, rate_max):
+        # the controllers' route (model_arrays, bounds about the point,
+        # condense) against the loop references and a fresh factorize
         params = TurbineParams(
             t_g_max=t_g_max, omega_g_max=omega_g_max, p_g_max=p_g_max,
             beta_min=beta_min, beta_max=beta_min + beta_span,
             beta_rate_min=rate_min, beta_rate_max=rate_max)
         n_p, n_c = weights.n_p, weights.n_c
-        op = equilibrium(v, params)
-        arrays = model_arrays(op, params, weights)
-        qp = assemble_model_set(op, arrays, assembly_plan(params,
-                                                          weights)).qp
         lay = _layout(8, 2, 2, n_p, n_c)
-        bounds = shift_constraints(op, params)
-        g, w, s = condense_constraints(
-            PredictionMatrices(arrays[6], arrays[5], lay.l1, lay.l2, n_p,
-                               n_c), bounds)
-        assert_bitwise(qp.factor.g, g)
-        assert_bitwise(qp.w, w)
-        assert_bitwise(qp.s, s)
-        assert_bitwise(qp.du_min, np.tile(bounds.du_min, n_c))
-        assert_bitwise(qp.du_max, np.tile(bounds.du_max, n_c))
-        for ms in OfflineMpc(params, weights).bank:
-            dm = discretize(continuous_model(ms.op, params), params.t_s)
-            want = condense(augment_velocity(*augment_disturbance(dm)),
-                            weights, shift_constraints(ms.op, params))
+        bank = OfflineMpc(params, weights).bank
+        op = equilibrium(v, params)
+        online = assemble_model_set(op, model_arrays(op, params, weights),
+                                    params, weights)
+        for ms in (*bank, online):
+            arrays = model_arrays(ms.op, params, weights)
+            pm = PredictionMatrices(arrays[6], arrays[5], lay.l1, lay.l2, n_p,
+                                    n_c)
+            bounds = shift_constraints(ms.op, params)
+            h, f = condense_cost_reference(pm, weights)
+            g, w, s = condense_constraints_reference(pm, bounds)
+            want = factorize(h, g)
             for name in ("h", "g", "h_inv", "h_inv_gt", "m"):
                 assert_bitwise(getattr(ms.qp.factor, name),
-                               getattr(want.factor, name))
-            for name in ("f", "w", "s", "du_min", "du_max"):
-                assert_bitwise(getattr(ms.qp, name), getattr(want, name))
+                               getattr(want, name))
+            for got, want in ((ms.qp.f, f), (ms.qp.w, w), (ms.qp.s, s),
+                              (ms.qp.du_min, bounds.du_min),
+                              (ms.qp.du_max, bounds.du_max)):
+                assert_bitwise(got, want)
 
-    def test_cached_and_read_only(self, params, weights):
-        plan = assembly_plan(params, weights)
-        assert assembly_plan(params, weights) is plan
-        assert OnlineMpc(params, weights).plan is plan
-        assert not plan.g.flags.writeable
-        assert not plan.du_max.flags.writeable
-
-    def test_empty_bounds_rejected_when_the_plan_is_built(self, weights):
+    def test_empty_bounds_rejected_at_construction(self, weights):
         params = TurbineParams(t_g_max=-1.0)
-        with pytest.raises(ValueError, match="u_min"):
-            assembly_plan(params, weights)
+        for cls in (OfflineMpc, OnlineMpc):
+            with pytest.raises(ValueError, match="u_min"):
+                cls(params, weights)
+
+
+class TestTracedView:
+    """perfbench's traced runs wrap ``control.condense`` by name, so each
+    model the controllers build must pass through that global."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        condense = control_mod.condense
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return condense(*args, **kwargs)
+
+        monkeypatch.setattr(control_mod, "condense", counting)
+        return calls
+
+    @pytest.mark.parametrize("cls, built, per_step",
+                             [(OnlineMpc, 0, 1), (OfflineMpc, 2, 0)],
+                             ids=["online", "offline"])
+    def test_condense_calls(self, params, weights, calls, cls, built,
+                            per_step):
+        controller = cls(params, weights)
+        assert len(calls) == built
+        state = equilibrium(8.0, params).x_bar
+        for k in range(20):
+            u, info = controller.step(state, 8.0 + 0.05 * k)
+            assert info.qp_status == "optimal"
+            state = step(state, u, 8.0 + 0.05 * k, params.t_s, params)
+        assert len(calls) == built + 20 * per_step

@@ -1,15 +1,26 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from windmpc import (ActiveSetSolver, ConstraintSet, MpcWeights,
-                     augment_disturbance, augment_velocity,
-                     condense, condense_constraints, condense_cost,
+                     augment_disturbance, augment_velocity, condense_cost,
                      continuous_model, discretize, equilibrium, mpc_step,
                      prediction_matrices, shift_constraints, unified_matrices)
+from windmpc.mpc import _constraint_rows
 from windmpc.verify import explicit_cost, unrolled_bounds_ok
 
 from helpers import (condense_constraints_reference, condense_cost_reference,
-                     prediction_matrices_reference, unbounded_constraints)
+                     condensed_qp, prediction_matrices_reference,
+                     unbounded_constraints)
+
+
+def condensed_rows(am, bounds, n_p, n_c):
+    """(G, W, S) of ``condense`` at default cost weights."""
+    qp = condensed_qp(am, MpcWeights(n_p=n_p, n_c=n_c), bounds)
+    return qp.factor.g, qp.w, qp.s
 
 
 @pytest.fixture(scope="module")
@@ -194,24 +205,21 @@ class TestCondenseConstraints:
             y_min=np.array([-50.0, -1e5]), y_max=np.array([50.0, 1e5]))
 
     def test_row_count_all_bounds_finite(self, augmented):
-        pm = prediction_matrices(augmented, 20, 5)
-        g, w, s = condense_constraints(pm, self.example_bounds())
+        g, w, s = condensed_rows(augmented, self.example_bounds(), 20, 5)
         assert g.shape == (120, 10)
         assert w.shape == (120,)
         assert s.shape == (120, 8 + 2 * 20)
 
     def test_all_infinite_bounds_empty(self, augmented):
-        pm = prediction_matrices(augmented, 4, 2)
-        g, w, s = condense_constraints(pm, unbounded_constraints())
+        g, w, s = condensed_rows(augmented, unbounded_constraints(), 4, 2)
         assert g.shape == (0, 4)
         assert w.size == 0
+        assert s.shape == (0, 8 + 2 * 4)
 
     def test_membership_matches_unrolled_bounds(self, augmented, rng):
         n_p, n_c = 6, 3
-        w = MpcWeights(n_p=n_p, n_c=n_c)
-        pm = prediction_matrices(augmented, n_p, n_c)
         bounds = self.example_bounds()
-        g, wvec, s = condense_constraints(pm, bounds)
+        g, wvec, s = condensed_rows(augmented, bounds, n_p, n_c)
         checked = 0
         for _ in range(300):
             x_a = rng.normal(size=8) * np.array([0.1, 2.0, 200.0, 200.0, 0.5,
@@ -230,13 +238,12 @@ class TestCondenseConstraints:
 
     def test_rows_equal_simulated_slacks(self, augmented, rng):
         # each condensed row, G du - (W + S z), is one bound's excess along
-        # the forward simulation, in the stacking order of condense_constraints
+        # the forward simulation, in the stacking order of condense
         n_p, n_c = 6, 3
         a, bm, c = augmented.a_a, augmented.b_a, augmented.c_a
         m = bm.shape[1]
-        pm = prediction_matrices(augmented, n_p, n_c)
         bounds = self.example_bounds()
-        g, wvec, s = condense_constraints(pm, bounds)
+        g, wvec, s = condensed_rows(augmented, bounds, n_p, n_c)
         for _ in range(20):
             x_a = rng.normal(size=8) * np.array([0.1, 2.0, 200.0, 200.0, 0.5,
                                                  0.2, 300.0, 0.5])
@@ -261,9 +268,8 @@ class TestCondenseConstraints:
 
     def test_feasible_trajectory_satisfies_rows(self, augmented):
         n_p, n_c = 6, 3
-        pm = prediction_matrices(augmented, n_p, n_c)
         bounds = self.example_bounds()
-        g, wvec, s = condense_constraints(pm, bounds)
+        g, wvec, s = condensed_rows(augmented, bounds, n_p, n_c)
         x_a = np.zeros(8)
         du = np.tile([1.0, 0.001], n_c)  # tiny moves from rest stay inside
         z = np.concatenate([x_a, np.zeros(2 * n_p)])
@@ -271,30 +277,30 @@ class TestCondenseConstraints:
 
 
 class TestCachedLayout:
-    """condense_cost and condense_constraints fill per-model blocks into
-    cached model-free templates; the tile/vstack forms in helpers.py are the
+    """condense_cost and condense fill per-model blocks into cached
+    model-free templates; the tile/vstack forms in helpers.py are the
     reference, and they must agree bit for bit."""
 
     WINDS = (4.5, 6.4, 8.3, 10.0, 10.9)
+    # every bound distinct, so a block gathered into the wrong place shows
+    SKEWED = ConstraintSet(
+        du_min=np.array([-300.0, -0.4]), du_max=np.array([250.0, 0.5]),
+        u_min=np.array([-2e3, -1.0]), u_max=np.array([1.5e3, 10.0]),
+        y_min=np.array([-40.0, -1e5]), y_max=np.array([50.0, 2e5]))
 
     @staticmethod
-    def condensed(params, weights, v_bar, bounds=None):
-        op = equilibrium(v_bar, params)
-        dm = discretize(continuous_model(op, params), params.t_s)
-        am = augment_velocity(*augment_disturbance(dm))
+    def assert_condensed_as_reference(am, weights, bounds):
         pm = prediction_matrices(am, weights.n_p, weights.n_c)
-        bounds = shift_constraints(op, params) if bounds is None else bounds
-        got = condense_cost(pm, weights) + condense_constraints(pm, bounds)
+        qp = condensed_qp(am, weights, bounds)
+        got = (qp.factor.h, qp.f, qp.factor.g, qp.w, qp.s, qp.du_min,
+               qp.du_max)
         want = (condense_cost_reference(pm, weights)
-                + condense_constraints_reference(pm, bounds))
-        return pm, got, want
-
-    @staticmethod
-    def assert_identical(got, want):
-        # H, F, G, W, S
+                + condense_constraints_reference(pm, bounds)
+                + (bounds.du_min, bounds.du_max))
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+        return qp
 
     def test_equals_tiled_form_with_interleaved_keys(self, params):
         # over the wind envelope, alternate horizons, weights and bound sets
@@ -304,40 +310,58 @@ class TestCachedLayout:
                        MpcWeights(q1=3.0, q2=1e-4, r1=2e-6, r2=50.0, r3=7.0),
                        MpcWeights(q1=3.0, q2=1e-4, r1=2e-6, r2=50.0, r3=7.0,
                                   n_p=4, n_c=2)]
-        # every bound distinct, so a block gathered into the wrong place shows
-        skewed = ConstraintSet(
-            du_min=np.array([-300.0, -0.4]), du_max=np.array([250.0, 0.5]),
-            u_min=np.array([-2e3, -1.0]), u_max=np.array([1.5e3, 10.0]),
-            y_min=np.array([-40.0, -1e5]), y_max=np.array([50.0, 2e5]))
         unbounded = unbounded_constraints()
         for v_bar in self.WINDS:
+            op = equilibrium(v_bar, params)
+            dm = discretize(continuous_model(op, params), params.t_s)
+            am = augment_velocity(*augment_disturbance(dm))
             for w in weight_sets:
-                for bounds in (None, unbounded, skewed):
-                    pm, got, want = self.condensed(params, w, v_bar, bounds)
-                    self.assert_identical(got, want)
-                    assert pm.gamma.shape == (2 * w.n_p, 2 * w.n_c)
+                for bounds in (shift_constraints(op, params), unbounded,
+                               self.SKEWED):
+                    qp = self.assert_condensed_as_reference(am, w, bounds)
                     if bounds is unbounded:
-                        assert got[2].shape == (0, 2 * w.n_c)
+                        assert qp.factor.g.shape == (0, 2 * w.n_c)
+
+    @settings(max_examples=50, deadline=None)
+    @given(draws=st.lists(st.tuples(
+        st.lists(st.booleans(), min_size=12, max_size=12),
+        st.sampled_from([MpcWeights(), MpcWeights(n_p=4, n_c=2)])),
+        min_size=2, max_size=4))
+    def test_any_pattern_of_finite_bounds(self, augmented, draws):
+        # each of the 12 stacked bounds finite or infinite, several patterns
+        # and horizons per example, so a cached row set served under the
+        # wrong pattern would show
+        finite = np.concatenate(astuple(self.SKEWED))
+        infinite = np.repeat(np.tile([-np.inf, np.inf], 3), 2)
+        for pattern, weights in draws:
+            bounds = ConstraintSet(*np.where(pattern, finite, infinite)
+                                   .reshape(6, 2))
+            qp = self.assert_condensed_as_reference(augmented, weights, bounds)
+            assert len(qp.w) == sum(
+                n * sum(pattern[k:k + 4]) for k, n in (
+                    (0, weights.n_c), (4, weights.n_c), (8, weights.n_p)))
 
     def test_cached_arrays_are_read_only(self, params, weights, augmented):
         pm = prediction_matrices(augmented, weights.n_p, weights.n_c)
         cm = continuous_model(equilibrium(8.0, params), params)
-        for cached in (pm.l1, pm.l2, *unified_matrices(params), cm.b_cu):
+        bounds = shift_constraints(equilibrium(8.0, params), params)
+        qp = condensed_qp(augmented, weights, bounds)
+        rows = _constraint_rows(8, 2, 2, weights.n_p, weights.n_c, np.isfinite(
+            np.concatenate(astuple(bounds))).tobytes())
+        for cached in (pm.l1, pm.l2, *unified_matrices(params), cm.b_cu,
+                       *vars(rows).values()):
             with pytest.raises(ValueError):
                 cached[0, ...] = 1.0
         # what a call returns is the caller's own
         h, f = condense_cost(pm, weights)
-        g, w, s = condense_constraints(pm, shift_constraints(
-            equilibrium(8.0, params), params))
-        for fresh in (h, f, g, w, s):
+        for fresh in (h, f, qp.factor.g, qp.w, qp.s):
             fresh[0, ...] = 1.0
 
 
 class TestMpcStep:
     def test_zero_state_zero_reference_is_fixed_point(self, augmented, weights, params):
-        from windmpc import shift_constraints
         op = equilibrium(8.0, params)
-        qp = condense(augmented, weights, shift_constraints(op, params))
+        qp = condensed_qp(augmented, weights, shift_constraints(op, params))
         du, info = mpc_step(qp, np.zeros(8), np.zeros(2 * weights.n_p),
                             ActiveSetSolver())
         assert np.abs(du).max() <= 1e-9
@@ -349,7 +373,7 @@ class TestMpcStep:
             u_min=np.array([-5e3, 0.0]), u_max=np.array([5e3, 45.0]),
             y_min=np.array([-np.inf, -np.inf]),
             y_max=np.array([60.0, 1e6]))
-        qp = condense(augmented, weights, bounds)
+        qp = condensed_qp(augmented, weights, bounds)
         solver = ActiveSetSolver()
         for _ in range(50):
             x_a = rng.normal(size=8) * np.array([0.2, 8.0, 800.0, 800.0, 1.0,
@@ -361,7 +385,7 @@ class TestMpcStep:
 
     def test_single_step_horizon_matches_hand_solution(self, augmented):
         w = MpcWeights(q1=2.0, q2=0.0, r1=1.0, r2=1.0, r3=0.0, n_p=1, n_c=1)
-        qp = condense(augmented, w, unbounded_constraints())
+        qp = condensed_qp(augmented, w, unbounded_constraints())
         x_a = np.zeros(8)
         r_s = np.array([5.0, 0.0])
         du, _ = mpc_step(qp, x_a, r_s, ActiveSetSolver())
@@ -379,7 +403,7 @@ class TestMpcStep:
             u_min=np.array([-10.0, -1.0]), u_max=np.array([10.0, 1.0]),
             y_min=np.array([-np.inf, -np.inf]),
             y_max=np.array([0.5, np.inf]))
-        qp = condense(augmented, weights, bounds)
+        qp = condensed_qp(augmented, weights, bounds)
         # free response already violates the output cap and moves cannot
         # recover within the horizon
         x_a = np.zeros(8)
