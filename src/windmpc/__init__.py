@@ -6,8 +6,7 @@ and checks, and a deterministic experiment harness.
 """
 
 from .control import (DisturbanceEstimator, OfflineMpc, OnlineMpc,
-                      ReferenceSignal, build_model_set, reference,
-                      shift_constraints)
+                      ReferenceSignal, build_model_set, reference)
 from .errors import (ConfigError, DomainError, InfeasibleQpError,
                      IntegrationError, QpIterationError, SimulationError)
 from .experiment import (Metrics, SimLog, compute_metrics, run_closed_loop,
@@ -15,7 +14,7 @@ from .experiment import (Metrics, SimLog, compute_metrics, run_closed_loop,
 from .linearize import (ContinuousLinearModel, DiscreteLinearModel,
                         OperatingPoint, continuous_model, discretize,
                         equilibrium, matrix_exponential, torque_gradients)
-from .mpc import (AugmentedModel, CondensedQp, ConstraintSet, MpcWeights,
+from .mpc import (AugmentedModel, CondensedQp, MpcWeights,
                   PredictionMatrices, augment_disturbance, augment_velocity,
                   condense, condense_cost, mpc_step, prediction_matrices)
 from .qp import ActiveSetSolver, QpFactor, factorize

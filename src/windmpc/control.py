@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .linearize import OperatingPoint, continuous_model, discretize, \
     equilibrium
-from .mpc import CondensedQp, ConstraintSet, MpcWeights, StepInfo, \
+from .mpc import CondensedQp, MpcWeights, StepInfo, \
     augment_disturbance, augment_velocity, condense, condense_cost, \
     mpc_step, prediction_matrices
 from .qp import ActiveSetSolver, cholesky_root
@@ -55,27 +55,17 @@ def reference(v, params: TurbineParams) -> ReferenceSignal:
 
 def _bounds_about(params: TurbineParams, omega_g=0.0, p_g=0.0, t_g=0.0,
                   beta=0.0):
-    """``ConstraintSet``'s fields stacked, about the point (omega_g, P_g, T_g,
-    beta); about the zero point they are the absolute bounds."""
+    """The bounds (du_min, du_max, u_min, u_max, y_min, y_max) that ``condense``
+    takes, about the point (omega_g, P_g, T_g, beta); about the zero point
+    they are the absolute bounds. The pitch move is rate-limited over one
+    sample, the torque move is free, and generator speed and power have
+    upper bounds only."""
     return np.array([
         -np.inf, params.beta_rate_min * params.t_s,
         np.inf, params.beta_rate_max * params.t_s,
         0.0 - t_g, params.beta_min - beta, params.t_g_max - t_g,
         params.beta_max - beta, -np.inf, -np.inf, params.omega_g_max - omega_g,
         params.p_g_max - p_g])
-
-
-def shift_constraints(op: OperatingPoint, params: TurbineParams) -> ConstraintSet:
-    """Absolute actuator and output bounds expressed about an operating point.
-
-    Move bounds map the pitch rate limits onto one sampling interval; the
-    torque move is unbounded (no rate limit on the converter reference).
-    Output upper bounds cap generator speed and power; they have no lower
-    bounds in the partial-load region.
-    """
-    p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, params)
-    return ConstraintSet(*_bounds_about(params, op.x_bar.omega_g, p_g_bar,
-                                        *op.u_bar).reshape(6, 2))
 
 
 @dataclass(frozen=True)
@@ -218,7 +208,10 @@ class _MpcControllerBase:
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  kappa=0.1):
         # lo < hi about every operating point if about the zero point
-        ConstraintSet(*_bounds_about(params).reshape(6, 2))
+        lo, hi = _bounds_about(params).reshape(3, 2, 2).transpose(1, 0, 2)
+        for name, empty in zip(("du", "u", "y"), (lo >= hi).any(axis=1)):
+            if empty:
+                raise ValueError(f"{name}_min must lie strictly below {name}_max")
         self.params = params
         self.weights = weights if weights is not None else MpcWeights()
         self.estimator = DisturbanceEstimator(kappa=kappa)

@@ -67,44 +67,12 @@ class MpcWeights:
 
 
 @dataclass(frozen=True)
-class ConstraintSet:
-    """Per-step bounds in deviation coordinates.
-
-    Infinite entries are legal and drop the matching stacked rows. du
-    bounds apply to single moves, u bounds to accumulated inputs over the
-    control horizon, y bounds to predicted outputs over the prediction
-    horizon.
-    """
-
-    du_min: np.ndarray
-    du_max: np.ndarray
-    u_min: np.ndarray
-    u_max: np.ndarray
-    y_min: np.ndarray
-    y_max: np.ndarray
-
-    def __post_init__(self):
-        for lo_name, hi_name in (("du_min", "du_max"), ("u_min", "u_max"),
-                                 ("y_min", "y_max")):
-            lo = np.asarray(getattr(self, lo_name), dtype=float)
-            hi = np.asarray(getattr(self, hi_name), dtype=float)
-            object.__setattr__(self, lo_name, lo)
-            object.__setattr__(self, hi_name, hi)
-            if np.any(lo >= hi):
-                raise ValueError(f"{lo_name} must lie strictly below {hi_name}")
-
-
-@dataclass(frozen=True)
 class AugmentedModel:
     """Velocity-form prediction model x_a(k+1) = A_a x_a + B_a du."""
 
     a_a: np.ndarray
     b_a: np.ndarray
     c_a: np.ndarray
-
-    @property
-    def n_state(self) -> int:
-        return self.a_a.shape[0]
 
     @property
     def n_in(self) -> int:
@@ -215,8 +183,8 @@ def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
     g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), lay.l2, -lay.l2, eye, -eye])
     s = np.zeros((len(g), n + q * n_p))
     s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-lay.l1, lay.l1])
-    # each block's bound in ConstraintSet's field order: du_min, du_max,
-    # u_min, u_max, y_min, y_max
+    # each block's bound in the stacked order du_min, du_max, u_min, u_max
+    # (m each), y_min, y_max (q each)
     w_gather = np.concatenate(
         [np.tile(np.arange(k, k + q), n_p) for k in (4 * m + q, 4 * m)]
         + [np.tile(np.arange(k, k + m), n_c) for k in (3 * m, 2 * m, m, 0)])
@@ -279,7 +247,8 @@ def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
 
 def condense(h, f, gamma, phi, root, bounds, n_c) -> CondensedQp:
     """The cached QP of one model from its cost (H, F), the root R of
-    H^-1 = R R', Gamma, Phi and ``bounds``: ``ConstraintSet``'s fields
+    H^-1 = R R', Gamma, Phi and ``bounds``: du_min, du_max, u_min, u_max
+    (one entry per input each), y_min and y_max (one per output each)
     stacked in one vector, whose move bounds the QP keeps as views.
 
     Output bounds repeat over the prediction horizon, input and move bounds

@@ -14,8 +14,10 @@ proves the program infeasible.
 
 The steps run in range-space form on a factor of (H, G) that
 ``factorize`` builds once: a root R of H^-1 = R R' through the diagonally
-scaled D H D, D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G', so a step
-on working set W solves only M_WW r = -M_Wp. Suited to receding-horizon
+scaled D H D, D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G'. A solve
+that steps inverts M_WW on its working set W once and updates the inverse as
+rows join and leave W, so a step costs a gather of M's rows and products the
+size of W. Suited to receding-horizon
 control, where H and G are fixed per model and the active set barely
 changes between samples: a solver instance starts from the optimum on its
 last working set, pruned of rows with negative multipliers. Each factor also
@@ -40,6 +42,7 @@ MAX_ITER_FACTOR = 50    # iteration cap as a multiple of the number of variables
 # it outside their span, H z below, is under this share of the row: closer
 # to dependence the computed step is rounding noise and can point uphill.
 DEP_TOL = 1e-6
+DEP_SCREEN = 1e4        # rounding margin of the screen in front of that test
 LAW_CAP = 256           # optimal working sets remembered per factor
 
 
@@ -185,7 +188,7 @@ class ActiveSetSolver:
         """
         h, g = factor.h, factor.g
         f = np.asarray(f, dtype=float).ravel()
-        m, n = g.shape
+        m = len(g)
         x_free = -(factor.h_inv @ f)
         if m == 0:
             return QpSolution(x_free, np.zeros(0), [], 1,
@@ -197,55 +200,12 @@ class ActiveSetSolver:
             factor.laws.match(factor, self.working_set, x_free, b, tol)
             or self._warm_start(factor, x_free, b))
         x = x_free - factor.h_inv_gt[:, ws] @ lam
-        max_iter = max(10, MAX_ITER_FACTOR * n)
-        p = -1          # row being enforced, -1 when none
-        lam_p = 0.0     # its multiplier so far
-        while True:
-            if p < 0:
-                viol = g @ x - b
-                viol[ws] = -np.inf
-                p = int(np.argmax(viol))
-                if viol[p] <= tol:
-                    break
-            if iterations >= max_iter:
-                raise QpIterationError(
-                    f"active set did not settle in {max_iter} iterations")
-            iterations += 1
-            # primal step z and multiplier change r per unit of row p's
-            # multiplier: M_WW r = -M_Wp and H z = -(g_p + G_W' r)
-            w = np.array(ws, dtype=np.intp)
-            r = np.linalg.solve(factor.m[w[:, None], w], -factor.m[w, p])
-            h_z = -(g[p] + g[w].T @ r)
-            z = -(factor.h_inv_gt[:, p] + factor.h_inv_gt[:, w] @ r)
-            viol_p = float(g[p] @ x - b[p])
-            t_full = np.inf                # step that makes row p active
-            if np.abs(h_z).max() > DEP_TOL * np.abs(g[p]).max():
-                t_full = viol_p / -float(g[p] @ z)
-            t_part, drop = np.inf, -1      # step that zeroes a working multiplier
-            shrinking = np.flatnonzero(r < 0.0)
-            if shrinking.size:
-                ratios = lam[shrinking] / -r[shrinking]
-                k = int(np.argmin(ratios))
-                t_part, drop = max(float(ratios[k]), 0.0), int(shrinking[k])
-            t = min(t_full, t_part)
-            if t == np.inf:
-                if viol_p <= tol:          # partial steps brought it within tolerance
-                    p = -1
-                    continue
-                raise InfeasibleQpError("no step reduces the violated row",
-                                        worst_row=p)
-            if t_full < np.inf:
-                x = x + t * z
-            lam = lam + t * r
-            lam_p += t
-            if t_full <= t_part:
-                ws.append(p)
-                lam = np.append(lam, lam_p)
-                p, lam_p = -1, 0.0
-            else:
-                del ws[drop]
-                lam = np.delete(lam, drop)
-
+        viol = g @ x - b
+        viol[ws] = -np.inf
+        p = int(np.argmax(viol))
+        if viol[p] > tol:
+            x, ws, lam, iterations = self._dual_steps(
+                factor, x_free, b, tol, ws, lam, iterations, viol, p)
         mult = np.zeros(m)
         mult[ws] = np.maximum(lam, 0.0)
         self._verify_kkt(h, f, g, b, x, mult)
@@ -254,6 +214,82 @@ class ActiveSetSolver:
             factor.laws.record(tuple(self.working_set))
         return QpSolution(x, mult, sorted(ws), iterations,
                           self._objective(h, f, x))
+
+    def _dual_steps(self, factor: QpFactor, x_free, b, tol, ws, lam,
+                    iterations, viol, p):
+        """Steps from working set W = ``ws``, multipliers ``lam``, ``viol`` =
+        G x - b (W at -inf) and its worst row ``p`` until no row is violated.
+
+        J = M_WW^-1 is inverted once, bordered by s = M_pp - M_pW J M_Wp when
+        row p joins W and downdated by rank one when a row leaves. Per unit of
+        row p's multiplier lam_W moves by -u = -J M_Wp and x by z, H z =
+        G_W' u - g_p, so G z = M_:W u - M_:p and s = z'Hz = -(G z)_p; viol is
+        carried as viol += t G z. Once none is left, lam is solved afresh on W
+        (through J's updates it drifts when M_WW is ill-conditioned), x =
+        x_free - H^-1 G_W' lam is formed and G x - b at it decides the exit."""
+        g, mm = factor.g, factor.m
+        max_iter = max(10, MAX_ITER_FACTOR * g.shape[1])
+        j = np.linalg.inv(mm[np.array(ws, dtype=np.intp)[:, None], ws])
+        screen = DEP_SCREEN * float(np.abs(factor.h_inv).sum()) * DEP_TOL ** 2
+        lam, lam_p = lam.tolist(), 0.0     # lam_p: row p's multiplier so far
+        while True:
+            if p < 0:
+                p = int(viol.argmax())
+                if viol[p] <= tol:
+                    w = np.array(ws, dtype=np.intp)
+                    lam = np.linalg.solve(mm[w[:, None], w],
+                                          g[w] @ x_free - b[w]).tolist()
+                    x = x_free - factor.h_inv_gt[:, ws] @ lam
+                    viol = g @ x - b
+                    viol[ws] = -np.inf
+                    p = int(viol.argmax())
+                    if viol[p] <= tol:
+                        return x, ws, lam, iterations
+            if iterations >= max_iter:
+                raise QpIterationError(
+                    f"active set did not settle in {max_iter} iterations")
+            iterations += 1
+            rows = mm.take(ws + [p], 0)
+            u = j @ rows[:-1, p]
+            g_z = u @ rows[:-1] - rows[-1]
+            s, viol_p = -float(g_z[p]), float(viol[p])
+            t_full = np.inf                # step that makes row p active
+            # row p is dependent on W when H z is tiny; s = (Hz)' H^-1 (Hz)
+            # <= |Hz|_inf^2 sum|H^-1| and |g_p|_inf^2 <= g_p'g_p, so a large s
+            # proves it is not
+            g_p = g[p]
+            if s > screen * (g_p @ g_p) or np.abs(u @ g[ws] - g_p).max() \
+                    > DEP_TOL * np.abs(g_p).max():
+                t_full = viol_p / s
+            t_part, drop = np.inf, -1      # step that zeroes a working multiplier
+            u = u.tolist()
+            for i, (lam_i, u_i) in enumerate(zip(lam, u)):
+                if u_i > 0.0 and lam_i / u_i < t_part:
+                    t_part, drop = lam_i / u_i, i
+            t_part = max(t_part, 0.0)
+            t = min(t_full, t_part)
+            if t == np.inf:
+                if viol_p <= tol:          # partial steps brought it within tolerance
+                    p = -1
+                    continue
+                raise InfeasibleQpError("no step reduces the violated row",
+                                        worst_row=p)
+            if t_full < np.inf:
+                viol += t * g_z
+            lam = [lam_i - t * u_i for lam_i, u_i in zip(lam, u)]
+            lam_p += t
+            if t_full <= t_part:
+                e = np.array(u + [-1.0])
+                j, j_w = e[:, None] * (e / s), j
+                j[:-1, :-1] += j_w
+                ws, lam = ws + [p], lam + [lam_p]
+                viol[p], p, lam_p = -np.inf, -1, 0.0
+            else:
+                keep = [i for i in range(len(ws)) if i != drop]
+                j = j - j[:, drop, None] * (j[drop] / j[drop, drop])
+                j = j[keep][:, keep]
+                viol[ws[drop]] = 0.0       # it was active
+                del ws[drop], lam[drop]
 
     def _warm_start(self, factor: QpFactor, x_free, b):
         """(working set, multipliers, solves spent) to start from: the last

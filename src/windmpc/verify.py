@@ -16,12 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .control import EXPANSION_REL_TOL, assemble_model_set, build_model_set, \
-    expanded_arrays, model_expansion, shift_constraints
+from .control import EXPANSION_REL_TOL, _bounds_about, assemble_model_set, \
+    build_model_set, expanded_arrays, model_expansion
 from .errors import InfeasibleQpError, QpIterationError
 from .experiment import LOG_FLOAT_FIELDS, SimLog, count_violations
 from .linearize import continuous_model, discretize, equilibrium
-from .mpc import AugmentedModel, ConstraintSet, MpcWeights, \
+from .mpc import AugmentedModel, MpcWeights, \
     augment_disturbance, augment_velocity
 from .qp import ActiveSetSolver, factorize
 from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams, derivatives, \
@@ -107,15 +107,17 @@ def explicit_cost(am: AugmentedModel, weights: MpcWeights, x_a, r_s, du_seq):
     return cost
 
 
-def unrolled_bounds_ok(am: AugmentedModel, bounds: ConstraintSet, x_a, du_seq,
-                       n_p, n_c) -> bool:
-    """Check every scalar bound along the forward simulation."""
+def unrolled_bounds_ok(am: AugmentedModel, bounds, x_a, du_seq, n_p, n_c) -> bool:
+    """Check every scalar bound along the forward simulation; ``bounds`` as
+    ``condense`` takes them."""
     def within(value, lo, hi):
         return bool(np.all(lo <= value) and np.all(value <= hi))
 
-    return all(within(y, bounds.y_min, bounds.y_max)
-               and (j >= n_c or (within(du, bounds.du_min, bounds.du_max)
-                                 and within(u, bounds.u_min, bounds.u_max)))
+    du_min, du_max, u_min, u_max = np.reshape(bounds[:4 * am.n_in], (4, -1))
+    y_min, y_max = np.reshape(bounds[4 * am.n_in:], (2, -1))
+    return all(within(y, y_min, y_max)
+               and (j >= n_c or (within(du, du_min, du_max)
+                                 and within(u, u_min, u_max)))
                for j, du, u, y in _rollout(am, x_a, du_seq, n_p, n_c))
 
 
@@ -258,13 +260,14 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
     am = augment_velocity(*augment_disturbance(
         discretize(continuous_model(ms.op, params), params.t_s)))
     qp, n_p, n_c = ms.qp, weights.n_p, weights.n_c
-    bounds = shift_constraints(ms.op, params)
+    bounds = _bounds_about(params, ms.op.x_bar.omega_g, ms.p_g_bar,
+                           *ms.op.u_bar)
     rng = np.random.default_rng(4)
     scale_x = np.array([0.3, 8.0, 800.0, 800.0, 1.5, 0.5, 400.0, 0.4])
     draws, worst, compared, agreed = 100, 0.0, 0, 0
     for _ in range(draws):
         x_a = rng.normal(size=8) * scale_x
-        x_a[6:] = np.clip(x_a[6:], bounds.u_min, bounds.u_max)
+        x_a[6:] = np.clip(x_a[6:], *bounds[4:8].reshape(2, 2))  # u_min, u_max
         r_s = np.tile(rng.normal(size=2) * np.array([8.0, 5e4]), n_p)
         du = rng.normal(size=2 * n_c) * np.tile([300.0, 0.3], n_c)
         z = np.concatenate([x_a, r_s])

@@ -1,15 +1,49 @@
 """Fixtures shared by the unit suites."""
 
-from dataclasses import astuple
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from windmpc import (ConstraintSet, IntegrationError, OnlineMpc, PlantState,
-                     SimLog, build_model_set, condense, condense_cost,
-                     derivatives, output, prediction_matrices)
+from windmpc import (ActiveSetSolver, InfeasibleQpError, IntegrationError,
+                     OnlineMpc, PlantState, QpIterationError, SimLog,
+                     build_model_set, condense, condense_cost, derivatives,
+                     generator_power, output, prediction_matrices)
+from windmpc.control import _bounds_about
 from windmpc.experiment import LOG_FLOAT_FIELDS
-from windmpc.qp import cholesky_root
+from windmpc.qp import DEP_TOL, MAX_ITER_FACTOR, cholesky_root
+
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """Per-step bounds in deviation coordinates; ``stacked`` is the vector
+    that ``condense`` takes.
+
+    Infinite entries are legal and drop the matching stacked rows. du
+    bounds apply to single moves, u bounds to accumulated inputs over the
+    control horizon, y bounds to predicted outputs over the prediction
+    horizon.
+    """
+
+    du_min: np.ndarray
+    du_max: np.ndarray
+    u_min: np.ndarray
+    u_max: np.ndarray
+    y_min: np.ndarray
+    y_max: np.ndarray
+
+    def __post_init__(self):
+        for lo_name, hi_name in (("du_min", "du_max"), ("u_min", "u_max"),
+                                 ("y_min", "y_max")):
+            lo = np.asarray(getattr(self, lo_name), dtype=float)
+            hi = np.asarray(getattr(self, hi_name), dtype=float)
+            object.__setattr__(self, lo_name, lo)
+            object.__setattr__(self, hi_name, hi)
+            if np.any(lo >= hi):
+                raise ValueError(f"{lo_name} must lie strictly below {hi_name}")
+
+    def stacked(self):
+        return np.concatenate(astuple(self))
 
 
 def unbounded_constraints(n_in=2, n_out=2):
@@ -19,14 +53,22 @@ def unbounded_constraints(n_in=2, n_out=2):
     return ConstraintSet(-inf_in, inf_in, -inf_in, inf_in, -inf_out, inf_out)
 
 
+def shift_constraints(op, params):
+    """The controllers' bounds about operating point ``op`` as a
+    ``ConstraintSet``."""
+    p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, params)
+    return ConstraintSet(*_bounds_about(params, op.x_bar.omega_g, p_g_bar,
+                                        *op.u_bar).reshape(6, 2))
+
+
 def condensed_qp(am, weights, bounds):
     """``condense`` fed as the controllers feed it: the prediction matrices,
     the condensed cost, H's Cholesky root and the bounds stacked in
     ``ConstraintSet``'s field order."""
     pm = prediction_matrices(am, weights.n_p, weights.n_c)
     h, f = condense_cost(pm, weights)
-    return condense(h, f, pm.gamma, pm.phi, cholesky_root(h),
-                    np.concatenate(astuple(bounds)), weights.n_c)
+    return condense(h, f, pm.gamma, pm.phi, cholesky_root(h), bounds.stacked(),
+                    weights.n_c)
 
 
 def synthetic_log(n, params, power_error=None):
@@ -50,6 +92,66 @@ class DirectOnlineMpc(OnlineMpc):
 
     def _model_for(self, v):
         return build_model_set(v, self.params, self.weights)
+
+
+class ReferenceSolver(ActiveSetSolver):
+    """ActiveSetSolver whose dual loop solves M_WW r = -M_Wp afresh on every
+    step, moves x by each step and re-evaluates G x - b whenever it picks a
+    row: the oracle of the step loop on a maintained M_WW^-1."""
+
+    def _dual_steps(self, factor, x_free, b, tol, ws, lam, iterations, viol,
+                    p):
+        g = factor.g
+        x = x_free - factor.h_inv_gt[:, ws] @ lam
+        max_iter = max(10, MAX_ITER_FACTOR * g.shape[1])
+        p = -1          # row being enforced, -1 when none
+        lam_p = 0.0     # its multiplier so far
+        while True:
+            if p < 0:
+                viol = g @ x - b
+                viol[ws] = -np.inf
+                p = int(np.argmax(viol))
+                if viol[p] <= tol:
+                    break
+            if iterations >= max_iter:
+                raise QpIterationError(
+                    f"active set did not settle in {max_iter} iterations")
+            iterations += 1
+            # primal step z and multiplier change r per unit of row p's
+            # multiplier: M_WW r = -M_Wp and H z = -(g_p + G_W' r)
+            w = np.array(ws, dtype=np.intp)
+            r = np.linalg.solve(factor.m[w[:, None], w], -factor.m[w, p])
+            h_z = -(g[p] + g[w].T @ r)
+            z = -(factor.h_inv_gt[:, p] + factor.h_inv_gt[:, w] @ r)
+            viol_p = float(g[p] @ x - b[p])
+            t_full = np.inf                # step that makes row p active
+            if np.abs(h_z).max() > DEP_TOL * np.abs(g[p]).max():
+                t_full = viol_p / -float(g[p] @ z)
+            t_part, drop = np.inf, -1      # step that zeroes a working multiplier
+            shrinking = np.flatnonzero(r < 0.0)
+            if shrinking.size:
+                ratios = lam[shrinking] / -r[shrinking]
+                k = int(np.argmin(ratios))
+                t_part, drop = max(float(ratios[k]), 0.0), int(shrinking[k])
+            t = min(t_full, t_part)
+            if t == np.inf:
+                if viol_p <= tol:          # partial steps brought it within tolerance
+                    p = -1
+                    continue
+                raise InfeasibleQpError("no step reduces the violated row",
+                                        worst_row=p)
+            if t_full < np.inf:
+                x = x + t * z
+            lam = lam + t * r
+            lam_p += t
+            if t_full <= t_part:
+                ws.append(p)
+                lam = np.append(lam, lam_p)
+                p, lam_p = -1, 0.0
+            else:
+                del ws[drop]
+                lam = np.delete(lam, drop)
+        return x, ws, lam, iterations
 
 
 def rk4_step_reference(state, u, v, dt, params, substeps=10):

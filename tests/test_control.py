@@ -7,7 +7,7 @@ import windmpc.control as control_mod
 from windmpc import (DisturbanceEstimator, DomainError, MpcWeights,
                      OfflineMpc, OnlineMpc, PlantState, TurbineParams, build_model_set, equilibrium,
                      generate_wind, generator_power, reference,
-                     run_closed_loop, shift_constraints, step)
+                     run_closed_loop, step)
 from windmpc.control import (EXPANSION_REL_TOL, FACTOR_TOL,
                              assemble_model_set, certified_root,
                              expanded_arrays, model_arrays, model_expansion)
@@ -16,7 +16,7 @@ from windmpc.qp import cholesky_root, factor_from_root, factorize
 from windmpc.verify import compare_logs
 
 from helpers import (DirectOnlineMpc, condense_constraints_reference,
-                     condense_cost_reference)
+                     condense_cost_reference, shift_constraints)
 
 
 class TestReference:

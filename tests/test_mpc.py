@@ -1,19 +1,18 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windmpc import (ActiveSetSolver, ConstraintSet, MpcWeights,
-                     augment_disturbance, augment_velocity, condense_cost,
-                     continuous_model, discretize, equilibrium, mpc_step,
-                     prediction_matrices, shift_constraints, unified_matrices)
+from windmpc import (ActiveSetSolver, MpcWeights, augment_disturbance,
+                     augment_velocity, condense_cost, continuous_model,
+                     discretize, equilibrium, mpc_step, prediction_matrices,
+                     unified_matrices)
 from windmpc.mpc import _constraint_rows
 from windmpc.verify import explicit_cost, unrolled_bounds_ok
 
-from helpers import (condense_constraints_reference, condense_cost_reference,
-                     condensed_qp, prediction_matrices_reference,
+from helpers import (ConstraintSet, condense_constraints_reference,
+                     condense_cost_reference, condensed_qp,
+                     prediction_matrices_reference, shift_constraints,
                      unbounded_constraints)
 
 
@@ -73,7 +72,7 @@ class TestAugmentVelocity:
     def test_integrator_holds_input(self, discrete_model):
         _, dm = discrete_model
         am = augment_velocity(*augment_disturbance(dm))
-        assert am.n_state == 8
+        assert am.a_a.shape == (8, 8)
         x = np.zeros(8)
         x[6:] = [3.0, -1.0]
         for _ in range(5):
@@ -232,8 +231,8 @@ class TestCondenseConstraints:
                 continue
             checked += 1
             condensed_ok = bool(residual.max() <= 0.0)
-            assert condensed_ok == unrolled_bounds_ok(augmented, bounds, x_a,
-                                                      du, n_p, n_c)
+            assert condensed_ok == unrolled_bounds_ok(
+                augmented, bounds.stacked(), x_a, du, n_p, n_c)
         assert checked > 100
 
     def test_rows_equal_simulated_slacks(self, augmented, rng):
@@ -331,7 +330,7 @@ class TestCachedLayout:
         # each of the 12 stacked bounds finite or infinite, several patterns
         # and horizons per example, so a cached row set served under the
         # wrong pattern would show
-        finite = np.concatenate(astuple(self.SKEWED))
+        finite = self.SKEWED.stacked()
         infinite = np.repeat(np.tile([-np.inf, np.inf], 3), 2)
         for pattern, weights in draws:
             bounds = ConstraintSet(*np.where(pattern, finite, infinite)
@@ -347,7 +346,7 @@ class TestCachedLayout:
         bounds = shift_constraints(equilibrium(8.0, params), params)
         qp = condensed_qp(augmented, weights, bounds)
         rows = _constraint_rows(8, 2, 2, weights.n_p, weights.n_c, np.isfinite(
-            np.concatenate(astuple(bounds))).tobytes())
+            bounds.stacked()).tobytes())
         for cached in (pm.l1, pm.l2, *unified_matrices(params), cm.b_cu,
                        *vars(rows).values()):
             with pytest.raises(ValueError):

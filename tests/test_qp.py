@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windmpc.qp
-from windmpc import (ActiveSetSolver, InfeasibleQpError, build_model_set,
-                     factorize)
+from windmpc import (ActiveSetSolver, InfeasibleQpError, OfflineMpc, OnlineMpc,
+                     QpIterationError, build_model_set, factorize,
+                     generate_wind, run_closed_loop)
+from windmpc.qp import DEP_SCREEN, DEP_TOL
 from windmpc.verify import (check_qp_solver, enumerate_qp, random_qp_instance,
                             run_benchmark)
+
+from helpers import ReferenceSolver
 
 
 class TestScalarCases:
@@ -326,3 +332,152 @@ class TestInfeasibility:
         x = ActiveSetSolver().solve(factorize(np.eye(2), np.zeros((0, 2))),
                                     np.array([-2.0, 4.0]), np.zeros(0)).x
         assert np.allclose(x, [2.0, -4.0])
+
+
+def captured_qps(controller, profile, params):
+    """(factor, f, b) of every solve in one closed loop, in order."""
+    calls, solve = [], controller.solver.solve
+
+    def record(factor, f, b=None):
+        calls.append((factor, f.copy(), b.copy()))
+        return solve(factor, f, b)
+
+    controller.solver.solve = record
+    run_closed_loop(profile, controller, params)
+    return calls
+
+
+def replay(qps, solver):
+    """Solve ``qps`` in order with one solver, each factor a copy with an
+    empty law table, as the loop's was: per solve (working set, iterations,
+    error as (type, worst row), x, whether the dual steps ran)."""
+    ran, steps, copies, out = [], solver._dual_steps, {}, []
+
+    def spy(*args):
+        ran.append(True)
+        return steps(*args)
+
+    solver._dual_steps = spy
+    for factor, f, b in qps:
+        factor = copies.setdefault(id(factor), replace(
+            factor, laws=windmpc.qp.LawTable()))
+        ran.clear()
+        try:
+            sol = solver.solve(factor, f, b)
+            out.append((sol.working_set, sol.iterations, None, sol.x, any(ran)))
+        except (InfeasibleQpError, QpIterationError) as exc:
+            out.append((None, None, (type(exc), getattr(exc, "worst_row", None)),
+                        None, any(ran)))
+    return out
+
+
+def assert_same_path(qps, solver, reference):
+    """Same working sets, iterations and errors; x bit for bit where no dual
+    step ran, else within 1e-9 of max(1, |x|). Returns (stepped, errors)."""
+    stepped = errors = 0
+    for got, want in zip(replay(qps, solver), replay(qps, reference),
+                         strict=True):
+        assert got[:3] == want[:3] and got[4] == want[4]
+        stepped, errors = stepped + want[4], errors + (want[2] is not None)
+        if want[3] is None:
+            continue
+        if want[4]:
+            assert np.abs(got[3] - want[3]).max() <= 1e-9 * max(
+                1.0, np.abs(want[3]).max())
+        else:
+            assert got[3].tobytes() == want[3].tobytes()
+    return stepped, errors
+
+
+class TestReferencePath:
+    """The dual steps on a maintained M_WW^-1 against the loop that solves
+    M_WW afresh on every step (``helpers.ReferenceSolver``): the same path."""
+
+    @pytest.mark.parametrize("cls, level, std, min_errors", [
+        (OfflineMpc, 8.7, 1.0, 0), (OfflineMpc, 10.3, 1.5, 100),
+        (OnlineMpc, 8.7, 1.0, 0), (OnlineMpc, 10.3, 1.5, 0)])
+    def test_captured_loop(self, params, cls, level, std, min_errors):
+        profile = generate_wind("turbulent", 2024, 20.0, params, level=level,
+                                std=std)
+        qps = captured_qps(cls(params), profile, params)
+        stepped, errors = assert_same_path(qps, ActiveSetSolver(),
+                                           ReferenceSolver())
+        # the offline bank's gusts near rated end in raised errors
+        assert len(qps) == 400 and stepped >= 30 and errors >= min_errors
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 25),
+           scale=st.floats(1e-3, 1.0))
+    def test_drifting_sequences(self, seed, steps, scale):
+        # one solver on one factor while (f, b) drift, so law hits, warm
+        # starts and dual steps all occur
+        rng = np.random.default_rng(seed)
+        h, f, g, b = random_qp_instance(rng)
+        factor = factorize(h, g)
+        qps = [(factor, f + scale * rng.normal(size=f.size),
+                b + scale * np.abs(rng.normal(size=b.size)))
+               for _ in range(steps)]
+        assert_same_path(qps, ActiveSetSolver(), ReferenceSolver())
+
+
+class TestDependentRow:
+    """A violated row in the span of the working rows has H z = 0: no primal
+    step moves toward it, so a step may only shrink working multipliers."""
+
+    @staticmethod
+    def warm_solve(solver, g, f, b):
+        # H = I and rows 0 and 1 bind at x = 0, with multipliers 1, on the
+        # warm start
+        solver.working_set = [0, 1]
+        return solver.solve(factorize(np.eye(2), g), f, b)
+
+    @pytest.mark.parametrize("cls", [ActiveSetSolver, ReferenceSolver])
+    def test_positive_combination_enforced_after_drops(self, cls):
+        # x1 <= 0, x2 <= 0 and x1 + x2 <= -1, violated by 1 at x = 0. The
+        # first step finds row 2 = row 0 + row 1 dependent and drops row 0
+        # with x held; row 1 then leaves by a zero step and a full step
+        # adds row 2 at x = (-1/2, -1/2), multiplier 3/2
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        sol = self.warm_solve(cls(), g, np.array([-1.0, -1.0]),
+                              np.array([0.0, 0.0, -1.0]))
+        assert sol.working_set == [2]
+        assert sol.iterations == 4      # the warm start and three steps
+        assert np.abs(sol.x + 0.5).max() <= 1e-15
+        assert np.abs(sol.multipliers - [0.0, 0.0, 1.5]).max() <= 1e-15
+
+    @pytest.mark.parametrize("cls", [ActiveSetSolver, ReferenceSolver])
+    def test_contradictory_combination_is_infeasible(self, cls):
+        # x1 >= 0, x2 >= 0 and x1 + x2 <= -1: row 2 = -(row 0 + row 1), so
+        # its step grows both working multipliers and none can be dropped
+        g = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        with pytest.raises(InfeasibleQpError) as exc:
+            self.warm_solve(cls(), g, np.array([1.0, 1.0]),
+                            np.array([0.0, 0.0, -1.0]))
+        assert exc.value.worst_row == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6),
+           log_cond=st.floats(0.0, 10.0), log_off=st.floats(-16.0, 0.0))
+    def test_screen_bound(self, seed, k, log_cond, log_off):
+        # s = z'Hz = (Hz)' H^-1 (Hz) <= |Hz|_inf^2 sum|H^-1| on random SPD H
+        # and rows W, with row p within 10^log_off of their span; a screen of
+        # DEP_SCREEN times that bound at the dependence threshold must never
+        # pass a row the test calls dependent (the solver's, on g_p'g_p >=
+        # |g_p|_inf^2, passes fewer)
+        rng = np.random.default_rng(seed)
+        n = k + int(rng.integers(1, 5))
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        h = (q * np.logspace(0.0, log_cond, n)) @ q.T
+        h = 0.5 * (h + h.T)
+        g_w = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-2, 2, (k, 1))
+        g_p = rng.normal(size=k) @ g_w + 10.0 ** log_off * rng.normal(size=n)
+        factor = factorize(h, np.vstack([g_w, g_p]))
+        m, h_inv_sum = factor.m, np.abs(factor.h_inv).sum()
+        u = np.linalg.solve(m[:k, :k], m[:k, k])
+        s = m[k, k] - m[k, :k] @ u
+        h_z = np.abs(u @ g_w - g_p).max()
+        rounding = 1e-13 * (m[k, k] + np.abs(m[k, :k]) @ np.abs(u))
+        assert s <= (1.0 + 1e-9) * h_z ** 2 * h_inv_sum + rounding
+        limit = DEP_TOL * np.abs(g_p).max()
+        if s > DEP_SCREEN * h_inv_sum * limit ** 2:
+            assert h_z > limit
