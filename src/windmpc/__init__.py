@@ -14,9 +14,8 @@ from .experiment import (Metrics, SimLog, compute_metrics, run_closed_loop,
 from .linearize import (ContinuousLinearModel, DiscreteLinearModel,
                         OperatingPoint, continuous_model, discretize,
                         equilibrium, matrix_exponential, torque_gradients)
-from .mpc import (AugmentedModel, CondensedQp, MpcWeights,
-                  PredictionMatrices, augment_disturbance, augment_velocity,
-                  condense, condense_cost, mpc_step, prediction_matrices)
+from .mpc import (CondensedQp, MpcWeights, augment, condense, condense_cost,
+                  mpc_step, prediction_matrices)
 from .qp import ActiveSetSolver, QpFactor, factorize
 from .turbine import (ControlInput, PlantState, TurbineParams,
                       aerodynamic_power, aerodynamic_torque, derivatives,

@@ -21,9 +21,8 @@ import numpy as np
 from .errors import DomainError
 from .linearize import OperatingPoint, continuous_model, discretize, \
     equilibrium
-from .mpc import CondensedQp, MpcWeights, StepInfo, \
-    augment_disturbance, augment_velocity, condense, condense_cost, \
-    mpc_step, prediction_matrices
+from .mpc import CondensedQp, MpcWeights, StepInfo, augment, condense, \
+    condense_cost, mpc_step, prediction_matrices
 from .qp import ActiveSetSolver, cholesky_root
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
     generator_power, max_power
@@ -53,13 +52,11 @@ def reference(v, params: TurbineParams) -> ReferenceSignal:
     return ReferenceSignal(omega_g_ref, max_power(v, params) * params.eta)
 
 
-def _bounds_about(params: TurbineParams, omega_g=0.0, p_g=0.0, t_g=0.0,
-                  beta=0.0):
+def _bounds_about(params: TurbineParams, omega_g, p_g, t_g, beta):
     """The bounds (du_min, du_max, u_min, u_max, y_min, y_max) that ``condense``
-    takes, about the point (omega_g, P_g, T_g, beta); about the zero point
-    they are the absolute bounds. The pitch move is rate-limited over one
-    sample, the torque move is free, and generator speed and power have
-    upper bounds only."""
+    takes, about the point (omega_g, P_g, T_g, beta). The pitch move is
+    rate-limited over one sample, the torque move is free, and generator
+    speed and power have upper bounds only."""
     return np.array([
         -np.inf, params.beta_rate_min * params.t_s,
         np.inf, params.beta_rate_max * params.t_s,
@@ -89,10 +86,9 @@ def model_arrays(op: OperatingPoint, params: TurbineParams, weights: MpcWeights)
     operating point: (A_d, B_du, b_d, H, F, Gamma, Phi, R), R = H's
     ``cholesky_root``."""
     dm = discretize(continuous_model(op, params), params.t_s)
-    pm = prediction_matrices(augment_velocity(*augment_disturbance(dm)),
-                             weights.n_p, weights.n_c)
-    h, f = condense_cost(pm, weights)
-    return dm.a_d, dm.b_du, dm.b_d, h, f, pm.gamma, pm.phi, cholesky_root(h)
+    phi, gamma = prediction_matrices(*augment(dm), weights.n_p, weights.n_c)
+    h, f = condense_cost(phi, gamma, weights)
+    return dm.a_d, dm.b_du, dm.b_d, h, f, gamma, phi, cholesky_root(h)
 
 
 def certified_root(h, root):
@@ -207,11 +203,6 @@ class _MpcControllerBase:
 
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  kappa=0.1):
-        # lo < hi about every operating point if about the zero point
-        lo, hi = _bounds_about(params).reshape(3, 2, 2).transpose(1, 0, 2)
-        for name, empty in zip(("du", "u", "y"), (lo >= hi).any(axis=1)):
-            if empty:
-                raise ValueError(f"{name}_min must lie strictly below {name}_max")
         self.params = params
         self.weights = weights if weights is not None else MpcWeights()
         self.estimator = DisturbanceEstimator(kappa=kappa)

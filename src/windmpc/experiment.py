@@ -114,28 +114,32 @@ def compute_metrics(log: SimLog, params: TurbineParams) -> Metrics:
                    energy=float(np.sum(log.p_g) * params.t_s))
 
 
-def count_violations(log: SimLog, params: TurbineParams) -> int:
-    """Samples breaching any operating bound by more than 1e-6 of its scale."""
-    if len(log) == 0:
-        return 0
-
+def violation_masks(log: SimLog, params: TurbineParams) -> dict:
+    """Per bound, the samples breaching it by more than 1e-6 of its scale:
+    the input bounds (pitch and its move, torque reference) first, then the
+    output bounds (generator speed and power)."""
     def tol(bound):
         return 1e-6 * max(1.0, abs(bound))
 
     du_beta_max = params.beta_rate_max * params.t_s
     du_beta_min = params.beta_rate_min * params.t_s
-    dbeta_ref = np.diff(log.beta_ref, prepend=log.beta[0])
-    bad = (
-        (log.beta < params.beta_min - tol(params.beta_min))
-        | (log.beta > params.beta_max + tol(params.beta_max))
-        | (dbeta_ref > du_beta_max + tol(du_beta_max))
-        | (dbeta_ref < du_beta_min - tol(du_beta_min))
-        | (log.t_g_ref < -tol(params.t_g_max))
-        | (log.t_g_ref > params.t_g_max + tol(params.t_g_max))
-        | (log.omega_g > params.omega_g_max + tol(params.omega_g_max))
-        | (log.p_g > params.p_g_max + tol(params.p_g_max))
-    )
-    return int(np.count_nonzero(bad))
+    dbeta_ref = np.diff(log.beta_ref, prepend=log.beta[:1])
+    return {
+        "pitch lower": log.beta < params.beta_min - tol(params.beta_min),
+        "pitch upper": log.beta > params.beta_max + tol(params.beta_max),
+        "pitch move up": dbeta_ref > du_beta_max + tol(du_beta_max),
+        "pitch move down": dbeta_ref < du_beta_min - tol(du_beta_min),
+        "torque lower": log.t_g_ref < -tol(params.t_g_max),
+        "torque upper": log.t_g_ref > params.t_g_max + tol(params.t_g_max),
+        "speed upper": log.omega_g > params.omega_g_max + tol(params.omega_g_max),
+        "power upper": log.p_g > params.p_g_max + tol(params.p_g_max),
+    }
+
+
+def count_violations(log: SimLog, params: TurbineParams) -> int:
+    """Samples breaching any operating bound of ``violation_masks``."""
+    return int(np.count_nonzero(np.logical_or.reduce(
+        list(violation_masks(log, params).values()))))
 
 
 def torque_total_variation(log: SimLog) -> float:

@@ -1,10 +1,10 @@
-"""Prediction-model augmentation and condensation into a dense QP.
+"""Prediction model and its condensation into a dense QP.
 
-The discrete turbine model is augmented twice: first with a constant
-disturbance state riding the wind input column, then to velocity form so
-the decision variables are input moves and the controller gains integral
-action. Eliminating the predicted states condenses the finite-horizon
-tracking cost and the stacked bounds into
+``augment`` places the discrete turbine model, a constant disturbance
+state riding the wind input column and the previous input in one
+velocity-form model, so the decision variables are input moves and the
+controller gains integral action. Eliminating the predicted states
+condenses the finite-horizon tracking cost and the stacked bounds into
 
     min  0.5 dU' H dU + [x' rs'] F dU
     s.t. G dU <= W + S [x; rs]
@@ -67,35 +67,6 @@ class MpcWeights:
 
 
 @dataclass(frozen=True)
-class AugmentedModel:
-    """Velocity-form prediction model x_a(k+1) = A_a x_a + B_a du."""
-
-    a_a: np.ndarray
-    b_a: np.ndarray
-    c_a: np.ndarray
-
-    @property
-    def n_in(self) -> int:
-        return self.b_a.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.c_a.shape[0]
-
-
-@dataclass(frozen=True)
-class PredictionMatrices:
-    """Batch operators Y = Phi x + Gamma dU, U = L1 x + L2 dU."""
-
-    phi: np.ndarray
-    gamma: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    n_p: int
-    n_c: int
-
-
-@dataclass(frozen=True)
 class CondensedQp:
     """Cached dense-QP matrices for one model/horizon/weights/bounds tuple.
 
@@ -113,39 +84,23 @@ class CondensedQp:
     du_max: np.ndarray
 
 
-def _append_held_states(a, b, c, coupling, b_rows):
-    """Append states held constant that drive the model through ``coupling``.
+def augment(dm: DiscreteLinearModel):
+    """Velocity-form prediction model x_a(k+1) = A_a x_a + B_a du, y = C_a x_a,
+    as arrays (A_a, B_a, C_a) on the state x_a = [x; d; u(k-1)], with d a
+    constant disturbance on the wind column b_d and du(k) = u(k) - u(k-1):
 
-    Returns [[A, coupling], [0, I]], [B; b_rows] and [C, 0].
+        A_a = [A_d  b_d  B_du]   B_a = [B_du]   C_a = [C_d  0  0]
+              [0    1    0   ]         [0   ]
+              [0    0    I   ]         [I   ]
     """
-    n, k = coupling.shape
-    a_new = np.eye(n + k)
-    a_new[:n, :n], a_new[:n, n:] = a, coupling
-    b_new = np.empty((n + k, b.shape[1]))
-    b_new[:n], b_new[n:] = b, b_rows
-    c_new = np.zeros((c.shape[0], n + k))
-    c_new[:, :n] = c
-    return a_new, b_new, c_new
-
-
-def augment_disturbance(dm: DiscreteLinearModel):
-    """Append a constant disturbance state driving the wind input column.
-
-    Returns (A_p, B_p, C_p) with the disturbance rows an identity block, so
-    predictions carry d(k) forward unchanged.
-    """
-    zero_rows = np.zeros((dm.b_d.shape[1], dm.b_du.shape[1]))
-    return _append_held_states(dm.a_d, dm.b_du, dm.c_d, dm.b_d, zero_rows)
-
-
-def augment_velocity(a_p, b_p, c_p) -> AugmentedModel:
-    """Rewrite the model in terms of input moves du(k) = u(k) - u(k-1).
-
-    The appended states hold the previous input, giving the controller
-    built-in integral action.
-    """
-    return AugmentedModel(*_append_held_states(a_p, b_p, c_p, b_p,
-                                               np.eye(b_p.shape[1])))
+    n, m = dm.b_du.shape
+    a = np.eye(n + 1 + m)
+    a[:n, :n], a[:n, n:n + 1], a[:n, n + 1:] = dm.a_d, dm.b_d, dm.b_du
+    b = np.zeros((n + 1 + m, m))
+    b[:n], b[n + 1:] = dm.b_du, np.eye(m)
+    c = np.zeros((len(dm.c_d), n + 1 + m))
+    c[:, :n] = dm.c_d
+    return a, b, c
 
 
 @lru_cache(maxsize=32)
@@ -200,18 +155,15 @@ def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
     return rows
 
 
-def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMatrices:
-    """Batch output and input operators over the horizons.
-
-    Phi stacks C A^1..C A^n_p; Gamma is lower block-banded with block
-    (i, j) equal to C A^(i-j) B for j <= min(i, n_c-1), so the stacked
-    outputs y(k+1..k+n_p) are Phi x + Gamma dU. L1/L2 accumulate the
-    previous input and the moves into the stacked input sequence
-    u(k..k+n_c-1).
+def prediction_matrices(a, b, c, n_p: int, n_c: int):
+    """Batch output operators (Phi, Gamma) of the model (A, B, C) over the
+    horizons: Phi stacks C A^1..C A^n_p; Gamma is lower block-banded with
+    block (i, j) equal to C A^(i-j) B for j <= min(i, n_c-1), so the stacked
+    outputs y(k+1..k+n_p) are Phi x + Gamma dU. The stacked inputs
+    u(k..k+n_c-1) are L1 x + L2 dU, with L1 and L2 from ``_layout``.
     """
     if not 1 <= n_c <= n_p:
         raise ValueError("horizons must satisfy 1 <= n_c <= n_p")
-    a, b, c = am.a_a, am.b_a, am.c_a
     n, m = b.shape
     q = c.shape[0]
     lay = _layout(n, m, q, n_p, n_c)
@@ -225,10 +177,10 @@ def prediction_matrices(am: AugmentedModel, n_p: int, n_c: int) -> PredictionMat
     # whose n_c - 1 leading zero blocks serve the lags below zero
     c_a_b = np.concatenate([lay.zero_blocks, c_a[:n_p] @ b])
     gamma = c_a_b[lay.lag].transpose(0, 2, 1, 3).reshape(q * n_p, m * n_c)
-    return PredictionMatrices(phi, gamma, lay.l1, lay.l2, n_p, n_c)
+    return phi, gamma
 
 
-def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
+def condense_cost(phi, gamma, weights: MpcWeights):
     """Hessian H and linear map F of the condensed tracking cost.
 
     H = 2 (Gamma'Q1Gamma + R1 + L2'Ru1L2); F stacks the state-side and
@@ -236,12 +188,13 @@ def condense_cost(pm: PredictionMatrices, weights: MpcWeights):
     F' [x; rs]. Q1, R1 and Ru1 are diagonal, so they enter as tiled weight
     diagonals. H is symmetrized to kill assembly roundoff.
     """
-    lay = _layout(pm.l1.shape[1], len(pm.l1) // pm.n_c, len(pm.phi) // pm.n_p,
-                  pm.n_p, pm.n_c, weights)
-    q1_gamma = lay.q_diag * pm.gamma
-    h = 2.0 * (pm.gamma.T @ q1_gamma + lay.r1 + lay.l2t_ru1_l2)
+    n_p, n_c = weights.n_p, weights.n_c
+    lay = _layout(phi.shape[1], gamma.shape[1] // n_c, len(phi) // n_p, n_p,
+                  n_c, weights)
+    q1_gamma = lay.q_diag * gamma
+    h = 2.0 * (gamma.T @ q1_gamma + lay.r1 + lay.l2t_ru1_l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (pm.phi.T @ q1_gamma + lay.l1t_ru1_l2)
+    f_top = 2.0 * (phi.T @ q1_gamma + lay.l1t_ru1_l2)
     return h, np.vstack([f_top, -2.0 * q1_gamma])
 
 

@@ -270,7 +270,7 @@ class ActiveSetSolver:
             t = min(t_full, t_part)
             if t == np.inf:
                 if viol_p <= tol:          # partial steps brought it within tolerance
-                    p = -1
+                    p, lam_p = -1, 0.0     # abandoned: the next row starts at 0
                     continue
                 raise InfeasibleQpError("no step reduces the violated row",
                                         worst_row=p)

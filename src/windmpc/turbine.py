@@ -7,7 +7,7 @@ speeds are rad/s.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,7 +47,7 @@ class TurbineParams:
     Defaults describe the 1.5 MW-class test turbine used throughout the
     suite. ``omega_g_max``, ``p_g_max`` and ``t_g_max`` default to the
     rated-condition values at the top of the partial-load range (11 m/s)
-    and can be overridden individually.
+    and can be overridden individually; +inf drops a bound.
     """
 
     rho: float = 1.225            # air density, kg/m^3
@@ -73,6 +73,10 @@ class TurbineParams:
     t_g_max: float | None = None      # N*m
 
     def __post_init__(self):
+        bounds = ("omega_g_max", "p_g_max", "t_g_max")
+        for f in fields(self):
+            if f.name not in bounds and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("rho", "radius", "j_t", "j_g", "n_g", "k_s", "b_s",
                      "tau", "tau_g", "t_s"):
             if getattr(self, name) <= 0.0:
@@ -96,6 +100,10 @@ class TurbineParams:
             object.__setattr__(self, "p_g_max", max_power(V_RATED, self))
         if self.t_g_max is None:
             object.__setattr__(self, "t_g_max", self.p_g_max / self.omega_g_max)
+        for name in bounds:  # NaN fails too
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be strictly positive (inf for "
+                                 "no bound)")
 
 
 # The standard empirical Cp surface (Heier), beta in degrees:

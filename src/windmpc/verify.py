@@ -21,8 +21,7 @@ from .control import EXPANSION_REL_TOL, _bounds_about, assemble_model_set, \
 from .errors import InfeasibleQpError, QpIterationError
 from .experiment import LOG_FLOAT_FIELDS, SimLog, count_violations
 from .linearize import continuous_model, discretize, equilibrium
-from .mpc import AugmentedModel, MpcWeights, \
-    augment_disturbance, augment_velocity
+from .mpc import MpcWeights, augment
 from .qp import ActiveSetSolver, factorize
 from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams, derivatives, \
     power_coefficient
@@ -83,23 +82,24 @@ def verify_linearization(v_bar, params: TurbineParams, rel_step=1e-6) -> float:
     return worst
 
 
-def _rollout(am: AugmentedModel, x_a, du_seq, n_p, n_c):
-    """Forward simulation: (step, move, input deviation, output) per step."""
-    m = am.n_in
+def _rollout(model, x_a, du_seq, n_p, n_c):
+    """Forward simulation of (A_a, B_a, C_a): step, move, input deviation, y."""
+    a, b, c = model
+    m = b.shape[1]
     x = np.asarray(x_a, dtype=float)
     u_dev = x[-m:]
     for j in range(n_p):
         du = du_seq[m * j:m * (j + 1)] if j < n_c else np.zeros(m)
         u_dev = u_dev + du
-        x = am.a_a @ x + am.b_a @ du
-        yield j, du, u_dev, am.c_a @ x
+        x = a @ x + b @ du
+        yield j, du, u_dev, c @ x
 
 
-def explicit_cost(am: AugmentedModel, weights: MpcWeights, x_a, r_s, du_seq):
+def explicit_cost(model, weights: MpcWeights, x_a, r_s, du_seq):
     """Horizon tracking cost of a move sequence by forward simulation."""
-    q_out = am.n_out
+    q_out = len(model[2])
     cost = 0.0
-    for j, du, u_dev, y in _rollout(am, x_a, du_seq, weights.n_p, weights.n_c):
+    for j, du, u_dev, y in _rollout(model, x_a, du_seq, weights.n_p, weights.n_c):
         if j < weights.n_c:
             cost += du @ weights.r @ du + u_dev @ weights.r_u @ u_dev
         err = r_s[q_out * j:q_out * (j + 1)] - y
@@ -107,18 +107,19 @@ def explicit_cost(am: AugmentedModel, weights: MpcWeights, x_a, r_s, du_seq):
     return cost
 
 
-def unrolled_bounds_ok(am: AugmentedModel, bounds, x_a, du_seq, n_p, n_c) -> bool:
+def unrolled_bounds_ok(model, bounds, x_a, du_seq, n_p, n_c) -> bool:
     """Check every scalar bound along the forward simulation; ``bounds`` as
     ``condense`` takes them."""
     def within(value, lo, hi):
         return bool(np.all(lo <= value) and np.all(value <= hi))
 
-    du_min, du_max, u_min, u_max = np.reshape(bounds[:4 * am.n_in], (4, -1))
-    y_min, y_max = np.reshape(bounds[4 * am.n_in:], (2, -1))
+    m = model[1].shape[1]
+    du_min, du_max, u_min, u_max = np.reshape(bounds[:4 * m], (4, -1))
+    y_min, y_max = np.reshape(bounds[4 * m:], (2, -1))
     return all(within(y, y_min, y_max)
                and (j >= n_c or (within(du, du_min, du_max)
                                  and within(u, u_min, u_max)))
-               for j, du, u, y in _rollout(am, x_a, du_seq, n_p, n_c))
+               for j, du, u, y in _rollout(model, x_a, du_seq, n_p, n_c))
 
 
 def enumerate_qp(h, f, g=None, b=None) -> np.ndarray:
@@ -257,8 +258,7 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
     :func:`unrolled_bounds_ok` wherever no row is within 1e-9 of its bound.
     """
     ms = build_model_set(8.0, params, weights)
-    am = augment_velocity(*augment_disturbance(
-        discretize(continuous_model(ms.op, params), params.t_s)))
+    model = augment(discretize(continuous_model(ms.op, params), params.t_s))
     qp, n_p, n_c = ms.qp, weights.n_p, weights.n_c
     bounds = _bounds_about(params, ms.op.x_bar.omega_g, ms.p_g_bar,
                            *ms.op.u_bar)
@@ -272,15 +272,15 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
         du = rng.normal(size=2 * n_c) * np.tile([300.0, 0.3], n_c)
         z = np.concatenate([x_a, r_s])
         condensed = 0.5 * du @ qp.factor.h @ du + z @ qp.f @ du
-        constant = explicit_cost(am, weights, x_a, r_s, np.zeros(2 * n_c))
-        explicit = explicit_cost(am, weights, x_a, r_s, du)
+        constant = explicit_cost(model, weights, x_a, r_s, np.zeros(2 * n_c))
+        explicit = explicit_cost(model, weights, x_a, r_s, du)
         worst = max(worst, abs(explicit - (condensed + constant))
                     / max(1.0, abs(explicit)))
         residual = qp.factor.g @ du - (qp.w + qp.s @ z)
         if np.abs(residual).min() >= 1e-9:
             compared += 1
             agreed += bool(residual.max() <= 0.0) == unrolled_bounds_ok(
-                am, bounds, x_a, du, n_p, n_c)
+                model, bounds, x_a, du, n_p, n_c)
     ok = (worst < CONDENSED_COST_REL_TOL and agreed == compared
           and compared >= MIN_MEMBERSHIP_CHECKS)
     return ok, (f"condensed-cost equivalence mismatch {worst:.3e} over {draws} "

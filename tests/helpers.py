@@ -61,13 +61,13 @@ def shift_constraints(op, params):
                                         *op.u_bar).reshape(6, 2))
 
 
-def condensed_qp(am, weights, bounds):
-    """``condense`` fed as the controllers feed it: the prediction matrices,
-    the condensed cost, H's Cholesky root and the bounds stacked in
-    ``ConstraintSet``'s field order."""
-    pm = prediction_matrices(am, weights.n_p, weights.n_c)
-    h, f = condense_cost(pm, weights)
-    return condense(h, f, pm.gamma, pm.phi, cholesky_root(h), bounds.stacked(),
+def condensed_qp(model, weights, bounds):
+    """``condense`` fed as the controllers feed it: the prediction matrices
+    of ``augment``'s (A_a, B_a, C_a), the condensed cost, H's Cholesky root
+    and the bounds stacked in ``ConstraintSet``'s field order."""
+    phi, gamma = prediction_matrices(*model, weights.n_p, weights.n_c)
+    h, f = condense_cost(phi, gamma, weights)
+    return condense(h, f, gamma, phi, cholesky_root(h), bounds.stacked(),
                     weights.n_c)
 
 
@@ -136,7 +136,7 @@ class ReferenceSolver(ActiveSetSolver):
             t = min(t_full, t_part)
             if t == np.inf:
                 if viol_p <= tol:          # partial steps brought it within tolerance
-                    p = -1
+                    p, lam_p = -1, 0.0     # abandoned: the next row starts at 0
                     continue
                 raise InfeasibleQpError("no step reduces the violated row",
                                         worst_row=p)
@@ -175,10 +175,18 @@ def rk4_step_reference(state, u, v, dt, params, substeps=10):
     return PlantState(*x.tolist())
 
 
-def prediction_matrices_reference(am, n_p, n_c):
-    """(Phi, Gamma, L1, L2) with Phi and Gamma filled block by block while
-    walking up the horizon."""
-    a, b, c = am.a_a, am.b_a, am.c_a
+def input_operators_reference(n, m, n_c):
+    """(L1, L2) of the stacked inputs u(k..k+n_c-1) = L1 x_a + L2 dU, by
+    tiling and a Kronecker product."""
+    l1 = np.zeros((m * n_c, n))
+    l1[:, n - m:] = np.tile(np.eye(m), (n_c, 1))
+    return l1, np.kron(np.tril(np.ones((n_c, n_c))), np.eye(m))
+
+
+def prediction_matrices_reference(model, n_p, n_c):
+    """(Phi, Gamma) of (A, B, C) filled block by block while walking up the
+    horizon."""
+    a, b, c = model
     n, m = b.shape
     q = c.shape[0]
     phi = np.zeros((q * n_p, n))
@@ -191,36 +199,39 @@ def prediction_matrices_reference(am, n_p, n_c):
         phi[i * q:(i + 1) * q] = c_a_i
         for j in range(min(i, n_c - 1) + 1):
             gamma[i * q:(i + 1) * q, j * m:(j + 1) * m] = c_a_b[i - j]
-    l1 = np.zeros((m * n_c, n))
-    l1[:, n - m:] = np.tile(np.eye(m), (n_c, 1))
-    l2 = np.kron(np.tril(np.ones((n_c, n_c))), np.eye(m))
-    return phi, gamma, l1, l2
+    return phi, gamma
 
 
-def condense_cost_reference(pm, weights):
+def condense_cost_reference(phi, gamma, weights):
     """(H, F) assembled from tiled weight diagonals on every call."""
-    q1_gamma = np.tile(weights.q.diagonal(), pm.n_p)[:, None] * pm.gamma
-    ru1_l2 = np.tile(weights.r_u.diagonal(), pm.n_c)[:, None] * pm.l2
-    r1 = np.diag(np.tile(weights.r.diagonal(), pm.n_c))
-    h = 2.0 * (pm.gamma.T @ q1_gamma + r1 + pm.l2.T @ ru1_l2)
+    n_p, n_c = weights.n_p, weights.n_c
+    l1, l2 = input_operators_reference(phi.shape[1], gamma.shape[1] // n_c,
+                                       n_c)
+    q1_gamma = np.tile(weights.q.diagonal(), n_p)[:, None] * gamma
+    ru1_l2 = np.tile(weights.r_u.diagonal(), n_c)[:, None] * l2
+    r1 = np.diag(np.tile(weights.r.diagonal(), n_c))
+    h = 2.0 * (gamma.T @ q1_gamma + r1 + l2.T @ ru1_l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (pm.phi.T @ q1_gamma + pm.l1.T @ ru1_l2)
+    f_top = 2.0 * (phi.T @ q1_gamma + l1.T @ ru1_l2)
     f_bottom = -2.0 * q1_gamma
     return h, np.vstack([f_top, f_bottom])
 
 
-def condense_constraints_reference(pm, bounds):
+def condense_constraints_reference(phi, gamma, bounds, weights):
     """(G, W, S) stacked block by block with tiled bound vectors."""
-    eye = np.eye(pm.l2.shape[1])
-    no_state = np.zeros_like(pm.l1)
-    g = np.vstack([pm.gamma, -pm.gamma, pm.l2, -pm.l2, eye, -eye])
+    n_p, n_c = weights.n_p, weights.n_c
+    l1, l2 = input_operators_reference(phi.shape[1], gamma.shape[1] // n_c,
+                                       n_c)
+    eye = np.eye(l2.shape[1])
+    no_state = np.zeros_like(l1)
+    g = np.vstack([gamma, -gamma, l2, -l2, eye, -eye])
     w = np.concatenate([
-        np.tile(bounds.y_max, pm.n_p), np.tile(-bounds.y_min, pm.n_p),
-        np.tile(bounds.u_max, pm.n_c), np.tile(-bounds.u_min, pm.n_c),
-        np.tile(bounds.du_max, pm.n_c), np.tile(-bounds.du_min, pm.n_c)])
-    s_x = np.vstack([-pm.phi, pm.phi, -pm.l1, pm.l1, no_state, no_state])
+        np.tile(bounds.y_max, n_p), np.tile(-bounds.y_min, n_p),
+        np.tile(bounds.u_max, n_c), np.tile(-bounds.u_min, n_c),
+        np.tile(bounds.du_max, n_c), np.tile(-bounds.du_min, n_c)])
+    s_x = np.vstack([-phi, phi, -l1, l1, no_state, no_state])
     keep = np.isfinite(w)
-    s = np.hstack([s_x[keep], np.zeros((int(keep.sum()), pm.phi.shape[0]))])
+    s = np.hstack([s_x[keep], np.zeros((int(keep.sum()), phi.shape[0]))])
     return g[keep], w[keep], s
 
 

@@ -14,6 +14,7 @@ from windmpc import (MpcWeights, OfflineMpc, OnlineMpc, PlantState,
                      TurbineParams, compute_metrics, equilibrium,
                      generate_wind, reference, run_closed_loop, step,
                      torque_total_variation)
+from windmpc.experiment import violation_masks
 from windmpc.verify import (CP_SWEEP_BUDGET_S, JACOBIAN_SWEEP_BUDGET_S,
                             QP_BENCH_BUDGET_S, QP_INSTANCES, SAMPLE_BUDGET_S,
                             check_condensation, check_cp_peak,
@@ -120,25 +121,12 @@ def test_criterion_6_regulation():
 
 
 def test_criterion_7_constraint_satisfaction(turbulent_comparison):
-    def tol(bound):
-        return 1e-6 * max(1.0, abs(bound))
-
     worst_desc = []
     ok = True
     for name, log in turbulent_comparison.items():
-        dbeta = np.diff(log.beta_ref, prepend=log.beta[0])
-        move_bound = PARAMS.beta_rate_max * PARAMS.t_s
-        checks = {
-            "beta lower": (log.beta >= PARAMS.beta_min - tol(PARAMS.beta_min)),
-            "beta upper": (log.beta <= PARAMS.beta_max + tol(PARAMS.beta_max)),
-            "pitch move": (np.abs(dbeta) <= move_bound + tol(move_bound)),
-            "torque lower": (log.t_g_ref >= -tol(PARAMS.t_g_max)),
-            "torque upper": (log.t_g_ref
-                             <= PARAMS.t_g_max + tol(PARAMS.t_g_max)),
-        }
-        bad = {label: int(np.size(mask) - np.count_nonzero(mask))
-               for label, mask in checks.items()}
-        total = sum(bad.values())
+        masks = violation_masks(log, PARAMS)
+        total = sum(int(np.count_nonzero(mask)) for bound, mask in masks.items()
+                    if bound.startswith(("pitch", "torque")))
         ok &= total == 0
         worst_desc.append(f"{name}: {total} violations over {len(log)} steps")
     _report("criterion 7 (input-constraint satisfaction, 600 s turbulent)",

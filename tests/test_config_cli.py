@@ -141,6 +141,16 @@ class TestCli:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ["rho = nan\n", "p_g_max = nan\n"],
+                             ids=["rho_nan", "p_g_max_nan"])
+    def test_bad_turbine_value_exit_code(self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config)
+        rc = main(["simulate", "--config", str(cfg), "--duration", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_qpbench_passes(self, capsys):
         rc = main(["qpbench", "--instances", "50", "--seed", "0"])
         assert rc == 0

@@ -11,7 +11,6 @@ from windmpc import (DisturbanceEstimator, DomainError, MpcWeights,
 from windmpc.control import (EXPANSION_REL_TOL, FACTOR_TOL,
                              assemble_model_set, certified_root,
                              expanded_arrays, model_arrays, model_expansion)
-from windmpc.mpc import PredictionMatrices, _layout
 from windmpc.qp import cholesky_root, factor_from_root, factorize
 from windmpc.verify import compare_logs
 
@@ -387,19 +386,16 @@ class TestCondenseRoute:
             t_g_max=t_g_max, omega_g_max=omega_g_max, p_g_max=p_g_max,
             beta_min=beta_min, beta_max=beta_min + beta_span,
             beta_rate_min=rate_min, beta_rate_max=rate_max)
-        n_p, n_c = weights.n_p, weights.n_c
-        lay = _layout(8, 2, 2, n_p, n_c)
         bank = OfflineMpc(params, weights).bank
         op = equilibrium(v, params)
         online = assemble_model_set(op, model_arrays(op, params, weights),
                                     params, weights)
         for ms in (*bank, online):
-            arrays = model_arrays(ms.op, params, weights)
-            pm = PredictionMatrices(arrays[6], arrays[5], lay.l1, lay.l2, n_p,
-                                    n_c)
+            gamma, phi = model_arrays(ms.op, params, weights)[5:7]
             bounds = shift_constraints(ms.op, params)
-            h, f = condense_cost_reference(pm, weights)
-            g, w, s = condense_constraints_reference(pm, bounds)
+            h, f = condense_cost_reference(phi, gamma, weights)
+            g, w, s = condense_constraints_reference(phi, gamma, bounds,
+                                                     weights)
             want = factorize(h, g)
             for name in ("h", "g", "h_inv", "h_inv_gt", "m"):
                 assert_bitwise(getattr(ms.qp.factor, name),
@@ -408,12 +404,6 @@ class TestCondenseRoute:
                               (ms.qp.du_min, bounds.du_min),
                               (ms.qp.du_max, bounds.du_max)):
                 assert_bitwise(got, want)
-
-    def test_empty_bounds_rejected_at_construction(self, weights):
-        params = TurbineParams(t_g_max=-1.0)
-        for cls in (OfflineMpc, OnlineMpc):
-            with pytest.raises(ValueError, match="u_min"):
-                cls(params, weights)
 
 
 class TestTracedView:

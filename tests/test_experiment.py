@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from windmpc import (Metrics, OfflineMpc, OnlineMpc, SimLog, compute_metrics,
                      run_experiment, torque_total_variation)
 from windmpc.config import build_config
 from windmpc.errors import SimulationError
+from windmpc.experiment import count_violations, violation_masks
 from windmpc.output import write_csv
 from windmpc.verify import LOG_REL_TOL, compare_logs
 
@@ -44,6 +46,19 @@ class TestComputeMetrics:
                                 dtype=float)  # one +0.6 move, one -0.6 move
         metrics = compute_metrics(log, params)
         assert metrics.constraint_violations == 2
+
+    def test_pitch_move_down_checked_against_its_own_limit(self, params):
+        # beta_rate_min = -2 deg/s allows -0.1 deg per sample, so the -0.3
+        # move breaches it while the +0.3 move stays within beta_rate_max
+        slow_down = replace(params, beta_rate_min=-2.0)
+        log = synthetic_log(10, slow_down)
+        log.beta_ref = np.array([0, 0, 0.3, 0.3, 0.3, 0, 0, 0, 0, 0],
+                                dtype=float)
+        masks = violation_masks(log, slow_down)
+        assert {name: int(np.count_nonzero(mask))
+                for name, mask in masks.items() if mask.any()} \
+            == {"pitch move down": 1}
+        assert count_violations(log, slow_down) == 1
 
     def test_empty_log_zero_metrics(self, params):
         assert compute_metrics(SimLog(), params) == Metrics()

@@ -3,22 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from windmpc import (ActiveSetSolver, MpcWeights, augment_disturbance,
-                     augment_velocity, condense_cost, continuous_model,
-                     discretize, equilibrium, mpc_step, prediction_matrices,
-                     unified_matrices)
-from windmpc.mpc import _constraint_rows
+from windmpc import (ActiveSetSolver, MpcWeights, augment, condense_cost,
+                     continuous_model, discretize, equilibrium, mpc_step,
+                     prediction_matrices, unified_matrices)
+from windmpc.mpc import _constraint_rows, _layout
 from windmpc.verify import explicit_cost, unrolled_bounds_ok
 
 from helpers import (ConstraintSet, condense_constraints_reference,
                      condense_cost_reference, condensed_qp,
-                     prediction_matrices_reference, shift_constraints,
-                     unbounded_constraints)
+                     input_operators_reference, prediction_matrices_reference,
+                     shift_constraints, unbounded_constraints)
 
 
-def condensed_rows(am, bounds, n_p, n_c):
+def condensed_rows(model, bounds, n_p, n_c):
     """(G, W, S) of ``condense`` at default cost weights."""
-    qp = condensed_qp(am, MpcWeights(n_p=n_p, n_c=n_c), bounds)
+    qp = condensed_qp(model, MpcWeights(n_p=n_p, n_c=n_c), bounds)
     return qp.factor.g, qp.w, qp.s
 
 
@@ -33,36 +32,38 @@ def discrete_model():
 @pytest.fixture(scope="module")
 def augmented(discrete_model):
     _, dm = discrete_model
-    return augment_velocity(*augment_disturbance(dm))
+    return augment(dm)
 
 
 class TestAugmentDisturbance:
     def test_block_dimensions(self, discrete_model):
         _, dm = discrete_model
-        a_p, b_p, c_p = augment_disturbance(dm)
-        assert a_p.shape == (6, 6)
-        assert b_p.shape == (6, 2)
-        assert c_p.shape == (2, 6)
-        assert np.allclose(a_p[5, :], np.eye(6)[5])
+        a, b, c = augment(dm)
+        assert a.shape == (8, 8)
+        assert b.shape == (8, 2)
+        assert c.shape == (2, 8)
+        # the disturbance state is held and enters through b_d alone
+        assert np.array_equal(a[5], np.eye(8)[5])
+        assert np.array_equal(a[:5, 5], dm.b_d.ravel())
+        assert not b[5].any() and not c[:, 5:].any()
 
     def test_zero_disturbance_column_decouples(self, discrete_model):
         _, dm = discrete_model
         from dataclasses import replace
-        dm0 = replace(dm, b_d=np.zeros((5, 1)))
-        a_p, b_p, _ = augment_disturbance(dm0)
-        x = np.concatenate([np.zeros(5), [123.0]])
+        a, _, _ = augment(replace(dm, b_d=np.zeros((5, 1))))
+        x = np.concatenate([np.zeros(5), [123.0], np.zeros(2)])
         for _ in range(4):
-            x = a_p @ x
+            x = a @ x
         assert np.allclose(x[:5], 0.0)
         assert x[5] == 123.0
 
     def test_constant_disturbance_recursion(self, discrete_model, rng):
         _, dm = discrete_model
-        a_p, b_p, _ = augment_disturbance(dm)
+        a, _, _ = augment(dm)
         d0 = 0.7
-        x = np.concatenate([np.zeros(5), [d0]])
+        x = np.concatenate([np.zeros(5), [d0], np.zeros(2)])
         for k in range(1, 6):
-            x = a_p @ x  # no moves
+            x = a @ x  # no moves
             expected = sum(np.linalg.matrix_power(dm.a_d, i) @ dm.b_d.ravel()
                            for i in range(k)) * d0
             assert np.allclose(x[:5], expected, rtol=1e-10, atol=1e-12)
@@ -71,18 +72,16 @@ class TestAugmentDisturbance:
 class TestAugmentVelocity:
     def test_integrator_holds_input(self, discrete_model):
         _, dm = discrete_model
-        am = augment_velocity(*augment_disturbance(dm))
-        assert am.a_a.shape == (8, 8)
+        a, _, _ = augment(dm)
         x = np.zeros(8)
         x[6:] = [3.0, -1.0]
         for _ in range(5):
-            x = am.a_a @ x
+            x = a @ x
         assert np.allclose(x[6:], [3.0, -1.0])
 
     def test_equivalent_to_accumulated_input_form(self, discrete_model, rng):
         _, dm = discrete_model
-        a_p, b_p, c_p = augment_disturbance(dm)
-        am = augment_velocity(a_p, b_p, c_p)
+        a, b, c = augment(dm)
         x_p = rng.normal(size=6)
         u_prev = rng.normal(size=2)
         moves = rng.normal(size=(10, 2))
@@ -90,51 +89,54 @@ class TestAugmentVelocity:
         x_a = np.concatenate([x_p, u_prev])
         ys_velocity = []
         for du in moves:
-            x_a = am.a_a @ x_a + am.b_a @ du
-            ys_velocity.append(am.c_a @ x_a)
-        # accumulated-input form
-        x = x_p.copy()
+            x_a = a @ x_a + b @ du
+            ys_velocity.append(c @ x_a)
+        # accumulated-input form: the plant driven by the disturbance d and
+        # the input u
+        x, d = x_p[:5].copy(), x_p[5]
         u = u_prev.copy()
         ys_direct = []
         for du in moves:
             u = u + du
-            x = a_p @ x + b_p @ u
-            ys_direct.append(c_p @ x)
+            x = dm.a_d @ x + dm.b_d.ravel() * d + dm.b_du @ u
+            ys_direct.append(dm.c_d @ x)
         assert np.allclose(ys_velocity, ys_direct, rtol=1e-12, atol=1e-12)
 
 
 class TestPredictionMatrices:
     def test_single_step_horizon(self, augmented):
-        pm = prediction_matrices(augmented, 1, 1)
-        assert np.allclose(pm.phi, augmented.c_a @ augmented.a_a)
-        assert np.allclose(pm.gamma, augmented.c_a @ augmented.b_a)
-        assert np.allclose(pm.l2, np.eye(2))
+        a, b, c = augmented
+        phi, gamma = prediction_matrices(a, b, c, 1, 1)
+        assert np.allclose(phi, c @ a)
+        assert np.allclose(gamma, c @ b)
+        assert np.allclose(_layout(8, 2, 2, 1, 1).l2, np.eye(2))
 
     def test_batch_matches_recursion(self, augmented, rng):
         n_p, n_c = 20, 5
-        pm = prediction_matrices(augmented, n_p, n_c)
-        assert pm.phi.shape == (2 * n_p, 8)
-        assert pm.gamma.shape == (2 * n_p, 2 * n_c)
+        a, b, c = augmented
+        phi, gamma = prediction_matrices(a, b, c, n_p, n_c)
+        assert phi.shape == (2 * n_p, 8)
+        assert gamma.shape == (2 * n_p, 2 * n_c)
         for _ in range(10):
             x0 = rng.normal(size=8)
             du_seq = rng.normal(size=2 * n_c)
-            batch = pm.phi @ x0 + pm.gamma @ du_seq
+            batch = phi @ x0 + gamma @ du_seq
             x = x0.copy()
             direct = []
             for j in range(n_p):
                 du = du_seq[2 * j:2 * j + 2] if j < n_c else np.zeros(2)
-                x = augmented.a_a @ x + augmented.b_a @ du
-                direct.append(augmented.c_a @ x)
+                x = a @ x + b @ du
+                direct.append(c @ x)
             direct = np.concatenate(direct)
             scale = max(1.0, np.abs(direct).max())
             assert np.abs(batch - direct).max() <= 1e-10 * scale
 
     def test_stacked_inputs_are_cumulative_sums(self, augmented, rng):
         n_p, n_c = 8, 4
-        pm = prediction_matrices(augmented, n_p, n_c)
+        lay = _layout(8, 2, 2, n_p, n_c)
         x0 = rng.normal(size=8)
         du_seq = rng.normal(size=2 * n_c)
-        stacked = pm.l1 @ x0 + pm.l2 @ du_seq
+        stacked = lay.l1 @ x0 + lay.l2 @ du_seq
         u = x0[6:].copy()
         expected = []
         for j in range(n_c):
@@ -146,40 +148,44 @@ class TestPredictionMatrices:
     def test_equals_block_loop(self, discrete_model, weights):
         params = discrete_model[0]
         for v in (4.5, 6.4, 8.3, 10.0, 10.9):
-            am = augment_velocity(*augment_disturbance(discretize(
-                continuous_model(equilibrium(v, params), params), params.t_s)))
-            pm = prediction_matrices(am, weights.n_p, weights.n_c)
-            expected = prediction_matrices_reference(am, weights.n_p, weights.n_c)
-            for got, want in zip((pm.phi, pm.gamma, pm.l1, pm.l2), expected):
-                assert np.array_equal(got, want)
+            model = augment(discretize(
+                continuous_model(equilibrium(v, params), params), params.t_s))
+            got = prediction_matrices(*model, weights.n_p, weights.n_c)
+            want = prediction_matrices_reference(model, weights.n_p,
+                                                 weights.n_c)
+            for got_k, want_k in zip(got, want, strict=True):
+                assert np.array_equal(got_k, want_k)
+        lay = _layout(8, 2, 2, weights.n_p, weights.n_c)
+        for got, want in zip((lay.l1, lay.l2),
+                             input_operators_reference(8, 2, weights.n_c)):
+            assert np.array_equal(got, want)
 
     def test_horizon_validation(self, augmented):
         with pytest.raises(ValueError):
-            prediction_matrices(augmented, 5, 6)
+            prediction_matrices(*augmented, 5, 6)
 
 
 class TestCondenseCost:
     def test_move_penalty_only_gives_identity_hessian(self, augmented):
         w = MpcWeights(q1=0.0, q2=0.0, r1=0.5, r2=0.5, r3=0.0, n_p=6, n_c=3)
-        pm = prediction_matrices(augmented, w.n_p, w.n_c)
-        h, _ = condense_cost(pm, w)
+        h, _ = condense_cost(*prediction_matrices(*augmented, w.n_p, w.n_c), w)
         assert np.allclose(h, np.eye(6), atol=1e-12)
 
     def test_hessian_symmetric(self, augmented, weights):
-        pm = prediction_matrices(augmented, weights.n_p, weights.n_c)
-        h, _ = condense_cost(pm, weights)
+        h, _ = condense_cost(*prediction_matrices(
+            *augmented, weights.n_p, weights.n_c), weights)
         assert np.abs(h - h.T).max() < 1e-12
 
     def test_hessian_minimum_eigenvalue(self, augmented, weights):
-        pm = prediction_matrices(augmented, weights.n_p, weights.n_c)
-        h, _ = condense_cost(pm, weights)
+        h, _ = condense_cost(*prediction_matrices(
+            *augmented, weights.n_p, weights.n_c), weights)
         assert np.linalg.eigvalsh(h).min() >= 2.0 * min(weights.r1, weights.r2) - 1e-12
 
     def test_condensed_cost_equals_simulated_cost(self, augmented, weights, rng):
         # the load-bearing equivalence: quadratic + linear form matches the
         # explicitly simulated horizon cost up to a du-independent constant
-        pm = prediction_matrices(augmented, weights.n_p, weights.n_c)
-        h, f = condense_cost(pm, weights)
+        h, f = condense_cost(*prediction_matrices(
+            *augmented, weights.n_p, weights.n_c), weights)
         for _ in range(100):
             x_a = rng.normal(size=8) * np.array([0.5, 10.0, 1e3, 1e3, 2.0,
                                                  0.5, 1e3, 2.0])
@@ -239,7 +245,7 @@ class TestCondenseConstraints:
         # each condensed row, G du - (W + S z), is one bound's excess along
         # the forward simulation, in the stacking order of condense
         n_p, n_c = 6, 3
-        a, bm, c = augmented.a_a, augmented.b_a, augmented.c_a
+        a, bm, c = augmented
         m = bm.shape[1]
         bounds = self.example_bounds()
         g, wvec, s = condensed_rows(augmented, bounds, n_p, n_c)
@@ -288,13 +294,13 @@ class TestCachedLayout:
         y_min=np.array([-40.0, -1e5]), y_max=np.array([50.0, 2e5]))
 
     @staticmethod
-    def assert_condensed_as_reference(am, weights, bounds):
-        pm = prediction_matrices(am, weights.n_p, weights.n_c)
-        qp = condensed_qp(am, weights, bounds)
+    def assert_condensed_as_reference(model, weights, bounds):
+        phi, gamma = prediction_matrices(*model, weights.n_p, weights.n_c)
+        qp = condensed_qp(model, weights, bounds)
         got = (qp.factor.h, qp.f, qp.factor.g, qp.w, qp.s, qp.du_min,
                qp.du_max)
-        want = (condense_cost_reference(pm, weights)
-                + condense_constraints_reference(pm, bounds)
+        want = (condense_cost_reference(phi, gamma, weights)
+                + condense_constraints_reference(phi, gamma, bounds, weights)
                 + (bounds.du_min, bounds.du_max))
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
@@ -313,11 +319,11 @@ class TestCachedLayout:
         for v_bar in self.WINDS:
             op = equilibrium(v_bar, params)
             dm = discretize(continuous_model(op, params), params.t_s)
-            am = augment_velocity(*augment_disturbance(dm))
+            model = augment(dm)
             for w in weight_sets:
                 for bounds in (shift_constraints(op, params), unbounded,
                                self.SKEWED):
-                    qp = self.assert_condensed_as_reference(am, w, bounds)
+                    qp = self.assert_condensed_as_reference(model, w, bounds)
                     if bounds is unbounded:
                         assert qp.factor.g.shape == (0, 2 * w.n_c)
 
@@ -341,18 +347,19 @@ class TestCachedLayout:
                     (0, weights.n_c), (4, weights.n_c), (8, weights.n_p)))
 
     def test_cached_arrays_are_read_only(self, params, weights, augmented):
-        pm = prediction_matrices(augmented, weights.n_p, weights.n_c)
+        phi, gamma = prediction_matrices(*augmented, weights.n_p, weights.n_c)
+        lay = _layout(8, 2, 2, weights.n_p, weights.n_c)
         cm = continuous_model(equilibrium(8.0, params), params)
         bounds = shift_constraints(equilibrium(8.0, params), params)
         qp = condensed_qp(augmented, weights, bounds)
         rows = _constraint_rows(8, 2, 2, weights.n_p, weights.n_c, np.isfinite(
             bounds.stacked()).tobytes())
-        for cached in (pm.l1, pm.l2, *unified_matrices(params), cm.b_cu,
+        for cached in (lay.l1, lay.l2, *unified_matrices(params), cm.b_cu,
                        *vars(rows).values()):
             with pytest.raises(ValueError):
                 cached[0, ...] = 1.0
         # what a call returns is the caller's own
-        h, f = condense_cost(pm, weights)
+        h, f = condense_cost(phi, gamma, weights)
         for fresh in (h, f, qp.factor.g, qp.w, qp.s):
             fresh[0, ...] = 1.0
 
@@ -390,7 +397,7 @@ class TestMpcStep:
         du, _ = mpc_step(qp, x_a, r_s, ActiveSetSolver())
         # hand solution of min (r - c(a x + b du))' q (...) + du' r du at x=0:
         # du* = (b'c' q c b + r)^-1 b'c' q r_s
-        cb = augmented.c_a @ augmented.b_a
+        cb = augmented[2] @ augmented[1]
         lhs = cb.T @ w.q @ cb + w.r
         rhs = cb.T @ w.q @ r_s
         expected = np.linalg.solve(lhs, rhs)

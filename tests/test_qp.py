@@ -1,3 +1,5 @@
+import inspect
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -454,6 +456,48 @@ class TestDependentRow:
             self.warm_solve(cls(), g, np.array([1.0, 1.0]),
                             np.array([0.0, 0.0, -1.0]))
         assert exc.value.worst_row == 2
+
+    def test_abandoned_row_leaves_its_multiplier_behind(self):
+        # H = I, W = {0, 1} at multipliers (1e-9, 0.5), so x_free = (1e-9,
+        # 0.5) and x = 0, entered at row 2, which depends on W up to 1e-8.
+        # The loop drops row 0 by a partial step of 0.1, then abandons row 2
+        # within tolerance, still dependent on row 1, with 0.1 accrued; row
+        # 3 joins next and must start from zero, so its carried multiplier
+        # at the exit equals the fresh solve's on the final W
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1e-8, -1.0], [0.3, 0.4]])
+        b = np.array([0.0, 0.0, 0.5, -0.5])
+        lam = np.array([1e-9, 0.5])
+        viol = g @ np.zeros(2) - b
+        viol[:2] = -np.inf
+        code = ActiveSetSolver._dual_steps
+        source, first = inspect.getsourcelines(code)
+        abandon, fresh = (first + next(i for i, line in enumerate(source)
+                                       if text in line)
+                          for text in ("abandoned", "lam = np.linalg.solve"))
+        seen = {}
+
+        def trace(frame, event, arg):
+            def lines(frame, event, arg):
+                if event == "line":
+                    seen[frame.f_lineno] = list(frame.f_locals["lam"])
+                return lines
+            return lines if frame.f_code is code.__code__ else None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            x, ws, lam_w, _ = ActiveSetSolver()._dual_steps(
+                factorize(np.eye(2), g), lam.copy(), b, 1e-9 * 1.5, [0, 1],
+                lam, 1, viol, 2)
+        finally:
+            sys.settrace(previous)
+        assert abandon in seen and ws == [3, 2]
+        assert seen[fresh][0] == pytest.approx(lam_w[0], rel=1e-12)
+        assert np.abs(x - enumerate_qp(np.eye(2), -lam, g, b)).max() <= 1e-12
+        assert np.abs(x - [-1.0, -0.5]).max() <= 1e-7
+        mult = np.zeros(4)
+        mult[ws] = lam_w
+        ActiveSetSolver._verify_kkt(np.eye(2), -lam, g, b, x, mult)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6),

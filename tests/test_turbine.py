@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -304,3 +305,23 @@ class TestTurbineParams:
     def test_explicit_bounds_override_derived_defaults(self):
         p = TurbineParams(omega_g_max=150.0, p_g_max=1.4e6, t_g_max=9000.0)
         assert (p.omega_g_max, p.p_g_max, p.t_g_max) == (150.0, 1.4e6, 9000.0)
+
+    def test_empty_bounds_rejected_at_construction(self):
+        # a torque, speed or power bound at or below zero leaves no input
+        # or output range; it is named before any controller is built
+        for name, value in (("t_g_max", -1.0), ("omega_g_max", -5.0),
+                            ("p_g_max", 0.0)):
+            with pytest.raises(ValueError, match=name):
+                TurbineParams(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(TurbineParams)])
+    def test_non_finite_value_rejected(self, name, value):
+        # NaN is rejected everywhere, +inf only outside the upper bounds
+        explicit = dict(omega_g_max=150.0, p_g_max=1.4e6, t_g_max=9000.0)
+        if value == math.inf and name in explicit:
+            assert getattr(TurbineParams(**{**explicit, name: value}),
+                           name) == math.inf
+        else:
+            with pytest.raises(ValueError, match=name):
+                TurbineParams(**{**explicit, name: value})
