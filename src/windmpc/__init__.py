@@ -5,14 +5,13 @@ sources (switched-offline and re-linearized-online), verification oracles
 and checks, and a deterministic experiment harness.
 """
 
-from .control import (DisturbanceEstimator, OfflineMpc, OnlineMpc,
-                      ReferenceSignal, build_model_set, reference)
+from .control import (OfflineMpc, OnlineMpc, ReferenceSignal,
+                      build_model_set, reference)
 from .errors import (ConfigError, DomainError, InfeasibleQpError,
                      IntegrationError, QpIterationError, SimulationError)
 from .experiment import (Metrics, SimLog, compute_metrics, run_closed_loop,
                          run_experiment, torque_total_variation)
-from .linearize import (ContinuousLinearModel, DiscreteLinearModel,
-                        OperatingPoint, continuous_model, discretize,
+from .linearize import (OperatingPoint, continuous_model, discretize,
                         equilibrium, matrix_exponential, torque_gradients)
 from .mpc import (CondensedQp, MpcWeights, augment, condense, condense_cost,
                   mpc_step, prediction_matrices)

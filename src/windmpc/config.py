@@ -10,16 +10,13 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .mpc import MpcWeights
-from .turbine import TurbineParams
+from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams
 from .wind import KINDS
 
 TURBINE_KEYS = {f.name for f in fields(TurbineParams)}
 WEIGHT_KEYS = {f.name for f in fields(MpcWeights)}
 INT_KEYS = {"n_p", "n_c", "seed"}
 STR_KEYS = {"wind_kind", "controller"}
-HARNESS_KEYS = {"duration", "seed", "wind_kind", "wind_level", "wind_std",
-                "controller", "op_low", "op_high", "v_switch", "hysteresis",
-                "kappa"}
 
 
 @dataclass
@@ -39,6 +36,11 @@ class ExperimentConfig:
     v_switch: float = 8.7
     hysteresis: float = 0.0
     kappa: float = 0.1
+
+
+HARNESS_KEYS = {f.name for f in fields(ExperimentConfig)} - {"turbine", "weights"}
+FLOAT_KEYS = tuple(f.name for f in fields(ExperimentConfig)
+                   if f.type in (float, float | None))
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -76,9 +78,9 @@ def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Merge config-file values with CLI overrides into an ExperimentConfig.
 
-    Unknown keys, negative durations, gust deviations or hysteresis bands,
-    and non-finite values of any float harness key are rejected; overrides
-    win over file values.
+    Unknown keys, negative durations, gust deviations, hysteresis bands or
+    gains kappa, non-finite float harness keys and model points op_low or
+    op_high outside [4, 11] m/s are rejected; overrides win over file values.
     """
     merged: dict = {}
     for source in (file_values or {}, overrides or {}):
@@ -101,13 +103,16 @@ def build_config(file_values: dict | None = None,
         raise ConfigError(f"unknown wind kind {harness_kwargs['wind_kind']!r}")
     if harness_kwargs.get("controller") not in (None, "online", "offline", "both"):
         raise ConfigError(f"unknown controller {harness_kwargs['controller']!r}")
-    for key in ("duration", "wind_std", "hysteresis"):
+    for key in ("duration", "wind_std", "hysteresis", "kappa"):
         if not harness_kwargs.get(key, 0.0) >= 0.0:  # NaN fails too
             raise ConfigError(f"config key {key} must be nonnegative")
-    for key in ("duration", "wind_std", "hysteresis", "wind_level", "op_low",
-                "op_high", "v_switch", "kappa"):
+    for key in FLOAT_KEYS:
         if key in harness_kwargs and not math.isfinite(harness_kwargs[key]):
             raise ConfigError(f"config key {key} must be finite")
+    for key in ("op_low", "op_high"):
+        if not V_PARTIAL_MIN <= harness_kwargs.get(key, V_RATED) <= V_RATED:
+            raise ConfigError(f"config key {key} must lie in [{V_PARTIAL_MIN}, "
+                              f"{V_RATED}] m/s")
     try:
         turbine = TurbineParams(**turbine_kwargs)
         weights = MpcWeights(**weight_kwargs)

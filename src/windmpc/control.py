@@ -9,7 +9,9 @@ root, certified on every sample. Both sources build their QP through
 ``condense``, the bank at construction and the online model every sample.
 The step runs on full state feedback, shifts measurements into deviation
 coordinates of the model's operating point, and tracks the
-optimal-tip-speed-ratio generator speed reference.
+optimal-tip-speed-ratio generator speed reference. Its disturbance estimate
+d_hat adds kappa times each one-step state innovation projected onto the
+wind input column, recovering a wind offset with time constant t_s/kappa.
 """
 
 import time
@@ -31,6 +33,7 @@ EXPANSION_DEGREE = 12     # Chebyshev degree in v: q2 > 0 needs 12, q2 = 0 only 
 EXPANSION_REL_TOL = 1e-8  # expansion tail and error, of each array's maximum
 FACTOR_TOL = 1e-10        # certificate of a QP factor's root: max|R'HR - I|
 FACTOR_STEPS = 3          # Newton-Schulz corrections before a root is rejected
+D_HAT_LIMIT = 5.0         # clamp of the disturbance estimate, m/s of wind
 
 
 @dataclass(frozen=True)
@@ -85,10 +88,12 @@ def model_arrays(op: OperatingPoint, params: TurbineParams, weights: MpcWeights)
     """The ModelSet arrays that vary with wind speed, built directly at an
     operating point: (A_d, B_du, b_d, H, F, Gamma, Phi, R), R = H's
     ``cholesky_root``."""
-    dm = discretize(continuous_model(op, params), params.t_s)
-    phi, gamma = prediction_matrices(*augment(dm), weights.n_p, weights.n_c)
+    a_c, b_u, b_v, c = continuous_model(op, params)
+    a_d, b_du, b_d = discretize(a_c, b_u, b_v, params.t_s)
+    phi, gamma = prediction_matrices(*augment(a_d, b_du, b_d, c), weights.n_p,
+                                     weights.n_c)
     h, f = condense_cost(phi, gamma, weights)
-    return dm.a_d, dm.b_du, dm.b_d, h, f, gamma, phi, cholesky_root(h)
+    return a_d, b_du, b_d, h, f, gamma, phi, cholesky_root(h)
 
 
 def certified_root(h, root):
@@ -169,28 +174,6 @@ def expanded_arrays(expansion, v):
     return tuple(flat[start:stop].reshape(shape) for start, stop, shape in blocks)
 
 
-class DisturbanceEstimator:
-    """Constant-disturbance estimate along the wind input channel.
-
-    Each update projects the one-step state innovation onto the
-    disturbance column and accumulates the result with gain kappa, so an
-    unmeasured wind offset is recovered with time constant t_s/kappa. The
-    estimate is clamped to +-limit (wind-speed-equivalent units).
-    """
-
-    def __init__(self, kappa=0.1, limit=5.0):
-        self.kappa = kappa
-        self.limit = limit
-        self.d_hat = 0.0
-
-    def update(self, innovation, b_d, b_d_sq) -> float:
-        """Fold in one innovation along the raveled b_d; b_d_sq = b_d . b_d."""
-        if b_d_sq > 0.0:
-            self.d_hat += self.kappa * float(b_d @ np.asarray(innovation)) / b_d_sq
-            self.d_hat = min(max(self.d_hat, -self.limit), self.limit)
-        return self.d_hat
-
-
 class _MpcControllerBase:
     """The receding-horizon step over a model source.
 
@@ -203,9 +186,12 @@ class _MpcControllerBase:
 
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  kappa=0.1):
+        if not kappa >= 0.0:
+            raise ValueError("kappa must be nonnegative")
         self.params = params
         self.weights = weights if weights is not None else MpcWeights()
-        self.estimator = DisturbanceEstimator(kappa=kappa)
+        self.kappa = kappa
+        self.d_hat = 0.0
         self.solver = ActiveSetSolver()
         self.u_prev: ControlInput | None = None
         self._prediction: tuple[np.ndarray, ModelSet] | None = None
@@ -233,7 +219,7 @@ class _MpcControllerBase:
             info = StepInfo("hold", 0, 0, float("nan"))
         info.mode = self.mode
         info.solve_time = time.perf_counter() - t0
-        info.d_hat = self.estimator.d_hat
+        info.d_hat = self.d_hat
         info.omega_g_ref = ref.omega_g_ref
         return u, info
 
@@ -242,7 +228,10 @@ class _MpcControllerBase:
         x = np.asarray(x_meas, dtype=float)
         if self._prediction is not None:
             x_pred, ms_prev = self._prediction
-            self.estimator.update(x - x_pred, ms_prev.b_d, ms_prev.b_d_sq)
+            if ms_prev.b_d_sq > 0.0:
+                self.d_hat += (self.kappa * float(ms_prev.b_d @ (x - x_pred))
+                               / ms_prev.b_d_sq)
+                self.d_hat = min(max(self.d_hat, -D_HAT_LIMIT), D_HAT_LIMIT)
         if self.u_prev is None:
             # before the first sample the actuators are assumed settled
             self.u_prev = ControlInput(float(x[3]), float(x[4]))
@@ -250,7 +239,7 @@ class _MpcControllerBase:
         dx = x - ms.x_bar
         u_prev = np.asarray(self.u_prev, dtype=float)
         du_prev = u_prev - ms.u_bar
-        x_a = np.concatenate([dx, [self.estimator.d_hat], du_prev])
+        x_a = np.concatenate([dx, [self.d_hat], du_prev])
 
         r_s = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
                         ref.p_g_ref - ms.p_g_bar])[self._ref_index]
@@ -263,10 +252,10 @@ class _MpcControllerBase:
         u_out = ControlInput(float(u[0]), float(u[1]))
 
         # one-step-ahead prediction with the applied (saturated) input,
-        # consumed by the estimator at the next sample
+        # whose innovation updates d_hat at the next sample
         du_applied = u - u_prev
         x_pred = (ms.x_bar + ms.a_d @ dx + ms.b_du @ (du_prev + du_applied)
-                  + ms.b_d * self.estimator.d_hat)
+                  + ms.b_d * self.d_hat)
         self._prediction = (x_pred, ms)
         self.u_prev = u_out
         return u_out, info

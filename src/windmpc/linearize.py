@@ -6,8 +6,8 @@ the only nonlinearity is the aerodynamic torque, whose three gradients
 (``turbine.unified_matrices``) into the continuous-time linear model. The
 gradients are closed-form, chained from the partials of the Cp surface;
 finite differences appear only in the oracle that checks the linear model,
-``windmpc.verify.fd_jacobian``. The discrete model is the exact
-zero-order-hold equivalent obtained from one augmented matrix exponential.
+``windmpc.verify.fd_jacobian``. The discrete arrays (A_d, B_du, b_d) are
+the exact zero-order-hold equivalent obtained from one matrix exponential.
 """
 
 import math
@@ -33,23 +33,6 @@ class OperatingPoint:
     l_omega: float   # dT_t/d omega_t, N*m/(rad/s)
     l_v: float       # dT_t/dv, N*m/(m/s)
     l_beta: float    # dT_t/d beta, N*m/deg
-
-
-@dataclass(frozen=True)
-class ContinuousLinearModel:
-    a_c: np.ndarray   # 5x5
-    b_cu: np.ndarray  # 5x2
-    b_cv: np.ndarray  # 5x1 wind-disturbance column
-    c_c: np.ndarray   # 2x5, outputs [d omega_g, d P_g]
-
-
-@dataclass(frozen=True)
-class DiscreteLinearModel:
-    a_d: np.ndarray
-    b_du: np.ndarray
-    b_d: np.ndarray   # discretized wind-disturbance column
-    c_d: np.ndarray
-    t_s: float
 
 
 def torque_gradients(omega_t_bar, v_bar, beta_bar, params: TurbineParams):
@@ -99,20 +82,20 @@ def equilibrium(v_bar, params: TurbineParams) -> OperatingPoint:
     return OperatingPoint(v_bar, x_bar, u_bar, t_t, l_omega, l_v, l_beta)
 
 
-def continuous_model(op: OperatingPoint, params: TurbineParams) -> ContinuousLinearModel:
-    """Analytic continuous-time model about an operating point.
+def continuous_model(op: OperatingPoint, params: TurbineParams):
+    """Analytic continuous-time model (A_c, B_u, b_v, C) about an operating
+    point: b_v is the wind column, C gives the outputs [d omega_g, d P_g].
 
     The plant's affine form dx = A x + B u + b2 T_t with the aerodynamic
     torque linearized as T_t ~ L_omega omega_t + L_v v + L_beta beta.
     """
     a, b, b2 = unified_matrices(params)
     a_c = a + np.outer(b2, [op.l_omega, 0.0, 0.0, 0.0, op.l_beta])
-    b_cv = (b2 * op.l_v)[:, None]
-    c_c = np.array([
+    c = np.array([
         [0.0, 1.0, 0.0, 0.0, 0.0],
         [0.0, params.eta * op.x_bar.t_g, 0.0, params.eta * op.x_bar.omega_g, 0.0],
     ])
-    return ContinuousLinearModel(a_c, b, b_cv, c_c)
+    return a_c, b, (b2 * op.l_v)[:, None], c
 
 
 def matrix_exponential(m) -> np.ndarray:
@@ -147,8 +130,8 @@ def matrix_exponential(m) -> np.ndarray:
     return result
 
 
-def discretize(cm: ContinuousLinearModel, t_s) -> DiscreteLinearModel:
-    """Exact zero-order-hold discretization of the continuous model.
+def discretize(a_c, b_u, b_v, t_s):
+    """Exact zero-order-hold discretization (A_d, B_du, b_d) of (A_c, B_u, b_v).
 
     Exponentiating the block matrix [[A_c, B], [0, 0]] * T_s yields
     A_D = e^(A_c T_s) in the top-left block and the ZOH input integral in
@@ -156,14 +139,11 @@ def discretize(cm: ContinuousLinearModel, t_s) -> DiscreteLinearModel:
     """
     if t_s <= 0.0:
         raise DomainError("sampling time must be positive")
-    b = np.hstack([cm.b_cu, cm.b_cv])
+    b = np.hstack([b_u, b_v])
     n, m = b.shape
+    n_u = b_u.shape[1]
     aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = cm.a_c * t_s
+    aug[:n, :n] = a_c * t_s
     aug[:n, n:] = b * t_s
     e = matrix_exponential(aug)
-    a_d = e[:n, :n]
-    b_full = e[:n, n:]
-    n_u = cm.b_cu.shape[1]
-    return DiscreteLinearModel(a_d, b_full[:, :n_u].copy(),
-                               b_full[:, n_u:].copy(), cm.c_c.copy(), float(t_s))
+    return e[:n, :n], e[:n, n:n + n_u].copy(), e[:n, n + n_u:].copy()

@@ -1,9 +1,9 @@
 """Prediction model and its condensation into a dense QP.
 
-``augment`` places the discrete turbine model, a constant disturbance
-state riding the wind input column and the previous input in one
-velocity-form model, so the decision variables are input moves and the
-controller gains integral action. Eliminating the predicted states
+``augment`` places the discrete turbine arrays (A_d, B_du, b_d, C), a
+constant disturbance state riding the wind input column and the previous
+input in one velocity-form model, so the decision variables are input moves
+and the controller gains integral action. Eliminating the predicted states
 condenses the finite-horizon tracking cost and the stacked bounds into
 
     min  0.5 dU' H dU + [x' rs'] F dU
@@ -23,7 +23,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InfeasibleQpError, QpIterationError
-from .linearize import DiscreteLinearModel
 from .qp import ActiveSetSolver, QpFactor, factor_from_root
 
 
@@ -84,46 +83,34 @@ class CondensedQp:
     du_max: np.ndarray
 
 
-def augment(dm: DiscreteLinearModel):
+def augment(a_d, b_du, b_d, c):
     """Velocity-form prediction model x_a(k+1) = A_a x_a + B_a du, y = C_a x_a,
     as arrays (A_a, B_a, C_a) on the state x_a = [x; d; u(k-1)], with d a
     constant disturbance on the wind column b_d and du(k) = u(k) - u(k-1):
 
-        A_a = [A_d  b_d  B_du]   B_a = [B_du]   C_a = [C_d  0  0]
+        A_a = [A_d  b_d  B_du]   B_a = [B_du]   C_a = [C  0  0]
               [0    1    0   ]         [0   ]
               [0    0    I   ]         [I   ]
     """
-    n, m = dm.b_du.shape
+    n, m = b_du.shape
     a = np.eye(n + 1 + m)
-    a[:n, :n], a[:n, n:n + 1], a[:n, n + 1:] = dm.a_d, dm.b_d, dm.b_du
+    a[:n, :n], a[:n, n:n + 1], a[:n, n + 1:] = a_d, b_d, b_du
     b = np.zeros((n + 1 + m, m))
-    b[:n], b[n + 1:] = dm.b_du, np.eye(m)
-    c = np.zeros((len(dm.c_d), n + 1 + m))
-    c[:, :n] = dm.c_d
-    return a, b, c
+    b[:n], b[n + 1:] = b_du, np.eye(m)
+    c_a = np.zeros((len(c), n + 1 + m))
+    c_a[:, :n] = c
+    return a, b, c_a
 
 
-@lru_cache(maxsize=32)
-def _layout(n, m, q, n_p, n_c, weights: MpcWeights | None = None):
-    """Read-only parts of the condensed QP that no model enters: L1, L2, Gamma's
-    lag index and zero blocks, cost terms."""
+def _input_operators(n, m, n_c):
+    """(L1, L2) of the stacked inputs u(k..k+n_c-1) = L1 x_a + L2 dU on a
+    state x_a whose last m entries are u(k-1)."""
     # u(k+j) is u(k-1) plus moves 0..j: L1's input block is L2's first column
     l2 = (np.tril(np.ones((n_c, n_c)))[:, None, :, None]
           * np.eye(m)[None, :, None, :]).reshape(m * n_c, m * n_c)
     l1 = np.zeros((m * n_c, n))
     l1[:, n - m:] = l2[:, :m]
-    lay = SimpleNamespace(
-        l1=l1, l2=l2,
-        lag=np.arange(n_c - 1, n_c - 1 + n_p)[:, None] - np.arange(n_c),
-        zero_blocks=np.zeros((n_c - 1, q, m)))
-    if weights is not None:
-        ru1_l2 = np.tile(weights.r_u.diagonal(), n_c)[:, None] * l2
-        lay.q_diag = np.tile(weights.q.diagonal(), n_p)[:, None]
-        lay.r1 = np.diag(np.tile(weights.r.diagonal(), n_c))
-        lay.l2t_ru1_l2, lay.l1t_ru1_l2 = l2.T @ ru1_l2, l1.T @ ru1_l2
-    for array in vars(lay).values():
-        array.flags.writeable = False
-    return lay
+    return l1, l2
 
 
 @lru_cache(maxsize=32)
@@ -131,13 +118,13 @@ def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
     """Read-only parts of G dU <= W + S [x; rs] for one pattern of finite
     stacked bounds: the kept rows of the G and S templates, W's signed
     gather of the bounds and the signed Gamma/Phi rows of its output rows."""
-    lay = _layout(n, m, q, n_p, n_c)
+    l1, l2 = _input_operators(n, m, n_c)
     # row blocks y <= y_max, y >= y_min, u <= u_max, u >= u_min, du <= du_max
     # and du >= du_min; the Gamma rows of G and Phi rows of S are per model
     eye = np.eye(m * n_c)
-    g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), lay.l2, -lay.l2, eye, -eye])
+    g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), l2, -l2, eye, -eye])
     s = np.zeros((len(g), n + q * n_p))
-    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-lay.l1, lay.l1])
+    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-l1, l1])
     # each block's bound in the stacked order du_min, du_max, u_min, u_max
     # (m each), y_min, y_max (q each)
     w_gather = np.concatenate(
@@ -160,13 +147,12 @@ def prediction_matrices(a, b, c, n_p: int, n_c: int):
     horizons: Phi stacks C A^1..C A^n_p; Gamma is lower block-banded with
     block (i, j) equal to C A^(i-j) B for j <= min(i, n_c-1), so the stacked
     outputs y(k+1..k+n_p) are Phi x + Gamma dU. The stacked inputs
-    u(k..k+n_c-1) are L1 x + L2 dU, with L1 and L2 from ``_layout``.
+    u(k..k+n_c-1) are L1 x + L2 dU, with L1 and L2 from ``_input_operators``.
     """
     if not 1 <= n_c <= n_p:
         raise ValueError("horizons must satisfy 1 <= n_c <= n_p")
     n, m = b.shape
     q = c.shape[0]
-    lay = _layout(n, m, q, n_p, n_c)
 
     c_a = np.empty((n_p + 1, q, n))   # C A^0 .. C A^n_p
     c_a[0] = c
@@ -175,8 +161,9 @@ def prediction_matrices(a, b, c, n_p: int, n_c: int):
     phi = c_a[1:].reshape(q * n_p, n)
     # block (i, j) of Gamma is C A^(i-j) B, gathered by lag from a stack
     # whose n_c - 1 leading zero blocks serve the lags below zero
-    c_a_b = np.concatenate([lay.zero_blocks, c_a[:n_p] @ b])
-    gamma = c_a_b[lay.lag].transpose(0, 2, 1, 3).reshape(q * n_p, m * n_c)
+    c_a_b = np.concatenate([np.zeros((n_c - 1, q, m)), c_a[:n_p] @ b])
+    lag = np.arange(n_c - 1, n_c - 1 + n_p)[:, None] - np.arange(n_c)
+    gamma = c_a_b[lag].transpose(0, 2, 1, 3).reshape(q * n_p, m * n_c)
     return phi, gamma
 
 
@@ -189,12 +176,13 @@ def condense_cost(phi, gamma, weights: MpcWeights):
     diagonals. H is symmetrized to kill assembly roundoff.
     """
     n_p, n_c = weights.n_p, weights.n_c
-    lay = _layout(phi.shape[1], gamma.shape[1] // n_c, len(phi) // n_p, n_p,
-                  n_c, weights)
-    q1_gamma = lay.q_diag * gamma
-    h = 2.0 * (gamma.T @ q1_gamma + lay.r1 + lay.l2t_ru1_l2)
+    l1, l2 = _input_operators(phi.shape[1], gamma.shape[1] // n_c, n_c)
+    ru1_l2 = np.tile(weights.r_u.diagonal(), n_c)[:, None] * l2
+    q1_gamma = np.tile(weights.q.diagonal(), n_p)[:, None] * gamma
+    h = 2.0 * (gamma.T @ q1_gamma + np.diag(np.tile(weights.r.diagonal(), n_c))
+               + l2.T @ ru1_l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (phi.T @ q1_gamma + lay.l1t_ru1_l2)
+    f_top = 2.0 * (phi.T @ q1_gamma + l1.T @ ru1_l2)
     return h, np.vstack([f_top, -2.0 * q1_gamma])
 
 

@@ -47,7 +47,8 @@ class TurbineParams:
     Defaults describe the 1.5 MW-class test turbine used throughout the
     suite. ``omega_g_max``, ``p_g_max`` and ``t_g_max`` default to the
     rated-condition values at the top of the partial-load range (11 m/s)
-    and can be overridden individually; +inf drops a bound.
+    and can be overridden individually; +inf drops a bound. The default
+    t_g_max is p_g_max / omega_g_max, so omega_g_max = inf needs a t_g_max.
     """
 
     rho: float = 1.225            # air density, kg/m^3
@@ -99,6 +100,9 @@ class TurbineParams:
         if self.p_g_max is None:
             object.__setattr__(self, "p_g_max", max_power(V_RATED, self))
         if self.t_g_max is None:
+            if self.omega_g_max == math.inf:
+                raise ValueError("t_g_max has no default when omega_g_max is "
+                                 "inf and must be given")
             object.__setattr__(self, "t_g_max", self.p_g_max / self.omega_g_max)
         for name in bounds:  # NaN fails too
             if not getattr(self, name) > 0.0:
@@ -199,10 +203,7 @@ def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
     if v <= 0.0:
         raise DomainError("wind speed must be positive")
     omega_t, omega_g, t_tw, t_g, beta = map(float, state)
-    if omega_t <= 0.0:
-        raise DomainError("rotor speed must be positive to evaluate torque")
-    t_t = (wind_power(v, params)
-           * power_coefficient(omega_t * params.radius / v, beta) / omega_t)
+    t_t = aerodynamic_torque(omega_t, v, beta, params)
     d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
     d_omega_g = (t_tw - t_g) / params.j_g
     # the twist rate chains the two accelerations, so it comes after them

@@ -72,10 +72,9 @@ def verify_linearization(v_bar, params: TurbineParams, rel_step=1e-6) -> float:
     structurally zero entries compare cleanly.
     """
     op = equilibrium(v_bar, params)
-    cm = continuous_model(op, params)
-    a_fd, b_u_fd, b_v_fd = fd_jacobian(op.x_bar, op.u_bar, v_bar, params, rel_step)
+    fd_route = fd_jacobian(op.x_bar, op.u_bar, v_bar, params, rel_step)
     worst = 0.0
-    for analytic, fd in ((cm.a_c, a_fd), (cm.b_cu, b_u_fd), (cm.b_cv, b_v_fd)):
+    for analytic, fd in zip(continuous_model(op, params)[:3], fd_route):
         floor = 1e-12 * max(1.0, float(np.abs(analytic).max()))
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
         worst = max(worst, float((np.abs(analytic - fd) / denom).max()))
@@ -240,10 +239,10 @@ def check_linearization(params: TurbineParams, grid):
 
 def check_zoh_diagonals(params: TurbineParams, v_bar):
     """Criterion 3: the actuator diagonals of A_d equal exp(-T_s / tau)."""
-    dm = discretize(continuous_model(equilibrium(v_bar, params), params),
-                    params.t_s)
-    pitch_err = abs(dm.a_d[4, 4] - math.exp(-params.t_s / params.tau))
-    gen_err = abs(dm.a_d[3, 3] - math.exp(-params.t_s / params.tau_g))
+    a_d = discretize(*continuous_model(equilibrium(v_bar, params), params)[:3],
+                     params.t_s)[0]
+    pitch_err = abs(a_d[4, 4] - math.exp(-params.t_s / params.tau))
+    gen_err = abs(a_d[3, 3] - math.exp(-params.t_s / params.tau_g))
     return max(pitch_err, gen_err) < ZOH_DIAGONAL_TOL, (
         f"ZOH pitch diagonal error {pitch_err:.3e}, generator diagonal error "
         f"{gen_err:.3e} [tolerance {ZOH_DIAGONAL_TOL:g}]")
@@ -258,7 +257,8 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
     :func:`unrolled_bounds_ok` wherever no row is within 1e-9 of its bound.
     """
     ms = build_model_set(8.0, params, weights)
-    model = augment(discretize(continuous_model(ms.op, params), params.t_s))
+    a_c, b_u, b_v, c = continuous_model(ms.op, params)
+    model = augment(*discretize(a_c, b_u, b_v, params.t_s), c)
     qp, n_p, n_c = ms.qp, weights.n_p, weights.n_c
     bounds = _bounds_about(params, ms.op.x_bar.omega_g, ms.p_g_bar,
                            *ms.op.u_bar)

@@ -6,10 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .turbine import TurbineParams
+from .turbine import V_PARTIAL_MIN, TurbineParams
 
 # profiles stay strictly inside the partial-load envelope
-V_PROFILE_MIN = 4.0
+V_PROFILE_MIN = V_PARTIAL_MIN
 V_PROFILE_MAX = 10.999
 
 KINDS = ("constant", "steps", "turbulent")

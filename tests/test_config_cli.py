@@ -5,6 +5,12 @@ from windmpc.config import build_config, parse_wind_spec, read_kv_file
 from windmpc.errors import ConfigError
 
 
+def assert_one_config_error_line(err):
+    """A rejected value is reported in one line, not a traceback."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+
+
 class TestConfigFile:
     def test_parse_kv_with_comments(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -45,6 +51,20 @@ class TestConfigFile:
     def test_invalid_turbine_value_rejected(self):
         with pytest.raises(ConfigError):
             build_config({"rho": "-1.0"})
+
+    def test_model_points_at_the_envelope_edges_accepted(self):
+        config = build_config({"op_low": "4", "op_high": "11", "kappa": "0"})
+        assert (config.op_low, config.op_high, config.kappa) == (4.0, 11.0, 0.0)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("op_low", "3.99", "op_low must lie in"),
+        ("op_high", "11.01", "op_high must lie in"),
+        ("kappa", "-0.01", "kappa must be nonnegative")],
+        ids=["op_low", "op_high", "kappa"])
+    def test_harness_value_outside_its_range_rejected(self, key, value,
+                                                      message):
+        with pytest.raises(ConfigError, match=message):
+            build_config({key: value})
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -128,9 +148,13 @@ class TestCli:
         ([], "v_switch = inf\n"),
         ([], "op_low = -inf\n"),
         ([], "op_high = nan\n"),
+        ([], "op_low = 3\n"),
+        ([], "op_high = 12\n"),
+        ([], "kappa = -1\n"),
     ], ids=["wind_std", "duration", "duration_nan", "duration_inf",
             "hysteresis", "wind_level_nan", "wind_level_inf", "kappa_nan",
-            "v_switch_inf", "op_low_inf", "op_high_nan"])
+            "v_switch_inf", "op_low_inf", "op_high_nan", "op_low_below_4",
+            "op_high_above_11", "kappa_negative"])
     def test_bad_harness_value_exit_code(self, tmp_path, capsys, args, config):
         if config is not None:
             cfg = tmp_path / "bad.cfg"
@@ -139,17 +163,18 @@ class TestCli:
         rc = main(["simulate", "--controller", "offline", "--duration", "1",
                    *args, "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "config error" in capsys.readouterr().err
+        assert_one_config_error_line(capsys.readouterr().err)
 
-    @pytest.mark.parametrize("config", ["rho = nan\n", "p_g_max = nan\n"],
-                             ids=["rho_nan", "p_g_max_nan"])
+    @pytest.mark.parametrize("config", ["rho = nan\n", "p_g_max = nan\n",
+                                        "omega_g_max = inf\n"],
+                             ids=["rho_nan", "p_g_max_nan", "omega_g_max_inf"])
     def test_bad_turbine_value_exit_code(self, tmp_path, capsys, config):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(config)
         rc = main(["simulate", "--config", str(cfg), "--duration", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
-        assert "config error" in capsys.readouterr().err
+        assert_one_config_error_line(capsys.readouterr().err)
 
     def test_qpbench_passes(self, capsys):
         rc = main(["qpbench", "--instances", "50", "--seed", "0"])

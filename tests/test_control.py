@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windmpc.control as control_mod
-from windmpc import (DisturbanceEstimator, DomainError, MpcWeights,
-                     OfflineMpc, OnlineMpc, PlantState, TurbineParams, build_model_set, equilibrium,
+from windmpc import (DomainError, MpcWeights, OfflineMpc, OnlineMpc,
+                     PlantState, TurbineParams, build_model_set, equilibrium,
                      generate_wind, generator_power, reference,
                      run_closed_loop, step)
-from windmpc.control import (EXPANSION_REL_TOL, FACTOR_TOL,
+from windmpc.control import (D_HAT_LIMIT, EXPANSION_REL_TOL, FACTOR_TOL,
                              assemble_model_set, certified_root,
                              expanded_arrays, model_arrays, model_expansion)
 from windmpc.qp import cholesky_root, factor_from_root, factorize
@@ -61,18 +61,33 @@ class TestShiftConstraints:
 
 
 class TestDisturbanceEstimator:
-    def test_zero_innovation_keeps_estimate(self):
-        est = DisturbanceEstimator()
-        b_d = np.array([1e-3, 0.2, 300.0, 0.0, 0.0])
-        for _ in range(50):
-            est.update(np.zeros(5), b_d, b_d @ b_d)
-        assert abs(est.d_hat) <= 1e-9
+    """The controllers' estimate d_hat: each step adds kappa times the
+    innovation against the previous step's prediction, projected onto that
+    model's b_d, then clamps it to +-D_HAT_LIMIT."""
 
-    def test_gain_off_freezes_estimate(self):
-        est = DisturbanceEstimator(kappa=0.0)
-        est.d_hat = 0.3
-        est.update(np.ones(5), np.ones(5), 5.0)
-        assert est.d_hat == 0.3
+    @staticmethod
+    def step_off_prediction(controller, along_b_d, v=8.0):
+        """One step measuring the last prediction moved by along_b_d * b_d."""
+        x_pred, ms = controller._prediction
+        return controller.step(x_pred + along_b_d * ms.b_d, v)[1]
+
+    def test_zero_innovation_keeps_estimate(self, params, weights):
+        for cls in (OfflineMpc, OnlineMpc):
+            controller = cls(params, weights)
+            controller.step(equilibrium(8.0, params).x_bar, 8.0)
+            controller.d_hat = 0.3
+            for _ in range(50):
+                info = self.step_off_prediction(controller, 0.0)
+                assert controller.d_hat == info.d_hat == 0.3
+
+    def test_gain_off_freezes_estimate(self, params, weights):
+        controller = OfflineMpc(params, weights, kappa=0.0)
+        state = equilibrium(8.0, params).x_bar
+        for v in (5.0, 10.5, 7.0):  # large innovations as the wind jumps
+            controller.step(state, v)
+        assert controller.d_hat == 0.0
+        controller.d_hat = 0.3
+        assert self.step_off_prediction(controller, 10.0).d_hat == 0.3
 
     def test_recovers_injected_bias_in_closed_loop(self, params, weights):
         # plant sees v + 0.5 m/s while the controller measures v
@@ -85,14 +100,21 @@ class TestDisturbanceEstimator:
             u, info = controller.step(state, v_measured)
             state = step(state, u, v_measured + bias, params.t_s, params)
             t += params.t_s
-        assert controller.estimator.d_hat == pytest.approx(bias, abs=0.1)
+        assert controller.d_hat == pytest.approx(bias, abs=0.1)
 
-    def test_clamped_to_limit(self):
-        est = DisturbanceEstimator(kappa=1.0, limit=5.0)
-        b_d = np.array([1.0])
-        for _ in range(20):
-            est.update(np.array([10.0]), b_d, 1.0)
-        assert est.d_hat == 5.0
+    def test_clamped_to_limit(self, params, weights):
+        controller = OfflineMpc(params, weights, kappa=1.0)
+        controller.step(equilibrium(8.0, params).x_bar, 8.0)
+        # a projected innovation of 10 (then -20) moves d_hat past the clamp
+        assert self.step_off_prediction(controller, 10.0).d_hat == D_HAT_LIMIT
+        assert self.step_off_prediction(controller, -20.0).d_hat == -D_HAT_LIMIT
+        assert controller.d_hat == -D_HAT_LIMIT
+
+    @pytest.mark.parametrize("cls", [OfflineMpc, OnlineMpc])
+    def test_negative_gain_rejected(self, params, weights, cls):
+        for kappa in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="kappa"):
+                cls(params, weights, kappa=kappa)
 
 
 class TestOfflineMpc:

@@ -77,28 +77,30 @@ class TestEquilibrium:
 
 class TestContinuousModel:
     def test_actuator_diagonal_entries(self, params):
-        cm = continuous_model(equilibrium(8.0, params), params)
-        assert cm.a_c[4, 4] == pytest.approx(-10.0, rel=1e-12)
-        assert cm.a_c[3, 3] == pytest.approx(-50.0, rel=1e-12)
+        a_c = continuous_model(equilibrium(8.0, params), params)[0]
+        assert a_c[4, 4] == pytest.approx(-10.0, rel=1e-12)
+        assert a_c[3, 3] == pytest.approx(-50.0, rel=1e-12)
 
     def test_structure(self, params):
-        cm = continuous_model(equilibrium(8.0, params), params)
-        assert np.all(cm.b_cu[:3] == 0.0)
-        assert cm.b_cu[3, 0] == pytest.approx(1.0 / params.tau_g)
-        assert cm.b_cu[4, 1] == pytest.approx(1.0 / params.tau)
-        # wind enters through the rotor and shaft-torsion rows only
-        assert cm.b_cv[1, 0] == 0.0
-        assert cm.b_cv[3, 0] == 0.0
-        assert cm.b_cv[4, 0] == 0.0
         op = equilibrium(8.0, params)
-        assert cm.c_c[1, 1] == pytest.approx(params.eta * op.x_bar.t_g)
-        assert cm.c_c[1, 3] == pytest.approx(params.eta * op.x_bar.omega_g)
+        a_c, b_u, b_v, c = continuous_model(op, params)
+        assert (a_c.shape, b_u.shape, b_v.shape, c.shape) == (
+            (5, 5), (5, 2), (5, 1), (2, 5))
+        assert np.all(b_u[:3] == 0.0)
+        assert b_u[3, 0] == pytest.approx(1.0 / params.tau_g)
+        assert b_u[4, 1] == pytest.approx(1.0 / params.tau)
+        # wind enters through the rotor and shaft-torsion rows only
+        assert b_v[1, 0] == 0.0
+        assert b_v[3, 0] == 0.0
+        assert b_v[4, 0] == 0.0
+        assert c[1, 1] == pytest.approx(params.eta * op.x_bar.t_g)
+        assert c[1, 3] == pytest.approx(params.eta * op.x_bar.omega_g)
 
     def test_matches_fd_jacobian(self, params):
         op = equilibrium(8.0, params)
-        cm = continuous_model(op, params)
-        a_fd, b_u_fd, b_v_fd = fd_jacobian(op.x_bar, op.u_bar, 8.0, params)
-        for analytic, fd in ((cm.a_c, a_fd), (cm.b_cu, b_u_fd), (cm.b_cv, b_v_fd)):
+        for analytic, fd in zip(continuous_model(op, params)[:3],
+                                fd_jacobian(op.x_bar, op.u_bar, 8.0, params),
+                                strict=True):
             floor = 1e-12 * max(1.0, np.abs(analytic).max())
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
             assert (np.abs(analytic - fd) / denom).max() < JACOBIAN_REL_TOL
@@ -134,8 +136,8 @@ class TestMatrixExponential:
         # residual scales with the norms of the two factors; pipeline
         # matrices carry norms ~1e5, so the bound is normalized
         mats = [rng.normal(size=(4, 4)), np.diag([-0.5, -2.5])]
-        cm = continuous_model(equilibrium(8.0, params), params)
-        mats.append(cm.a_c * params.t_s)
+        a_c = continuous_model(equilibrium(8.0, params), params)[0]
+        mats.append(a_c * params.t_s)
         for m in mats:
             e = matrix_exponential(m)
             e_inv = matrix_exponential(-m)
@@ -155,55 +157,55 @@ class TestMatrixExponential:
             matrix_exponential(np.array([[2000.0]]))
 
 
+def linear_models(v_bar, params):
+    """(A_c, B_u, b_v) at the v_bar point and their ZOH (A_d, B_du, b_d)."""
+    a_c, b_u, b_v, _ = continuous_model(equilibrium(v_bar, params), params)
+    return (a_c, b_u, b_v), discretize(a_c, b_u, b_v, params.t_s)
+
+
 class TestDiscretize:
     def test_actuator_diagonals_closed_form(self, params):
-        dm = discretize(continuous_model(equilibrium(8.0, params), params),
-                        params.t_s)
-        assert abs(dm.a_d[4, 4] - math.exp(-0.5)) < 1e-9
-        assert abs(dm.a_d[3, 3] - math.exp(-2.5)) < 1e-9
+        a_d = linear_models(8.0, params)[1][0]
+        assert abs(a_d[4, 4] - math.exp(-0.5)) < 1e-9
+        assert abs(a_d[3, 3] - math.exp(-2.5)) < 1e-9
 
-    def test_zero_dynamics_reduce_to_euler(self, params):
-        from windmpc.linearize import ContinuousLinearModel
-        b_cu = np.arange(10.0).reshape(5, 2)
-        b_cv = np.ones((5, 1))
-        cm = ContinuousLinearModel(np.zeros((5, 5)), b_cu, b_cv, np.zeros((2, 5)))
-        dm = discretize(cm, 0.05)
-        assert np.allclose(dm.a_d, np.eye(5), atol=1e-15)
-        assert np.allclose(dm.b_du, 0.05 * b_cu, atol=1e-15)
-        assert np.allclose(dm.b_d, 0.05 * b_cv, atol=1e-15)
+    def test_zero_dynamics_reduce_to_euler(self):
+        b_u = np.arange(10.0).reshape(5, 2)
+        b_v = np.ones((5, 1))
+        a_d, b_du, b_d = discretize(np.zeros((5, 5)), b_u, b_v, 0.05)
+        assert np.allclose(a_d, np.eye(5), atol=1e-15)
+        assert np.allclose(b_du, 0.05 * b_u, atol=1e-15)
+        assert np.allclose(b_d, 0.05 * b_v, atol=1e-15)
 
     def test_against_scipy_zoh_oracle(self, params):
-        cm = continuous_model(equilibrium(7.5, params), params)
-        b = np.hstack([cm.b_cu, cm.b_cv])
+        (a_c, b_u, b_v), (a_d, b_du, b_d) = linear_models(7.5, params)
         aug = np.zeros((8, 8))
-        aug[:5, :5] = cm.a_c * params.t_s
-        aug[:5, 5:] = b * params.t_s
+        aug[:5, :5] = a_c * params.t_s
+        aug[:5, 5:] = np.hstack([b_u, b_v]) * params.t_s
         ref = scipy_expm(aug)
-        dm = discretize(cm, params.t_s)
-        assert (np.abs(dm.a_d - ref[:5, :5]).max()
+        assert (np.abs(a_d - ref[:5, :5]).max()
                 <= 1e-9 * max(1.0, np.abs(ref[:5, :5]).max()))
-        assert (np.abs(np.hstack([dm.b_du, dm.b_d]) - ref[:5, 5:]).max()
+        assert (np.abs(np.hstack([b_du, b_d]) - ref[:5, 5:]).max()
                 <= 1e-9 * max(1.0, np.abs(ref[:5, 5:]).max()))
 
     def test_integrated_linear_flow_matches(self, params, rng):
         # fine-substep RK4 integration of dx = A_c x over one sample agrees
         # with the exact discretization (a single RK4 step at T_s cannot:
         # the torsional mode puts |eig|*T_s near 4)
-        cm = continuous_model(equilibrium(8.0, params), params)
-        dm = discretize(cm, params.t_s)
+        (a_c, _, _), (a_d, _, _) = linear_models(8.0, params)
         dx = rng.normal(size=5) * np.array([0.1, 5.0, 500.0, 200.0, 1.0])
         h = params.t_s / 1000.0
         x = dx.copy()
         for _ in range(1000):
-            k1 = cm.a_c @ x
-            k2 = cm.a_c @ (x + 0.5 * h * k1)
-            k3 = cm.a_c @ (x + 0.5 * h * k2)
-            k4 = cm.a_c @ (x + h * k3)
+            k1 = a_c @ x
+            k2 = a_c @ (x + 0.5 * h * k1)
+            k3 = a_c @ (x + 0.5 * h * k2)
+            k4 = a_c @ (x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        exact = dm.a_d @ dx
+        exact = a_d @ dx
         assert np.abs(x - exact).max() <= 1e-8 * max(1.0, np.abs(exact).max())
 
     def test_rejects_nonpositive_sampling_time(self, params):
-        cm = continuous_model(equilibrium(8.0, params), params)
+        a_c, b_u, b_v, _ = continuous_model(equilibrium(8.0, params), params)
         with pytest.raises(DomainError):
-            discretize(cm, 0.0)
+            discretize(a_c, b_u, b_v, 0.0)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from windmpc import (ActiveSetSolver, MpcWeights, augment, condense_cost,
                      continuous_model, discretize, equilibrium, mpc_step,
                      prediction_matrices, unified_matrices)
-from windmpc.mpc import _constraint_rows, _layout
+from windmpc.mpc import _constraint_rows, _input_operators
 from windmpc.verify import explicit_cost, unrolled_bounds_ok
 
 from helpers import (ConstraintSet, condense_constraints_reference,
@@ -21,36 +21,40 @@ def condensed_rows(model, bounds, n_p, n_c):
     return qp.factor.g, qp.w, qp.s
 
 
+def discrete_arrays(v_bar, params):
+    """(A_d, B_du, b_d, C) at the v_bar point, as ``augment`` takes them."""
+    a_c, b_u, b_v, c = continuous_model(equilibrium(v_bar, params), params)
+    return (*discretize(a_c, b_u, b_v, params.t_s), c)
+
+
 @pytest.fixture(scope="module")
 def discrete_model():
     from windmpc import TurbineParams
     params = TurbineParams()
-    return params, discretize(continuous_model(equilibrium(8.0, params), params),
-                              params.t_s)
+    return params, discrete_arrays(8.0, params)
 
 
 @pytest.fixture(scope="module")
 def augmented(discrete_model):
     _, dm = discrete_model
-    return augment(dm)
+    return augment(*dm)
 
 
 class TestAugmentDisturbance:
     def test_block_dimensions(self, discrete_model):
         _, dm = discrete_model
-        a, b, c = augment(dm)
+        a, b, c = augment(*dm)
         assert a.shape == (8, 8)
         assert b.shape == (8, 2)
         assert c.shape == (2, 8)
         # the disturbance state is held and enters through b_d alone
         assert np.array_equal(a[5], np.eye(8)[5])
-        assert np.array_equal(a[:5, 5], dm.b_d.ravel())
+        assert np.array_equal(a[:5, 5], dm[2].ravel())
         assert not b[5].any() and not c[:, 5:].any()
 
     def test_zero_disturbance_column_decouples(self, discrete_model):
-        _, dm = discrete_model
-        from dataclasses import replace
-        a, _, _ = augment(replace(dm, b_d=np.zeros((5, 1))))
+        _, (a_d, b_du, _, c) = discrete_model
+        a, _, _ = augment(a_d, b_du, np.zeros((5, 1)), c)
         x = np.concatenate([np.zeros(5), [123.0], np.zeros(2)])
         for _ in range(4):
             x = a @ x
@@ -59,20 +63,20 @@ class TestAugmentDisturbance:
 
     def test_constant_disturbance_recursion(self, discrete_model, rng):
         _, dm = discrete_model
-        a, _, _ = augment(dm)
+        a_d, _, b_d, _ = dm
+        a, _, _ = augment(*dm)
         d0 = 0.7
         x = np.concatenate([np.zeros(5), [d0], np.zeros(2)])
         for k in range(1, 6):
             x = a @ x  # no moves
-            expected = sum(np.linalg.matrix_power(dm.a_d, i) @ dm.b_d.ravel()
+            expected = sum(np.linalg.matrix_power(a_d, i) @ b_d.ravel()
                            for i in range(k)) * d0
             assert np.allclose(x[:5], expected, rtol=1e-10, atol=1e-12)
 
 
 class TestAugmentVelocity:
     def test_integrator_holds_input(self, discrete_model):
-        _, dm = discrete_model
-        a, _, _ = augment(dm)
+        a, _, _ = augment(*discrete_model[1])
         x = np.zeros(8)
         x[6:] = [3.0, -1.0]
         for _ in range(5):
@@ -80,8 +84,8 @@ class TestAugmentVelocity:
         assert np.allclose(x[6:], [3.0, -1.0])
 
     def test_equivalent_to_accumulated_input_form(self, discrete_model, rng):
-        _, dm = discrete_model
-        a, b, c = augment(dm)
+        _, (a_d, b_du, b_d, c_p) = discrete_model
+        a, b, c = augment(a_d, b_du, b_d, c_p)
         x_p = rng.normal(size=6)
         u_prev = rng.normal(size=2)
         moves = rng.normal(size=(10, 2))
@@ -98,8 +102,8 @@ class TestAugmentVelocity:
         ys_direct = []
         for du in moves:
             u = u + du
-            x = dm.a_d @ x + dm.b_d.ravel() * d + dm.b_du @ u
-            ys_direct.append(dm.c_d @ x)
+            x = a_d @ x + b_d.ravel() * d + b_du @ u
+            ys_direct.append(c_p @ x)
         assert np.allclose(ys_velocity, ys_direct, rtol=1e-12, atol=1e-12)
 
 
@@ -109,7 +113,7 @@ class TestPredictionMatrices:
         phi, gamma = prediction_matrices(a, b, c, 1, 1)
         assert np.allclose(phi, c @ a)
         assert np.allclose(gamma, c @ b)
-        assert np.allclose(_layout(8, 2, 2, 1, 1).l2, np.eye(2))
+        assert np.allclose(_input_operators(8, 2, 1)[1], np.eye(2))
 
     def test_batch_matches_recursion(self, augmented, rng):
         n_p, n_c = 20, 5
@@ -133,10 +137,10 @@ class TestPredictionMatrices:
 
     def test_stacked_inputs_are_cumulative_sums(self, augmented, rng):
         n_p, n_c = 8, 4
-        lay = _layout(8, 2, 2, n_p, n_c)
+        l1, l2 = _input_operators(8, 2, n_c)
         x0 = rng.normal(size=8)
         du_seq = rng.normal(size=2 * n_c)
-        stacked = lay.l1 @ x0 + lay.l2 @ du_seq
+        stacked = l1 @ x0 + l2 @ du_seq
         u = x0[6:].copy()
         expected = []
         for j in range(n_c):
@@ -148,16 +152,15 @@ class TestPredictionMatrices:
     def test_equals_block_loop(self, discrete_model, weights):
         params = discrete_model[0]
         for v in (4.5, 6.4, 8.3, 10.0, 10.9):
-            model = augment(discretize(
-                continuous_model(equilibrium(v, params), params), params.t_s))
+            model = augment(*discrete_arrays(v, params))
             got = prediction_matrices(*model, weights.n_p, weights.n_c)
             want = prediction_matrices_reference(model, weights.n_p,
                                                  weights.n_c)
             for got_k, want_k in zip(got, want, strict=True):
                 assert np.array_equal(got_k, want_k)
-        lay = _layout(8, 2, 2, weights.n_p, weights.n_c)
-        for got, want in zip((lay.l1, lay.l2),
-                             input_operators_reference(8, 2, weights.n_c)):
+        for got, want in zip(_input_operators(8, 2, weights.n_c),
+                             input_operators_reference(8, 2, weights.n_c),
+                             strict=True):
             assert np.array_equal(got, want)
 
     def test_horizon_validation(self, augmented):
@@ -282,9 +285,10 @@ class TestCondenseConstraints:
 
 
 class TestCachedLayout:
-    """condense_cost and condense fill per-model blocks into cached
-    model-free templates; the tile/vstack forms in helpers.py are the
-    reference, and they must agree bit for bit."""
+    """condense fills per-model blocks into cached model-free row templates
+    and condense_cost multiplies by tiled weight diagonals; the tile/vstack
+    forms in helpers.py are the reference, and they must agree bit for
+    bit."""
 
     WINDS = (4.5, 6.4, 8.3, 10.0, 10.9)
     # every bound distinct, so a block gathered into the wrong place shows
@@ -318,8 +322,7 @@ class TestCachedLayout:
         unbounded = unbounded_constraints()
         for v_bar in self.WINDS:
             op = equilibrium(v_bar, params)
-            dm = discretize(continuous_model(op, params), params.t_s)
-            model = augment(dm)
+            model = augment(*discrete_arrays(v_bar, params))
             for w in weight_sets:
                 for bounds in (shift_constraints(op, params), unbounded,
                                self.SKEWED):
@@ -348,14 +351,12 @@ class TestCachedLayout:
 
     def test_cached_arrays_are_read_only(self, params, weights, augmented):
         phi, gamma = prediction_matrices(*augmented, weights.n_p, weights.n_c)
-        lay = _layout(8, 2, 2, weights.n_p, weights.n_c)
-        cm = continuous_model(equilibrium(8.0, params), params)
+        b_u = continuous_model(equilibrium(8.0, params), params)[1]
         bounds = shift_constraints(equilibrium(8.0, params), params)
         qp = condensed_qp(augmented, weights, bounds)
         rows = _constraint_rows(8, 2, 2, weights.n_p, weights.n_c, np.isfinite(
             bounds.stacked()).tobytes())
-        for cached in (lay.l1, lay.l2, *unified_matrices(params), cm.b_cu,
-                       *vars(rows).values()):
+        for cached in (*unified_matrices(params), b_u, *vars(rows).values()):
             with pytest.raises(ValueError):
                 cached[0, ...] = 1.0
         # what a call returns is the caller's own

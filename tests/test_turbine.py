@@ -314,6 +314,17 @@ class TestTurbineParams:
             with pytest.raises(ValueError, match=name):
                 TurbineParams(**{name: value})
 
+    @pytest.mark.parametrize("p_g_max", [None, math.inf])
+    def test_t_g_max_has_no_default_without_a_speed_bound(self, p_g_max):
+        # p_g_max / inf would be 0 (or NaN), a bound the user never set
+        with pytest.raises(ValueError, match="t_g_max has no default"):
+            TurbineParams(omega_g_max=math.inf, p_g_max=p_g_max)
+        assert TurbineParams(omega_g_max=math.inf, p_g_max=p_g_max,
+                             t_g_max=9000.0).t_g_max == 9000.0
+
+    def test_t_g_max_default_without_a_power_bound_is_inf(self):
+        assert TurbineParams(p_g_max=math.inf).t_g_max == math.inf
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in fields(TurbineParams)])
     def test_non_finite_value_rejected(self, name, value):
