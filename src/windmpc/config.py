@@ -15,8 +15,6 @@ from .wind import KINDS
 
 TURBINE_KEYS = {f.name for f in fields(TurbineParams)}
 WEIGHT_KEYS = {f.name for f in fields(MpcWeights)}
-INT_KEYS = {"n_p", "n_c", "seed"}
-STR_KEYS = {"wind_kind", "controller"}
 
 
 @dataclass
@@ -41,6 +39,9 @@ class ExperimentConfig:
 HARNESS_KEYS = {f.name for f in fields(ExperimentConfig)} - {"turbine", "weights"}
 FLOAT_KEYS = tuple(f.name for f in fields(ExperimentConfig)
                    if f.type in (float, float | None))
+_TYPED_FIELDS = (*fields(MpcWeights), *fields(ExperimentConfig))
+INT_KEYS = {f.name for f in _TYPED_FIELDS if f.type is int}
+STR_KEYS = {f.name for f in _TYPED_FIELDS if f.type is str}
 
 
 def read_kv_file(path) -> dict[str, str]:
@@ -78,9 +79,10 @@ def build_config(file_values: dict | None = None,
                  overrides: dict | None = None) -> ExperimentConfig:
     """Merge config-file values with CLI overrides into an ExperimentConfig.
 
-    Unknown keys, negative durations, gust deviations, hysteresis bands or
-    gains kappa, non-finite float harness keys and model points op_low or
-    op_high outside [4, 11] m/s are rejected; overrides win over file values.
+    Rejects unknown keys, negative durations, gust deviations, hysteresis
+    bands, gains kappa or seeds, non-finite float harness keys, model points
+    op_low or op_high outside [4, 11] m/s, and a bank without op_low <
+    op_high and v_switch in [op_low, op_high]. Overrides win over the file.
     """
     merged: dict = {}
     for source in (file_values or {}, overrides or {}):
@@ -103,7 +105,7 @@ def build_config(file_values: dict | None = None,
         raise ConfigError(f"unknown wind kind {harness_kwargs['wind_kind']!r}")
     if harness_kwargs.get("controller") not in (None, "online", "offline", "both"):
         raise ConfigError(f"unknown controller {harness_kwargs['controller']!r}")
-    for key in ("duration", "wind_std", "hysteresis", "kappa"):
+    for key in ("duration", "wind_std", "hysteresis", "kappa", "seed"):
         if not harness_kwargs.get(key, 0.0) >= 0.0:  # NaN fails too
             raise ConfigError(f"config key {key} must be nonnegative")
     for key in FLOAT_KEYS:
@@ -118,7 +120,12 @@ def build_config(file_values: dict | None = None,
         weights = MpcWeights(**weight_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(turbine=turbine, weights=weights, **harness_kwargs)
+    config = ExperimentConfig(turbine=turbine, weights=weights, **harness_kwargs)
+    if not (config.op_low < config.op_high
+            and config.op_low <= config.v_switch <= config.op_high):
+        raise ConfigError("config keys need op_low < op_high and v_switch in "
+                          "[op_low, op_high]")
+    return config
 
 
 def parse_wind_spec(spec: str):

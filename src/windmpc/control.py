@@ -277,6 +277,9 @@ class OfflineMpc(_MpcControllerBase):
                  kappa=0.1):
         if not hysteresis >= 0.0:
             raise ValueError("hysteresis must be nonnegative")
+        if not (op_low < op_high and op_low <= v_switch <= op_high):
+            raise ValueError("the bank needs op_low < op_high and v_switch in "
+                             "[op_low, op_high]")
         super().__init__(params, weights, kappa)
         self.bank = (build_model_set(op_low, params, self.weights),
                      build_model_set(op_high, params, self.weights))

@@ -29,7 +29,6 @@ class ConfigError(ValueError):
 class SimulationError(RuntimeError):
     """A closed-loop run aborted; carries the failing step index."""
 
-    def __init__(self, message, step=None, cause=None):
+    def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-        self.cause = cause

@@ -7,9 +7,9 @@ import numpy as np
 from .control import OfflineMpc, OnlineMpc
 from .errors import SimulationError
 from .linearize import equilibrium
-from .turbine import (PlantState, TurbineParams, generator_power,
-                      power_coefficient, step, tip_speed_ratio, wind_power)
-from .wind import WindProfile
+from .turbine import (PlantState, TurbineParams, aerodynamic_power,
+                      generator_power, max_power, step, tip_speed_ratio)
+from .wind import WindProfile, generate_wind
 
 LOG_FLOAT_FIELDS = ("t", "v", "omega_t", "omega_g", "t_tw", "t_g", "beta",
                     "t_g_ref", "beta_ref", "p_g", "p_t", "p_max", "omega_g_ref")
@@ -78,13 +78,12 @@ def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
             u, info = controller.step(state, v_k)
         except Exception as exc:
             raise SimulationError(f"controller failed at step {k}: {exc}",
-                                  step=k, cause=exc) from exc
-        p_w = wind_power(v_k, params)  # captured P_w Cp, ideal P_w cp_opt
+                                  step=k) from exc
         lam = tip_speed_ratio(state.omega_t, v_k, params)
         sample = (t_k, v_k, *state, *u,  # in the order of LOG_FLOAT_FIELDS
                   generator_power(state.t_g, state.omega_g, params),
-                  p_w * power_coefficient(lam, state.beta),
-                  p_w * params.cp_opt, info.omega_g_ref)
+                  aerodynamic_power(v_k, lam, state.beta, params),
+                  max_power(v_k, params), info.omega_g_ref)
         for name, value in zip(LOG_FLOAT_FIELDS, sample):
             rows[name][k] = value
         mode.append(info.mode)
@@ -95,7 +94,7 @@ def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
             state = step(state, u, v_k, params.t_s, params)
         except Exception as exc:
             raise SimulationError(f"plant failed at step {k}: {exc}",
-                                  step=k, cause=exc) from exc
+                                  step=k) from exc
     return SimLog(**rows, mode=mode, qp_iters=qp_iters, qp_status=qp_status,
                   step_time=step_time)
 
@@ -170,8 +169,6 @@ def run_experiment(config) -> dict[str, tuple[SimLog, Metrics]]:
     When comparing, both controllers consume the identical profile and
     initial state. Returns {controller_name: (log, metrics)}.
     """
-    from .wind import generate_wind
-
     params = config.turbine
     profile = generate_wind(config.wind_kind, config.seed, config.duration,
                             params, level=config.wind_level, std=config.wind_std)

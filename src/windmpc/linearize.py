@@ -24,15 +24,12 @@ from .turbine import (V_PARTIAL_MIN, V_RATED, ControlInput, PlantState,
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Maximum-power equilibrium at mean wind v_bar plus torque gradients."""
+    """Maximum-power equilibrium at mean wind v_bar; its torque gradients
+    are computed where they are read, in :func:`continuous_model`."""
 
     v_bar: float
     x_bar: PlantState
     u_bar: ControlInput
-    t_t_bar: float   # aerodynamic torque at the point, N*m
-    l_omega: float   # dT_t/d omega_t, N*m/(rad/s)
-    l_v: float       # dT_t/dv, N*m/(m/s)
-    l_beta: float    # dT_t/d beta, N*m/deg
 
 
 def torque_gradients(omega_t_bar, v_bar, beta_bar, params: TurbineParams):
@@ -47,8 +44,6 @@ def torque_gradients(omega_t_bar, v_bar, beta_bar, params: TurbineParams):
 
     where Cp_lambda and Cp_beta are the Cp surface's partials.
     """
-    if not (omega_t_bar > 0.0 and v_bar > 0.0):
-        raise DomainError("operating point requires positive rotor and wind speeds")
     lam = tip_speed_ratio(omega_t_bar, v_bar, params)
     cp, cp_lam, cp_beta = power_coefficient_partials(lam, beta_bar)
     p_w = wind_power(v_bar, params)
@@ -78,8 +73,7 @@ def equilibrium(v_bar, params: TurbineParams) -> OperatingPoint:
     if any(abs(r) > 1e-6 * max(1.0, abs(x))
            for r, x in zip(derivatives(x_bar, u_bar, v_bar, params), x_bar)):
         raise DomainError("equilibrium residual check failed")
-    l_omega, l_v, l_beta = torque_gradients(omega_t, v_bar, beta, params)
-    return OperatingPoint(v_bar, x_bar, u_bar, t_t, l_omega, l_v, l_beta)
+    return OperatingPoint(v_bar, x_bar, u_bar)
 
 
 def continuous_model(op: OperatingPoint, params: TurbineParams):
@@ -87,23 +81,26 @@ def continuous_model(op: OperatingPoint, params: TurbineParams):
     point: b_v is the wind column, C gives the outputs [d omega_g, d P_g].
 
     The plant's affine form dx = A x + B u + b2 T_t with the aerodynamic
-    torque linearized as T_t ~ L_omega omega_t + L_v v + L_beta beta.
+    torque linearized as T_t ~ L_omega omega_t + L_v v + L_beta beta, its
+    :func:`torque_gradients` at the point.
     """
     a, b, b2 = unified_matrices(params)
-    a_c = a + np.outer(b2, [op.l_omega, 0.0, 0.0, 0.0, op.l_beta])
+    l_omega, l_v, l_beta = torque_gradients(op.x_bar.omega_t, op.v_bar,
+                                            op.x_bar.beta, params)
+    a_c = a + np.outer(b2, [l_omega, 0.0, 0.0, 0.0, l_beta])
     c = np.array([
         [0.0, 1.0, 0.0, 0.0, 0.0],
         [0.0, params.eta * op.x_bar.t_g, 0.0, params.eta * op.x_bar.omega_g, 0.0],
     ])
-    return a_c, b, (b2 * op.l_v)[:, None], c
+    return a_c, b, (b2 * l_v)[:, None], c
 
 
 def matrix_exponential(m) -> np.ndarray:
     """e^M by scaling-and-squaring with a truncated Taylor series.
 
     Scales by 2^k so the scaled infinity-norm is at most 0.5, sums Taylor
-    terms until the next term drops below 1e-16 in norm, then squares k
-    times.
+    terms until the next term drops below 1e-16 in norm (at most 65 terms),
+    then squares k times.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -116,13 +113,11 @@ def matrix_exponential(m) -> np.ndarray:
     a = m / 2.0**k
     result = np.eye(n)
     term = np.eye(n)
-    j = 1
-    while True:
+    for j in range(1, 66):
         term = term @ a / j
         result = result + term
-        if np.abs(term).sum(axis=1).max() < 1e-16 or j > 64:
+        if np.abs(term).sum(axis=1).max() < 1e-16:
             break
-        j += 1
     for _ in range(k):
         result = result @ result
     if not np.all(np.isfinite(result)):

@@ -54,14 +54,14 @@ def _thin(x, y):
     return x[::stride], y[::stride]
 
 
-def svg_line_plot(series, title, y_label, path=None, x_label="time [s]",
-                  width=900, height=360) -> str:
-    """Minimal self-contained SVG line plot.
+def svg_line_plot(series, title, y_label, path=None) -> str:
+    """Minimal self-contained SVG line plot over time, 900 x 360 px.
 
     ``series`` is a list of (label, x, y) triples; each series gets a
     polyline and a legend entry. Returns the SVG text and writes it to
     ``path`` when given.
     """
+    width, height = 900, 360
     margin_l, margin_r, margin_t, margin_b = 70, 20, 34, 44
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -125,7 +125,7 @@ def svg_line_plot(series, title, y_label, path=None, x_label="time [s]",
                      f'font-size="12">{label}</text>')
     parts.append(f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 8}" '
                  f'text-anchor="middle" font-family="sans-serif" '
-                 f'font-size="12">{x_label}</text>')
+                 'font-size="12">time [s]</text>')
     parts.append(f'<text x="16" y="{margin_t + plot_h / 2:.1f}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="12" '
                  f'transform="rotate(-90 16 {margin_t + plot_h / 2:.1f})">'

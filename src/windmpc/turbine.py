@@ -3,7 +3,9 @@
 Rotor aerodynamics with the standard empirical Cp surface, a two-mass
 geared drive train carrying torsional torque, and first-order pitch and
 generator-converter actuators. Pitch angles are degrees throughout; shaft
-speeds are rad/s.
+speeds are rad/s. The plant ODE is written once, as the rate function of
+``_rates``: ``derivatives`` evaluates it at one state and ``step``
+integrates it.
 """
 
 import math
@@ -117,13 +119,10 @@ CP_C1, CP_C2, CP_C3, CP_C4, CP_C5, CP_C6, CP_C7, CP_C8 = (
     0.5176, 116.0, 0.4, 5.0, 21.0, 0.0068, 0.08, 0.035)
 
 
-def _cp_surface(lam: float, beta: float):
-    """The unclamped surface at one point and the factors its partials reuse.
-
-    Returns (Cp, e, g, d, c) with e = exp(-C5 / lambda_i), g the bracket
-    C2 / lambda_i - C3 beta - C4, d = lambda + C7 beta and c = beta^3 + 1.
-    Floats only; beta = -1 deg is a pole (c = 0).
-    """
+def _cp_surface(lam: float, beta: float, partials: bool = False):
+    """Unclamped Cp at one point or, with ``partials``, (Cp, dCp/dlambda,
+    dCp/dbeta), all zero where Cp <= 0; ``_rates`` inlines the surface in
+    this operation order. Floats only; beta = -1 deg is a pole."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError("tip-speed ratio must be finite and positive")
     d = lam + CP_C7 * beta
@@ -131,7 +130,16 @@ def _cp_surface(lam: float, beta: float):
     inv_li = 1.0 / d - CP_C8 / c
     g = CP_C2 * inv_li - CP_C3 * beta - CP_C4
     e = math.exp(-CP_C5 * inv_li)
-    return CP_C1 * g * e + CP_C6 * lam, e, g, d, c
+    cp = CP_C1 * g * e + CP_C6 * lam
+    if not partials:
+        return cp
+    if cp <= 0.0:
+        return 0.0, 0.0, 0.0
+    d_cp_d_inv_li = CP_C1 * e * (CP_C2 - CP_C5 * g)
+    d_inv_li_d_lam = -1.0 / d**2
+    d_inv_li_d_beta = CP_C7 * d_inv_li_d_lam + 3.0 * CP_C8 * beta**2 / c**2
+    return (cp, d_cp_d_inv_li * d_inv_li_d_lam + CP_C6,
+            d_cp_d_inv_li * d_inv_li_d_beta - CP_C1 * CP_C3 * e)
 
 
 def power_coefficient(lam: float, beta: float) -> float:
@@ -141,24 +149,13 @@ def power_coefficient(lam: float, beta: float) -> float:
     values are clamped to zero (the rotor never extracts negative power).
     Takes scalars; sweeps loop over points.
     """
-    return max(_cp_surface(lam, beta)[0], 0.0)
+    return max(_cp_surface(lam, beta), 0.0)
 
 
 def power_coefficient_partials(lam: float, beta: float):
-    """(Cp, dCp/dlambda, dCp/dbeta) at one point, dCp/dbeta per degree.
-
-    Closed-form partials of the surface of :func:`power_coefficient`;
-    where its zero clamp is active all three are zero.
-    """
-    cp, e, g, d, c = _cp_surface(lam, beta)
-    if cp <= 0.0:
-        return 0.0, 0.0, 0.0
-    d_cp_d_inv_li = CP_C1 * e * (CP_C2 - CP_C5 * g)
-    d_inv_li_d_lam = -1.0 / d**2
-    d_inv_li_d_beta = CP_C7 * d_inv_li_d_lam + 3.0 * CP_C8 * beta**2 / c**2
-    return (cp,
-            d_cp_d_inv_li * d_inv_li_d_lam + CP_C6,
-            d_cp_d_inv_li * d_inv_li_d_beta - CP_C1 * CP_C3 * e)
+    """(Cp, dCp/dlambda, dCp/dbeta) at one point, dCp/dbeta per degree;
+    all three are zero where the clamp of :func:`power_coefficient` acts."""
+    return _cp_surface(lam, beta, partials=True)
 
 
 def tip_speed_ratio(omega_t, v, params: TurbineParams):
@@ -198,20 +195,43 @@ def generator_power(t_g, omega_g, params: TurbineParams):
     return t_g * omega_g * params.eta
 
 
-def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
-    """Time derivatives of the five plant states, as a 5-tuple of floats."""
+def _rates(u, v, params: TurbineParams):
+    """The plant ODE at inputs u and wind v: a float function of the five
+    states that returns their time derivatives. Its rotor torque inlines
+    :func:`aerodynamic_torque` in its operation order, checks included."""
     if v <= 0.0:
         raise DomainError("wind speed must be positive")
-    omega_t, omega_g, t_tw, t_g, beta = map(float, state)
-    t_t = aerodynamic_torque(omega_t, v, beta, params)
-    d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
-    d_omega_g = (t_tw - t_g) / params.j_g
-    # the twist rate chains the two accelerations, so it comes after them
-    d_t_tw = (params.k_s * (params.n_g * omega_t - omega_g)
-              + params.b_s * (params.n_g * d_omega_t - d_omega_g))
-    d_t_g = (u[0] - t_g) / params.tau_g
-    d_beta = (u[1] - beta) / params.tau
-    return d_omega_t, d_omega_g, d_t_tw, d_t_g, d_beta
+    v = float(v)
+    p_w = wind_power(v, params)
+    u_t, u_b = map(float, u)
+    radius, n_g, j_t, j_g, k_s, b_s, tau_g, tau = (
+        params.radius, params.n_g, params.j_t, params.j_g, params.k_s,
+        params.b_s, params.tau_g, params.tau)
+
+    def rates(omega_t, omega_g, t_tw, t_g, beta):
+        if omega_t <= 0.0:
+            raise DomainError("rotor speed must be positive to evaluate torque")
+        lam = omega_t * radius / v
+        if not (math.isfinite(lam) and lam > 0.0):
+            raise DomainError("tip-speed ratio must be finite and positive")
+        inv_li = 1.0 / (lam + CP_C7 * beta) - CP_C8 / (beta**3 + 1.0)
+        cp = (CP_C1 * (CP_C2 * inv_li - CP_C3 * beta - CP_C4)
+              * math.exp(-CP_C5 * inv_li) + CP_C6 * lam)
+        t_t = p_w * (0.0 if cp < 0.0 else cp) / omega_t
+        d_omega_t = (t_t - n_g * t_tw) / j_t
+        d_omega_g = (t_tw - t_g) / j_g
+        # the twist rate chains the two accelerations, so it comes after them
+        d_t_tw = (k_s * (n_g * omega_t - omega_g)
+                  + b_s * (n_g * d_omega_t - d_omega_g))
+        return (d_omega_t, d_omega_g, d_t_tw, (u_t - t_g) / tau_g,
+                (u_b - beta) / tau)
+
+    return rates
+
+
+def derivatives(state, u, v, params: TurbineParams) -> tuple[float, ...]:
+    """Time derivatives of the five plant states: :func:`step`'s rates."""
+    return _rates(u, v, params)(*map(float, state))
 
 
 @lru_cache(maxsize=8)
@@ -242,48 +262,28 @@ def unified_matrices(params: TurbineParams):
 
 def step(state, u, v, dt, params: TurbineParams, substeps: int = 10) -> PlantState:
     """Advance the plant by dt at constant wind speed v with classical RK4 at
-    step dt/substeps, then clamp pitch and generator torque to their actuator
-    ranges. :func:`derivatives` and the Cp surface are inlined on local floats
-    in their operation order, so this is bit for bit the vector RK4."""
+    step h = dt/substeps, then clamp pitch and generator torque to their
+    actuator ranges. Each substep evaluates the rates of :func:`derivatives`
+    at four stages, a, b, c and d, and adds h/6 (a + 2 b + 2 c + d)."""
     if not (dt > 0.0 and v > 0.0):
         raise DomainError("dt and wind speed must be positive")
-    v = float(v)
-    p_w = wind_power(v, params)
-    u_t, u_b = map(float, u)
-    radius, n_g, j_t, j_g, k_s, b_s, tau_g, tau = (
-        params.radius, params.n_g, params.j_t, params.j_g, params.k_s,
-        params.b_s, params.tau_g, params.tau)
-    x1, x2, x3, x4, x5 = y1, y2, y3, y4, y5 = tuple(map(float, state))
+    rates = _rates(u, v, params)
+    x1, x2, x3, x4, x5 = map(float, state)
     h = dt / substeps
-    h6, stage_h = h / 6.0, (0.5 * h, 0.5 * h, h)  # stage j + 1 at x + stage_h[j] k_j
-    for i in range(4 * substeps):
-        if y1 <= 0.0:
-            raise DomainError("rotor speed must be positive to evaluate torque")
-        lam = y1 * radius / v
-        if not (math.isfinite(lam) and lam > 0.0):
-            raise DomainError("tip-speed ratio must be finite and positive")
-        inv_li = 1.0 / (lam + CP_C7 * y5) - CP_C8 / (y5**3 + 1.0)
-        cp = (CP_C1 * (CP_C2 * inv_li - CP_C3 * y5 - CP_C4)
-              * math.exp(-CP_C5 * inv_li) + CP_C6 * lam)
-        k1 = (p_w * (0.0 if cp < 0.0 else cp) / y1 - n_g * y3) / j_t
-        k2 = (y3 - y4) / j_g
-        k3 = k_s * (n_g * y1 - y2) + b_s * (n_g * k1 - k2)
-        k4 = (u_t - y4) / tau_g
-        k5 = (u_b - y5) / tau
-        j = i & 3  # stage j of a substep: k_j, summed as k_0 + 2 k_1 + 2 k_2 + k_3
-        if j == 0:
-            s1, s2, s3, s4, s5 = k1, k2, k3, k4, k5
-        elif j < 3:
-            s1, s2, s3, s4, s5 = (s1 + 2.0 * k1, s2 + 2.0 * k2, s3 + 2.0 * k3,
-                                  s4 + 2.0 * k4, s5 + 2.0 * k5)
-        else:
-            x1, x2, x3, x4, x5 = y1, y2, y3, y4, y5 = (
-                x1 + h6 * (s1 + k1), x2 + h6 * (s2 + k2), x3 + h6 * (s3 + k3),
-                x4 + h6 * (s4 + k4), x5 + h6 * (s5 + k5))
-            continue
-        c = stage_h[j]
-        y1, y2, y3, y4, y5 = (x1 + c * k1, x2 + c * k2, x3 + c * k3,
-                              x4 + c * k4, x5 + c * k5)
+    h2, h6 = 0.5 * h, h / 6.0
+    for _ in range(substeps):
+        a1, a2, a3, a4, a5 = rates(x1, x2, x3, x4, x5)
+        b1, b2, b3, b4, b5 = rates(x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3,
+                                   x4 + h2 * a4, x5 + h2 * a5)
+        c1, c2, c3, c4, c5 = rates(x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3,
+                                   x4 + h2 * b4, x5 + h2 * b5)
+        d1, d2, d3, d4, d5 = rates(x1 + h * c1, x2 + h * c2, x3 + h * c3,
+                                   x4 + h * c4, x5 + h * c5)
+        x1 += h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        x2 += h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        x3 += h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+        x4 += h6 * (a4 + 2.0 * b4 + 2.0 * c4 + d4)
+        x5 += h6 * (a5 + 2.0 * b5 + 2.0 * c5 + d5)
     if not all(map(math.isfinite, (x1, x2, x3, x4, x5))):
         raise IntegrationError("non-finite state after integration step")
     return PlantState(x1, x2, x3, min(max(x4, 0.0), params.t_g_max),

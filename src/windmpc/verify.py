@@ -43,7 +43,7 @@ JACOBIAN_SWEEP_BUDGET_S = 10.0
 QP_BENCH_BUDGET_S = 5.0
 
 
-def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams, rel_step=1e-6):
+def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams):
     """Finite-difference Jacobian of the plant ODEs at (x, u, v).
 
     Independent verification route for the analytic model: central
@@ -54,7 +54,7 @@ def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams, rel_step=1e-6):
                          np.asarray(u_bar, dtype=float), [v_bar]])
     jac = np.zeros((5, 8))
     for i in range(8):
-        h = rel_step * max(1.0, abs(z0[i]))
+        h = 1e-6 * max(1.0, abs(z0[i]))  # relative central-difference step
         zp, zm = z0.copy(), z0.copy()
         zp[i] += h
         zm[i] -= h
@@ -64,7 +64,7 @@ def fd_jacobian(x_bar, u_bar, v_bar, params: TurbineParams, rel_step=1e-6):
     return jac[:, :5], jac[:, 5:7], jac[:, 7:]
 
 
-def verify_linearization(v_bar, params: TurbineParams, rel_step=1e-6) -> float:
+def verify_linearization(v_bar, params: TurbineParams) -> float:
     """Worst entrywise relative mismatch between the analytic linear model
     and the finite-difference Jacobian at the v_bar operating point.
 
@@ -72,7 +72,7 @@ def verify_linearization(v_bar, params: TurbineParams, rel_step=1e-6) -> float:
     structurally zero entries compare cleanly.
     """
     op = equilibrium(v_bar, params)
-    fd_route = fd_jacobian(op.x_bar, op.u_bar, v_bar, params, rel_step)
+    fd_route = fd_jacobian(op.x_bar, op.u_bar, v_bar, params)
     worst = 0.0
     for analytic, fd in zip(continuous_model(op, params)[:3], fd_route):
         floor = 1e-12 * max(1.0, float(np.abs(analytic).max()))
@@ -121,7 +121,7 @@ def unrolled_bounds_ok(model, bounds, x_a, du_seq, n_p, n_c) -> bool:
                for j, du, u, y in _rollout(model, x_a, du_seq, n_p, n_c))
 
 
-def enumerate_qp(h, f, g=None, b=None) -> np.ndarray:
+def enumerate_qp(h, f, g, b) -> np.ndarray:
     """Reference QP solve by exhaustive enumeration of candidate active sets.
 
     Solves the equality-constrained subproblem for every subset of up to n
@@ -133,8 +133,6 @@ def enumerate_qp(h, f, g=None, b=None) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     f = np.asarray(f, dtype=float).ravel()
     n = h.shape[0]
-    if g is None or np.size(g) == 0:
-        return np.linalg.solve(h, -f)
     g = np.atleast_2d(np.asarray(g, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
     m = g.shape[0]
@@ -164,15 +162,15 @@ def enumerate_qp(h, f, g=None, b=None) -> np.ndarray:
     return best_x
 
 
-def random_qp_instance(rng, n_max=4, m_max=6):
+def random_qp_instance(rng):
     """Seeded random strictly convex QP, feasible by construction.
 
     The bound vector is built from a random interior point with
     nonnegative slacks, a third of which are shrunk to near-active so
     interesting active sets occur.
     """
-    n = int(rng.integers(1, n_max + 1))
-    m = int(rng.integers(1, m_max + 1))
+    n = int(rng.integers(1, 5))  # 1 to 4 variables
+    m = int(rng.integers(1, 7))  # 1 to 6 rows
     root = rng.normal(size=(n, n))
     h = root.T @ root + (0.1 + rng.random()) * np.eye(n)
     f = rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 1.0)

@@ -5,10 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
-from windmpc import (ActiveSetSolver, InfeasibleQpError, IntegrationError,
-                     OnlineMpc, PlantState, QpIterationError, SimLog,
-                     build_model_set, condense, condense_cost, derivatives,
-                     generator_power, output, prediction_matrices)
+from windmpc import (ActiveSetSolver, DomainError, InfeasibleQpError,
+                     IntegrationError, OnlineMpc, PlantState, QpIterationError,
+                     SimLog, aerodynamic_torque, build_model_set, condense,
+                     condense_cost, generator_power, output,
+                     prediction_matrices)
 from windmpc.control import _bounds_about
 from windmpc.experiment import LOG_FLOAT_FIELDS
 from windmpc.qp import DEP_TOL, MAX_ITER_FACTOR, cholesky_root
@@ -154,11 +155,29 @@ class ReferenceSolver(ActiveSetSolver):
         return x, ws, lam, iterations
 
 
+def derivatives_reference(state, u, v, params):
+    """The plant ODE through ``aerodynamic_torque``, one relation per
+    line: the oracle of ``turbine.derivatives``."""
+    if v <= 0.0:
+        raise DomainError("wind speed must be positive")
+    omega_t, omega_g, t_tw, t_g, beta = map(float, state)
+    t_t = aerodynamic_torque(omega_t, v, beta, params)
+    d_omega_t = (t_t - params.n_g * t_tw) / params.j_t
+    d_omega_g = (t_tw - t_g) / params.j_g
+    # the twist rate chains the two accelerations, so it comes after them
+    d_t_tw = (params.k_s * (params.n_g * omega_t - omega_g)
+              + params.b_s * (params.n_g * d_omega_t - d_omega_g))
+    d_t_g = (u[0] - t_g) / params.tau_g
+    d_beta = (u[1] - beta) / params.tau
+    return d_omega_t, d_omega_g, d_t_tw, d_t_g, d_beta
+
+
 def rk4_step_reference(state, u, v, dt, params, substeps=10):
     """The plant step on numpy 5-vectors: classical RK4 as one vector
-    formula per stage, the finiteness check, then the actuator clamps."""
+    formula per stage on ``derivatives_reference``, the finiteness check,
+    then the actuator clamps."""
     def rate(x):
-        return np.array(derivatives(x, u, v, params))
+        return np.array(derivatives_reference(x, u, v, params))
 
     x = np.asarray(state, dtype=float)
     h = dt / substeps

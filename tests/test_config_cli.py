@@ -1,7 +1,8 @@
 import pytest
 
 from windmpc.cli import main
-from windmpc.config import build_config, parse_wind_spec, read_kv_file
+from windmpc.config import (INT_KEYS, STR_KEYS, build_config,
+                            parse_wind_spec, read_kv_file)
 from windmpc.errors import ConfigError
 
 
@@ -36,6 +37,10 @@ class TestConfigFile:
         assert config.seed == 3
         assert config.controller == "offline"
 
+    def test_typed_key_sets_follow_the_field_types(self):
+        assert INT_KEYS == {"n_p", "n_c", "seed"}
+        assert STR_KEYS == {"wind_kind", "controller"}
+
     def test_overrides_win(self):
         config = build_config({"duration": "10"}, {"duration": 99.0})
         assert config.duration == 99.0
@@ -59,8 +64,10 @@ class TestConfigFile:
     @pytest.mark.parametrize("key,value,message", [
         ("op_low", "3.99", "op_low must lie in"),
         ("op_high", "11.01", "op_high must lie in"),
-        ("kappa", "-0.01", "kappa must be nonnegative")],
-        ids=["op_low", "op_high", "kappa"])
+        ("kappa", "-0.01", "kappa must be nonnegative"),
+        ("seed", "-1", "seed must be nonnegative"),
+        ("v_switch", "10.5", "op_low < op_high and v_switch in")],
+        ids=["op_low", "op_high", "kappa", "seed", "v_switch"])
     def test_harness_value_outside_its_range_rejected(self, key, value,
                                                       message):
         with pytest.raises(ConfigError, match=message):
@@ -151,10 +158,14 @@ class TestCli:
         ([], "op_low = 3\n"),
         ([], "op_high = 12\n"),
         ([], "kappa = -1\n"),
+        (["--seed", "-1"], None),
+        ([], "seed = -1\n"),
+        ([], "v_switch = 50\nop_low = 10\nop_high = 6.4\n"),
     ], ids=["wind_std", "duration", "duration_nan", "duration_inf",
             "hysteresis", "wind_level_nan", "wind_level_inf", "kappa_nan",
             "v_switch_inf", "op_low_inf", "op_high_nan", "op_low_below_4",
-            "op_high_above_11", "kappa_negative"])
+            "op_high_above_11", "kappa_negative", "seed_negative",
+            "seed_negative_in_file", "bank_layout"])
     def test_bad_harness_value_exit_code(self, tmp_path, capsys, args, config):
         if config is not None:
             cfg = tmp_path / "bad.cfg"

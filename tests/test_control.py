@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import windmpc.control as control_mod
+import windmpc.linearize as linearize_mod
 from windmpc import (DomainError, MpcWeights, OfflineMpc, OnlineMpc,
-                     PlantState, TurbineParams, build_model_set, equilibrium,
+                     PlantState, TurbineParams, aerodynamic_torque,
+                     build_model_set, equilibrium,
                      generate_wind, generator_power, reference,
                      run_closed_loop, step)
 from windmpc.control import (D_HAT_LIMIT, EXPANSION_REL_TOL, FACTOR_TOL,
@@ -57,7 +59,8 @@ class TestShiftConstraints:
     def test_torque_lower_bound_is_minus_equilibrium_torque(self, params):
         op = equilibrium(10.0, params)
         cs = shift_constraints(op, params)
-        assert cs.u_min[0] == pytest.approx(-op.t_t_bar / params.n_g, rel=1e-12)
+        t_t = aerodynamic_torque(op.x_bar.omega_t, 10.0, op.x_bar.beta, params)
+        assert cs.u_min[0] == pytest.approx(-t_t / params.n_g, rel=1e-12)
 
 
 class TestDisturbanceEstimator:
@@ -151,6 +154,19 @@ class TestOfflineMpc:
     def test_negative_hysteresis_rejected(self, params, weights):
         with pytest.raises(ValueError, match="hysteresis"):
             OfflineMpc(params, weights, hysteresis=-0.2)
+
+    @pytest.mark.parametrize("layout", [
+        dict(op_low=10.0, op_high=6.4),
+        dict(op_low=8.0, op_high=8.0, v_switch=8.0),
+        dict(v_switch=50.0),
+        dict(v_switch=6.3),
+        dict(v_switch=float("nan"))],
+        ids=["reversed", "one_point", "switch_above", "switch_below",
+             "switch_nan"])
+    def test_bank_layout_rejected(self, params, weights, layout):
+        # before any model is built
+        with pytest.raises(ValueError, match="op_low < op_high and v_switch"):
+            OfflineMpc(params, weights, **layout)
 
     def test_converges_to_zero_pitch_at_own_operating_point(self, params, weights):
         controller = OfflineMpc(params, weights)
@@ -457,3 +473,28 @@ class TestTracedView:
             assert info.qp_status == "optimal"
             state = step(state, u, 8.0 + 0.05 * k, params.t_s, params)
         assert len(calls) == built + 20 * per_step
+
+
+class TestTorqueGradientCalls:
+    """Only a model build reads the torque gradients: an online sample
+    evaluates its expansion and needs none, the bank needs one per model."""
+
+    def test_online_samples_read_none_and_the_bank_two(self, params, weights,
+                                                        monkeypatch):
+        online = OnlineMpc(params, weights)  # builds its expansion unpatched
+        calls = []
+        gradients = linearize_mod.torque_gradients
+
+        def counting(*args):
+            calls.append(args)
+            return gradients(*args)
+
+        monkeypatch.setattr(linearize_mod, "torque_gradients", counting)
+        state = equilibrium(8.0, params).x_bar
+        for k in range(50):
+            u, info = online.step(state, 8.0 + 0.02 * k)
+            assert info.qp_status == "optimal"
+            state = step(state, u, 8.0 + 0.02 * k, params.t_s, params)
+        assert len(calls) == 0
+        OfflineMpc(params, weights)
+        assert len(calls) == 2

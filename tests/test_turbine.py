@@ -13,7 +13,7 @@ from windmpc import (ControlInput, DomainError, PlantState, TurbineParams,
                      tip_speed_ratio, unified_matrices)
 from windmpc.turbine import power_coefficient_partials
 
-from helpers import rk4_step_reference
+from helpers import derivatives_reference, rk4_step_reference
 
 # frozen by direct scalar evaluation of the Cp closed form (independent script)
 CP_AT_7_0 = 0.4512823932402688
@@ -223,18 +223,23 @@ class TestStep:
     @example(1.2, 75.0, 2e3, 10.0, 0.2, -2e3, -1.5, 6.0)
     def test_equals_vector_rk4_on_every_branch(self, omega_t, omega_g, t_tw,
                                                t_g, beta, t_g_ref, beta_ref, v):
-        # bit for bit, or the same error from both routes
+        # the step and the rates at the drawn state: bit for bit, or the
+        # same error from both routes
         params = TurbineParams()
         state = PlantState(omega_t, omega_g, t_tw, t_g, beta)
         u = ControlInput(t_g_ref, beta_ref)
-        try:
-            expected = rk4_step_reference(state, u, v, params.t_s, params)
-        except Exception as exc:
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                step(state, u, v, params.t_s, params)
-        else:
-            got = step(state, u, v, params.t_s, params)
-            assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        for route, reference, args in (
+                (step, rk4_step_reference, (state, u, v, params.t_s, params)),
+                (derivatives, derivatives_reference, (state, u, v, params))):
+            try:
+                expected = reference(*args)
+            except Exception as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    route(*args)
+            else:
+                got = route(*args)
+                assert (list(map(float.hex, got))
+                        == list(map(float.hex, expected)))
 
     def test_rotor_speed_driven_nonpositive_raises(self, params):
         # a torsional torque far above the aerodynamic torque reverses the
