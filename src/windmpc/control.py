@@ -4,9 +4,9 @@ One controller step serves two model sources, which differ only in where
 the prediction model for the measured wind comes from: a switched bank of
 two fixed linearizations (``OfflineMpc``), or a model at the measured wind
 every sample (``OnlineMpc``), evaluated from a Chebyshev expansion in wind
-speed of the linearized model's cost, prediction blocks and QP factor's
-root, certified on every sample. Both sources build their QP through
-``condense``, the bank at construction and the online model every sample.
+speed of the linearized model's cost and prediction blocks. Both sources
+build their QP and its factor through ``condense``, the bank at
+construction and the online model every sample.
 The step runs on full state feedback, shifts measurements into deviation
 coordinates of the model's operating point, and tracks the
 optimal-tip-speed-ratio generator speed reference. Its disturbance estimate
@@ -25,14 +25,12 @@ from .linearize import OperatingPoint, continuous_model, discretize, \
     equilibrium
 from .mpc import CondensedQp, MpcWeights, StepInfo, augment, condense, \
     condense_cost, mpc_step, prediction_matrices
-from .qp import ActiveSetSolver, cholesky_root
+from .qp import ActiveSetSolver
 from .turbine import V_PARTIAL_MIN, V_RATED, ControlInput, TurbineParams, \
     generator_power, max_power
 
 EXPANSION_DEGREE = 12     # Chebyshev degree in v: q2 > 0 needs 12, q2 = 0 only 8
 EXPANSION_REL_TOL = 1e-8  # expansion tail and error, of each array's maximum
-FACTOR_TOL = 1e-10        # certificate of a QP factor's root: max|R'HR - I|
-FACTOR_STEPS = 3          # Newton-Schulz corrections before a root is rejected
 D_HAT_LIMIT = 5.0         # clamp of the disturbance estimate, m/s of wind
 
 
@@ -86,38 +84,23 @@ class ModelSet:
 
 def model_arrays(op: OperatingPoint, params: TurbineParams, weights: MpcWeights):
     """The ModelSet arrays that vary with wind speed, built directly at an
-    operating point: (A_d, B_du, b_d, H, F, Gamma, Phi, R), R = H's
-    ``cholesky_root``."""
+    operating point: (A_d, B_du, b_d, H, F, Gamma, Phi)."""
     a_c, b_u, b_v, c = continuous_model(op, params)
     a_d, b_du, b_d = discretize(a_c, b_u, b_v, params.t_s)
     phi, gamma = prediction_matrices(*augment(a_d, b_du, b_d, c), weights.n_p,
                                      weights.n_c)
     h, f = condense_cost(phi, gamma, weights)
-    return a_d, b_du, b_d, h, f, gamma, phi, cholesky_root(h)
-
-
-def certified_root(h, root):
-    """``root`` with E = R'HR - I within FACTOR_TOL, so H^-1 = R R', after
-    at most FACTOR_STEPS Newton-Schulz steps R <- R - RE/2, each of which
-    squares E (Higham, Functions of Matrices, 2008); else LinAlgError."""
-    for step in range(FACTOR_STEPS + 1):
-        if step:
-            root = root - 0.5 * (root @ e)
-        e = root.T @ h @ root
-        e.flat[::len(e) + 1] -= 1.0
-        if np.abs(e).max() <= FACTOR_TOL:
-            return root
-    raise np.linalg.LinAlgError(f"QP factor root off by {np.abs(e).max():.1e}"
-                                f" after {FACTOR_STEPS} corrections")
+    return a_d, b_du, b_d, h, f, gamma, phi
 
 
 def assemble_model_set(op: OperatingPoint, arrays, params: TurbineParams,
                        weights: MpcWeights) -> ModelSet:
     """ModelSet at an operating point from its ``model_arrays``: ``condense``
-    takes the certified root and the bounds about the point."""
-    a_d, b_du, b_d, h, f, gamma, phi, root = arrays
+    takes the bounds about the point. Raises LinAlgError unless H is
+    positive definite."""
+    a_d, b_du, b_d, h, f, gamma, phi = arrays
     p_g_bar = generator_power(op.x_bar.t_g, op.x_bar.omega_g, params)
-    qp = condense(h, f, gamma, phi, certified_root(h, root), _bounds_about(
+    qp = condense(h, f, gamma, phi, _bounds_about(
         params, op.x_bar.omega_g, p_g_bar, *op.u_bar), weights.n_c)
     b_d = b_d.ravel()
     return ModelSet(op, a_d, b_du, qp, np.array(op.x_bar), np.array(op.u_bar),
@@ -138,8 +121,7 @@ def model_expansion(params: TurbineParams, weights: MpcWeights):
     Approximation Practice, 2013): a read-only (n + 1) x entries coefficient
     matrix and each array's (start, stop, shape) in its columns. Raises
     DomainError when an array's two top coefficients exceed
-    EXPANSION_REL_TOL of its maximum: degree n misses that model; the root
-    R is exempt, as ``certified_root`` corrects it on every sample. That the
+    EXPANSION_REL_TOL of its maximum: degree n misses that model. That the
     expanded arrays then stay within EXPANSION_REL_TOL of the direct build
     is verified at the default weights only (``verify.check_model_expansion``)."""
     n = EXPANSION_DEGREE
@@ -154,7 +136,7 @@ def model_expansion(params: TurbineParams, weights: MpcWeights):
     stops = np.cumsum([a.size for a in builds[0]])
     blocks = tuple((int(stop - a.size), int(stop), a.shape)
                    for stop, a in zip(stops, builds[0]))
-    for start, stop, _ in blocks[:-1]:
+    for start, stop, _ in blocks:
         tail = np.abs(coef[n - 1:, start:stop]).max()
         if tail > EXPANSION_REL_TOL * np.abs(values[:, start:stop]).max():
             raise DomainError(f"degree-{n} model expansion leaves a tail of "
@@ -299,8 +281,8 @@ class OnlineMpc(_MpcControllerBase):
     """Controller with a model at the measured wind speed every sample.
 
     Construction builds (or finds cached) its ``model_expansion``; each
-    sample runs the equilibrium, one expansion product, the root's
-    certificate and ``condense`` on the bounds about that point.
+    sample runs the equilibrium, one expansion product and ``condense`` on
+    the bounds about that point, which factorizes the expanded H afresh.
     """
 
     mode = "online"

@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InfeasibleQpError, QpIterationError
-from .qp import ActiveSetSolver, QpFactor, factor_from_root
+from .qp import ActiveSetSolver, QpFactor, factorize
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,11 @@ def condense_cost(phi, gamma, weights: MpcWeights):
     return h, np.vstack([f_top, -2.0 * q1_gamma])
 
 
-def condense(h, f, gamma, phi, root, bounds, n_c) -> CondensedQp:
-    """The cached QP of one model from its cost (H, F), the root R of
-    H^-1 = R R', Gamma, Phi and ``bounds``: du_min, du_max, u_min, u_max
-    (one entry per input each), y_min and y_max (one per output each)
-    stacked in one vector, whose move bounds the QP keeps as views.
+def condense(h, f, gamma, phi, bounds, n_c) -> CondensedQp:
+    """The cached QP of one model from its cost (H, F), Gamma, Phi and
+    ``bounds``: du_min, du_max, u_min, u_max (one entry per input each),
+    y_min and y_max (one per output each) stacked in one vector, whose move
+    bounds the QP keeps as views. The factor of (H, G) is ``factorize``'s.
 
     Output bounds repeat over the prediction horizon, input and move bounds
     over the control horizon; rows whose bound is infinite are omitted. The
@@ -206,7 +206,7 @@ def condense(h, f, gamma, phi, root, bounds, n_c) -> CondensedQp:
     np.multiply(rows.g_sign, gamma.take(rows.y_rows, 0), out=g[:k])
     np.multiply(rows.s_sign, phi.take(rows.y_rows, 0), out=s[:k, :n])
     w = rows.w_sign * bounds[rows.w_gather]
-    return CondensedQp(factor_from_root(h, g, root), f, w, s, bounds[:m],
+    return CondensedQp(factorize(h, g), f, w, s, bounds[:m],
                        bounds[m:2 * m])
 
 

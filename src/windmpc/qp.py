@@ -12,9 +12,9 @@ a partial step drops the working row whose multiplier reaches zero first.
 No feasible starting point is needed, and a row that no step can reduce
 proves the program infeasible.
 
-The steps run in range-space form on a factor of (H, G) that
-``factorize`` builds once: a root R of H^-1 = R R' through the diagonally
-scaled D H D, D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G'. A solve
+The steps run in range-space form on a factor of (H, G) that only
+``factorize`` builds: a root R of H^-1 = R R' from the Cholesky factor of
+D H D, D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G'. A solve
 that steps inverts M_WW on its working set W once and updates the inverse as
 rows join and leave W, so a step costs a gather of M's rows and products the
 size of W. Suited to receding-horizon
@@ -139,25 +139,18 @@ class QpFactor:
     laws: LawTable = field(default_factory=LawTable, compare=False, repr=False)
 
 
-def cholesky_root(h):
-    """R = D L^-T with D H D = L L', so H^-1 = R R'. cond(D H D) is about 5e3
-    for the MPC Hessian against 7e9 for H. Raises LinAlgError unless H is
-    positive definite."""
-    d = 1.0 / np.sqrt(h.diagonal())
-    return d[:, None] * np.linalg.inv(np.linalg.cholesky(d[:, None] * h * d)).T
-
-
-def factor_from_root(h, g, root) -> QpFactor:
-    """Factor of (H, G) on a root R of H^-1 = R R'."""
-    g_root = g @ root
-    return QpFactor(h, g, root @ root.T, root @ g_root.T, g_root @ g_root.T)
-
-
 def factorize(h, g=None) -> QpFactor:
-    """Factor of (H, G) on H's Cholesky root, G None when unconstrained."""
+    """Factor of (H, G), G None when unconstrained, on the root R = D L^-T of
+    H^-1 = R R', D H D = L L'. cond(D H D) is about 5e3 for the MPC Hessian
+    against 7e9 for H. Raises LinAlgError unless H is positive definite."""
     h = np.asarray(h, dtype=float)
     g = np.asarray(np.zeros((0, len(h))) if g is None else g, dtype=float)
-    return factor_from_root(h, g, cholesky_root(h))
+    d = 1.0 / np.sqrt(h.diagonal())
+    root = d[:, None] * np.linalg.inv(np.linalg.cholesky(d[:, None] * h * d)).T
+    if not np.isfinite(root).all():  # NaN passes np.linalg.cholesky silently
+        raise np.linalg.LinAlgError("Hessian is not positive definite")
+    g_root = g @ root
+    return QpFactor(h, g, root @ root.T, root @ g_root.T, g_root @ g_root.T)
 
 
 @dataclass

@@ -40,10 +40,18 @@ def generate_wind(kind, seed, duration, params: TurbineParams,
     turbulent: mean ``level`` (default 8.7 m/s) plus zero-mean noise put
         through a first-order filter with a 2 s time constant, stationary
         standard deviation ``std``.
-    All samples are clamped to [4, 11) m/s.
+    All samples are clamped to [4, 11) m/s. Raises DomainError for a
+    negative duration or seed, an unknown kind, a negative or non-finite
+    ``std`` and a non-finite ``level``.
     """
     if duration < 0.0:
         raise DomainError("duration must be nonnegative")
+    if seed < 0:
+        raise DomainError("seed must be nonnegative")
+    if not 0.0 <= std < math.inf:
+        raise DomainError("std must be finite and nonnegative")
+    if level is not None and not math.isfinite(level):
+        raise DomainError("level must be finite")
     if kind not in KINDS:
         raise DomainError(f"unknown wind kind {kind!r}; expected one of {KINDS}")
     n = int(round(duration / params.t_s))

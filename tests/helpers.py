@@ -12,7 +12,7 @@ from windmpc import (ActiveSetSolver, DomainError, InfeasibleQpError,
                      prediction_matrices)
 from windmpc.control import _bounds_about
 from windmpc.experiment import LOG_FLOAT_FIELDS
-from windmpc.qp import DEP_TOL, MAX_ITER_FACTOR, cholesky_root
+from windmpc.qp import DEP_TOL, MAX_ITER_FACTOR
 
 
 @dataclass(frozen=True)
@@ -64,12 +64,11 @@ def shift_constraints(op, params):
 
 def condensed_qp(model, weights, bounds):
     """``condense`` fed as the controllers feed it: the prediction matrices
-    of ``augment``'s (A_a, B_a, C_a), the condensed cost, H's Cholesky root
-    and the bounds stacked in ``ConstraintSet``'s field order."""
+    of ``augment``'s (A_a, B_a, C_a), the condensed cost and the bounds
+    stacked in ``ConstraintSet``'s field order."""
     phi, gamma = prediction_matrices(*model, weights.n_p, weights.n_c)
     h, f = condense_cost(phi, gamma, weights)
-    return condense(h, f, gamma, phi, cholesky_root(h), bounds.stacked(),
-                    weights.n_c)
+    return condense(h, f, gamma, phi, bounds.stacked(), weights.n_c)
 
 
 def synthetic_log(n, params, power_error=None):

@@ -10,10 +10,10 @@ from windmpc import (DomainError, MpcWeights, OfflineMpc, OnlineMpc,
                      build_model_set, equilibrium,
                      generate_wind, generator_power, reference,
                      run_closed_loop, step)
-from windmpc.control import (D_HAT_LIMIT, EXPANSION_REL_TOL, FACTOR_TOL,
-                             assemble_model_set, certified_root,
-                             expanded_arrays, model_arrays, model_expansion)
-from windmpc.qp import cholesky_root, factor_from_root, factorize
+from windmpc.control import (D_HAT_LIMIT, EXPANSION_REL_TOL,
+                             assemble_model_set, expanded_arrays, model_arrays,
+                             model_expansion)
+from windmpc.qp import factorize
 from windmpc.verify import compare_logs
 
 from helpers import (DirectOnlineMpc, condense_constraints_reference,
@@ -284,16 +284,38 @@ class TestOnlineMpc:
                                                            monkeypatch):
         controller = OnlineMpc(params, weights)
         state = equilibrium(8.0, params).x_bar
+        expanded = control_mod.expanded_arrays
 
-        def boom(*args, **kwargs):
-            raise np.linalg.LinAlgError("synthetic failure")
+        def indefinite(*args):
+            # a negative leading 2 x 2 minor: the Cholesky factorization in
+            # condense raises, as it would on an expansion gone wrong
+            arrays = expanded(*args)
+            h = arrays[3].copy()
+            h[0, 1] = h[1, 0] = 2.0 * np.sqrt(h[0, 0] * h[1, 1])
+            return (*arrays[:3], h, *arrays[4:])
 
-        monkeypatch.setattr(control_mod, "certified_root", boom)
-        with pytest.raises(np.linalg.LinAlgError, match="synthetic"):
+        monkeypatch.setattr(control_mod, "expanded_arrays", indefinite)
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             controller.step(state, 8.0)
         monkeypatch.undo()
         u_first, _ = controller.step(state, 8.0)
-        monkeypatch.setattr(control_mod, "certified_root", boom)
+        monkeypatch.setattr(control_mod, "expanded_arrays", indefinite)
+        u_held, info = controller.step(state, 8.0)
+        assert info.qp_status == "hold"
+        assert u_held == u_first
+
+    def test_holds_on_a_non_finite_hessian(self, params, weights,
+                                          monkeypatch):
+        controller = OnlineMpc(params, weights)
+        state = equilibrium(8.0, params).x_bar
+        u_first, _ = controller.step(state, 8.0)
+        expanded = control_mod.expanded_arrays
+
+        def not_finite(*args):
+            arrays = expanded(*args)
+            return (*arrays[:3], np.full_like(arrays[3], np.nan), *arrays[4:])
+
+        monkeypatch.setattr(control_mod, "expanded_arrays", not_finite)
         u_held, info = controller.step(state, 8.0)
         assert info.qp_status == "hold"
         assert u_held == u_first
@@ -337,7 +359,7 @@ class TestModelExpansion:
         assert model_expansion.cache_info().currsize == 1
         assert OnlineMpc(params, weights).expansion is controller.expansion
         coef, _ = controller.expansion
-        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 1440)
+        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 1340)
         assert not coef.flags.writeable
 
     @pytest.mark.parametrize("changed", [dict(q2=1.0), dict(n_p=60, n_c=10)],
@@ -367,45 +389,6 @@ class TestModelExpansion:
 def assert_bitwise(got, want):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
-
-
-class TestCertifiedRoot:
-    @pytest.fixture
-    def factor(self, params, weights):
-        return build_model_set(8.3, params, weights).qp.factor
-
-    def test_direct_root_passes_unchanged(self, factor):
-        root = cholesky_root(factor.h)
-        assert certified_root(factor.h, root) is root
-
-    def test_refines_a_scaled_root_to_a_fresh_factor(self, factor):
-        # E = 2e-4 I, then about 3e-8, then rounding: quadratic convergence
-        root = certified_root(factor.h, 1.0001 * cholesky_root(factor.h))
-        e = root.T @ factor.h @ root - np.eye(len(root))
-        assert np.abs(e).max() <= FACTOR_TOL
-        got, want = factor_from_root(factor.h, factor.g, root), factor
-        for name in ("h_inv", "h_inv_gt", "m"):
-            gap = np.abs(getattr(got, name) - getattr(want, name)).max()
-            assert gap <= 1e-12 * np.abs(getattr(want, name)).max()
-
-    def test_refines_a_perturbed_root_to_the_tolerance(self, factor, rng):
-        # the correction stops once E is within FACTOR_TOL, so the factor
-        # on it is as close to the fresh one as that
-        exact = cholesky_root(factor.h)
-        for _ in range(5):
-            noisy = exact * (1.0 + 1e-4 * rng.standard_normal(exact.shape))
-            root = certified_root(factor.h, noisy)
-            e = root.T @ factor.h @ root - np.eye(len(root))
-            assert np.abs(e).max() <= FACTOR_TOL
-            got = factor_from_root(factor.h, factor.g, root)
-            for name in ("h_inv", "h_inv_gt", "m"):
-                want = getattr(factor, name)
-                gap = np.abs(getattr(got, name) - want).max()
-                assert gap <= 10.0 * FACTOR_TOL * np.abs(want).max()
-
-    def test_unrepairable_root_rejected(self, factor):
-        with pytest.raises(np.linalg.LinAlgError, match="corrections"):
-            certified_root(factor.h, np.zeros_like(factor.h))
 
 
 class TestCondenseRoute:
@@ -442,6 +425,16 @@ class TestCondenseRoute:
                               (ms.qp.du_min, bounds.du_min),
                               (ms.qp.du_max, bounds.du_max)):
                 assert_bitwise(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(v=st.floats(4.0, 11.0, exclude_max=True))
+    def test_online_factor_is_factorize_of_the_expanded_hessian(
+            self, params, weights, v):
+        ms = OnlineMpc(params, weights)._model_for(v)
+        h = expanded_arrays(model_expansion(params, weights), v)[3]
+        want = factorize(h, ms.qp.factor.g)
+        for name in ("h", "g", "h_inv", "h_inv_gt", "m"):
+            assert_bitwise(getattr(ms.qp.factor, name), getattr(want, name))
 
 
 class TestTracedView:

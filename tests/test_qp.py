@@ -321,6 +321,17 @@ class TestFactor:
         with pytest.raises(np.linalg.LinAlgError):
             factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("h", [
+        [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+        [[-1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+        [[np.inf, 0.0], [0.0, 1.0]]],
+        ids=["nan_diagonal", "nan_off_diagonal", "negative_diagonal",
+             "zero_diagonal", "inf_diagonal"])
+    def test_hessian_without_a_finite_root_rejected(self, h):
+        # np.linalg.cholesky returns NaN for these instead of raising
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            factorize(np.array(h))
+
 
 class TestInfeasibility:
     def test_contradictory_bounds_detected(self):

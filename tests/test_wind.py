@@ -73,3 +73,13 @@ class TestValidation:
     def test_unknown_kind_rejected(self, params):
         with pytest.raises(DomainError):
             generate_wind("gusty", 0, 10.0, params)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(seed=-1), dict(std=-1.0), dict(std=np.nan), dict(std=np.inf),
+        dict(level=np.nan), dict(level=np.inf)],
+        ids=["seed_negative", "std_negative", "std_nan", "std_inf",
+             "level_nan", "level_inf"])
+    def test_bad_input_rejected(self, params, kwargs):
+        with pytest.raises(DomainError):
+            generate_wind(**{"kind": "turbulent", "seed": 0, "duration": 10.0,
+                             "params": params, **kwargs})
