@@ -14,6 +14,7 @@ d_hat adds kappa times each one-step state innovation projected onto the
 wind input column, recovering a wind offset with time constant t_s/kappa.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,9 +183,9 @@ class _MpcControllerBase:
     def step(self, x_meas, v):
         """Input for measured state x_meas and wind v, with its StepInfo.
 
-        Any numerical failure in the model or QP pipeline holds the
-        previous input and flags the sample "hold" instead of aborting the
-        loop; before the first input exists the failure propagates.
+        A non-finite state or any numerical failure in the model or QP
+        pipeline holds the previous input and flags the sample "hold";
+        before the first input exists the failure propagates.
         """
         if not V_PARTIAL_MIN <= v < V_RATED:
             raise DomainError(
@@ -207,6 +208,8 @@ class _MpcControllerBase:
 
     def _apply(self, ms: ModelSet, x_meas, ref: ReferenceSignal):
         p = self.params
+        if not all(map(math.isfinite, x_meas)):  # before d_hat or the QP
+            raise DomainError("measured state must be finite")
         x = np.asarray(x_meas, dtype=float)
         if self._prediction is not None:
             x_pred, ms_prev = self._prediction

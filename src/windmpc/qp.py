@@ -310,14 +310,15 @@ class ActiveSetSolver:
 
     @staticmethod
     def _verify_kkt(h, f, g, b, x, mult):
+        # each test is written "not residual <= tol", so that NaN fails it
         stationarity = np.abs(h @ x + f + g.T @ mult).max()
-        if stationarity > STAT_TOL * (1.0 + np.abs(f).max()):
+        if not stationarity <= STAT_TOL * (1.0 + np.abs(f).max()):
             raise QpIterationError(
                 f"stationarity residual {stationarity:.3e} above tolerance")
         slack = b - g @ x
-        if slack.min() < -FEAS_TOL * (1.0 + np.abs(b).max()):
+        if not slack.min() >= -FEAS_TOL * (1.0 + np.abs(b).max()):
             raise QpIterationError("accepted point is primal infeasible")
         comp = np.abs(mult * slack).max() if mult.size else 0.0
-        if comp > STAT_TOL * (1.0 + np.abs(b).max()) * (1.0 + np.abs(mult).max()):
+        if not comp <= STAT_TOL * (1.0 + np.abs(b).max()) * (1.0 + np.abs(mult).max()):
             raise QpIterationError(
                 f"complementary slackness residual {comp:.3e} above tolerance")

@@ -219,6 +219,29 @@ class TestOfflineMpc:
                 controller.step(state, v)
 
 
+@pytest.mark.parametrize("cls", [OfflineMpc, OnlineMpc])
+class TestNonFiniteState:
+    @pytest.mark.parametrize("field,value", [("omega_g", np.nan),
+                                             ("t_tw", np.inf)])
+    def test_held_after_the_first_input(self, params, weights, cls, field,
+                                        value):
+        # a NaN state once gave ControlInput(nan, nan) flagged "optimal"
+        controller = cls(params, weights)
+        state = equilibrium(8.0, params).x_bar
+        u_first, _ = controller.step(state, 8.0)
+        d_hat = controller.d_hat
+        u_held, info = controller.step(state._replace(**{field: value}), 8.0)
+        assert info.qp_status == "hold"
+        assert u_held == u_first
+        assert controller.d_hat == d_hat
+        assert controller.step(state, 8.0)[1].qp_status == "optimal"
+
+    def test_propagates_before_the_first_input(self, params, weights, cls):
+        state = equilibrium(8.0, params).x_bar._replace(omega_g=np.nan)
+        with pytest.raises(DomainError, match="measured state must be finite"):
+            cls(params, weights).step(state, 8.0)
+
+
 class TestRegulationInvariant:
     # criterion 6 covers online@7 and offline@{6.4, 10}; this sweeps the
     # remaining (controller, wind) pairs of the regulation invariant

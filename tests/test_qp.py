@@ -39,6 +39,18 @@ class TestScalarCases:
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.working_set == []
 
+    @pytest.mark.parametrize("nan_at", [0, 1])
+    def test_kkt_check_rejects_a_nan_point(self, nan_at):
+        # NaN compares false with every tolerance, so a check written
+        # "residual > tol" would accept it; the optimum is x = (2, 1)
+        h, f = np.eye(2), np.array([-2.0, -1.0])
+        g, b = np.array([[1.0, 0.0]]), np.array([5.0])
+        x, mult = np.array([2.0, 1.0]), np.zeros(1)
+        ActiveSetSolver._verify_kkt(h, f, g, b, x, mult)
+        x[nan_at] = np.nan
+        with pytest.raises(QpIterationError):
+            ActiveSetSolver._verify_kkt(h, f, g, b, x, mult)
+
 
 class TestAgainstEnumeration:
     def test_random_instances_match_oracle(self, rng):

@@ -1,5 +1,4 @@
 import math
-import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,16 +9,49 @@ from hypothesis import strategies as st
 from windmpc import (ControlInput, DomainError, PlantState, TurbineParams,
                      aerodynamic_power, aerodynamic_torque, derivatives,
                      equilibrium, generator_power, power_coefficient, step,
-                     tip_speed_ratio, unified_matrices)
-from windmpc.turbine import power_coefficient_partials
+                     tip_speed_ratio)
+from windmpc.turbine import (_etd_coefficients, _etd_rk4,
+                             power_coefficient_partials)
 
 from helpers import derivatives_reference, rk4_step_reference
+
+# the fine RK4 oracle of the plant step, at 2.5e-5 s per substep; its own
+# error on one sample is about 1e-12
+FINE_SUBSTEPS = 2000
+# bounds on one sample's worst relative error against it, per state on the
+# scale max(1, |x before|, |x after|), each 10x over the worst measured:
+# 2.3e-4 over 1,000 draws of test_near_fine_rk4's states about operating
+# points, 2.3e-3 over 1,500 hypothesis draws of the branch test's ranges
+STEP_REL_TOL = 3e-3
+BRANCH_REL_TOL = 3e-2
+# where the fine trajectory's rotor speed falls below NEAR_STOP (rad/s, 5% of
+# the lowest operating speed), the torque is too steep for two steps per
+# sample (t_tw off by up to 1.8 relative at lambda 0.02), and the coarse and
+# the fine stage points can fall on either side of zero rotor speed or of the
+# Cp surface's pole at lambda = -0.08 beta; so there each side may return a
+# state or raise the torque's DomainError or ArithmeticError on its own
+NEAR_STOP = 0.05
 
 # frozen by direct scalar evaluation of the Cp closed form (independent script)
 CP_AT_7_0 = 0.4512823932402688
 CP_AT_PEAK = 0.48001190251033915
 # 0.5 * 1.225 * pi * 35^2 * 8^3 * CP_AT_PEAK
 POWER_V8_PEAK = 579313.9970585123
+
+
+def assert_rates_match(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    scale = np.maximum(np.maximum(np.abs(got), np.abs(expected)), 1.0)
+    assert np.all(np.abs(got - expected) <= 1e-10 * scale)
+
+
+def step_error(got, expected, state):
+    """Worst relative error of a plant sample, per state on the scale
+    max(1, |x before|, |x after|)."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    scale = np.maximum(np.maximum(np.abs(np.asarray(state, dtype=float)),
+                                  np.abs(expected)), 1.0)
+    return float((np.abs(got - expected) / scale).max())
 
 
 class TestPowerCoefficient:
@@ -129,19 +161,32 @@ class TestDerivatives:
         assert d[4] == 0.0
 
     def test_matches_unified_matrix_form(self, params, rng):
-        a, b, b2 = unified_matrices(params)
+        # the A-form against the hand-written ODE: the check that ties the
+        # matrices of unified_matrices, and so the linear model, to the physics
         for _ in range(100):
             x = np.array([rng.uniform(0.5, 3.0), rng.uniform(30.0, 180.0),
                           rng.uniform(-2e4, 2e4), rng.uniform(0.0, 9e3),
                           rng.uniform(0.0, 45.0)])
             u = np.array([rng.uniform(0.0, 9e3), rng.uniform(0.0, 45.0)])
             v = rng.uniform(4.0, 11.0)
-            t_t = aerodynamic_torque(x[0], v, x[4], params)
-            explicit = derivatives(x, u, v, params)
-            matrix_form = a @ x + b @ u + b2 * t_t
-            scale = np.maximum(np.abs(explicit), np.abs(matrix_form))
-            assert np.all(np.abs(explicit - matrix_form)
-                          <= 1e-10 * np.maximum(scale, 1.0))
+            assert_rates_match(derivatives(x, u, v, params),
+                               derivatives_reference(x, u, v, params))
+
+    @settings(max_examples=300, deadline=None)
+    @given(omega_t=st.floats(0.005, 3.0), omega_g=st.floats(0.0, 200.0),
+           t_tw=st.floats(-2e4, 1e6), t_g=st.floats(0.0, 9.4e3),
+           beta=st.floats(0.0, 45.0), t_g_ref=st.floats(-2e3, 1.2e4),
+           beta_ref=st.floats(-2.0, 60.0),
+           v=st.floats(4.0, 11.0, exclude_max=True))
+    # the Cp clamp (lambda = 26)
+    @example(3.0, 190.0, 1e3, 1e3, 0.0, 1e3, 0.0, 4.0)
+    def test_matches_reference_on_every_branch(self, omega_t, omega_g, t_tw,
+                                               t_g, beta, t_g_ref, beta_ref,
+                                               v):
+        params = TurbineParams()
+        args = (PlantState(omega_t, omega_g, t_tw, t_g, beta),
+                ControlInput(t_g_ref, beta_ref), v, params)
+        assert_rates_match(derivatives(*args), derivatives_reference(*args))
 
 
 class TestStep:
@@ -168,25 +213,33 @@ class TestStep:
             state = step(state, u, 8.0, params.t_s, params)
             t += params.t_s
             expected = 45.0 * (1.0 - math.exp(-t / params.tau))
-            assert state.beta == pytest.approx(expected, abs=1e-4)
+            assert state.beta == pytest.approx(expected, abs=1e-8)
+
+    def test_torque_first_order_response(self, params):
+        op = equilibrium(8.0, params)
+        t_g0, t_g_ref = op.x_bar.t_g, 8.0e3
+        state = op.x_bar
+        t = 0.0
+        for _ in range(10):  # 25 time constants
+            state = step(state, ControlInput(t_g_ref, 0.0), 8.0, params.t_s,
+                         params)
+            t += params.t_s
+            expected = t_g_ref + (t_g0 - t_g_ref) * math.exp(-t / params.tau_g)
+            assert state.t_g == pytest.approx(expected, rel=1e-10)
 
     def test_fourth_order_convergence(self, params):
-        # transient-rich quarter second; substep pair chosen inside the
-        # asymptotic regime of the 12.6 Hz torsional mode
-        op7 = equilibrium(7.0, params)
-        x0 = equilibrium(8.0, params).x_bar
-
-        def integrate(substeps):
-            state = x0
-            for _ in range(5):
-                state = step(state, op7.u_bar, 7.0, params.t_s, params,
-                             substeps=substeps)
-            return np.asarray(state)
-
-        ref = integrate(320)
-        err_h = np.linalg.norm(integrate(20) - ref)
-        err_h2 = np.linalg.norm(integrate(40) - ref)
-        assert err_h / err_h2 >= 8.0
+        # one sample from a transient (omega_g 5% low, torque reference +10%,
+        # pitch reference 0.5 deg, a gust to 8.3 m/s) at 1, 2 and 4 steps of
+        # the exponential RK4 kernel
+        op = equilibrium(8.0, params)
+        x0 = op.x_bar._replace(omega_g=0.95 * op.x_bar.omega_g)
+        u = ControlInput(1.1 * op.u_bar.t_g_ref, 0.5)
+        fine = rk4_step_reference(x0, u, 8.3, params.t_s, params,
+                                  substeps=FINE_SUBSTEPS)
+        errors = [step_error(_etd_rk4(x0, u, 8.3, params, _etd_coefficients(
+            params, params.t_s / n), n), fine, x0) for n in (1, 2, 4)]
+        assert errors[0] / errors[1] >= 8.0
+        assert errors[1] / errors[2] >= 8.0
 
     def test_actuator_clamping(self, params):
         state = PlantState(1.8, 110.0, 4.9e3, 9.4e3, 44.0)
@@ -195,10 +248,9 @@ class TestStep:
         assert out.t_g <= params.t_g_max
         assert out.beta <= params.beta_max
 
-    def test_equals_vector_rk4(self, params, rng):
-        # the float route keeps the vector formula's operation order, so the
-        # two agree bit for bit
-        for _ in range(300):
+    def test_near_fine_rk4(self, params, rng):
+        # states, inputs and gusts about operating points of the envelope
+        for _ in range(20):
             v = rng.uniform(5.0, 10.5)
             op = equilibrium(v, params)
             state = np.asarray(op.x_bar) * (1.0 + 0.05 * rng.normal(size=5))
@@ -206,40 +258,54 @@ class TestStep:
             u = ControlInput(op.u_bar.t_g_ref * (1.0 + 0.05 * rng.normal()),
                              rng.uniform(0.0, 3.0))
             gust = v + 0.3 * rng.normal()
-            assert step(state, u, gust, params.t_s, params) \
-                == rk4_step_reference(state, u, gust, params.t_s, params)
+            fine = rk4_step_reference(state, u, gust, params.t_s, params,
+                                      substeps=FINE_SUBSTEPS)
+            assert step_error(step(state, u, gust, params.t_s, params),
+                              fine, state) <= STEP_REL_TOL
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(omega_t=st.floats(0.005, 3.0), omega_g=st.floats(0.0, 200.0),
            t_tw=st.floats(-2e4, 1e6), t_g=st.floats(0.0, 9.4e3),
            beta=st.floats(0.0, 45.0), t_g_ref=st.floats(-2e3, 1.2e4),
            beta_ref=st.floats(-2.0, 60.0),
            v=st.floats(4.0, 11.0, exclude_max=True))
-    # the rotor reverses mid-substep; the Cp clamp (lambda = 26); the
-    # upper and the lower actuator clamps
+    # the rotor reverses mid-sample; the Cp clamp (lambda = 26); the upper
+    # and the lower actuator clamps
     @example(0.005, 0.3, 1e6, 0.0, 0.0, 0.0, 0.0, 8.0)
     @example(3.0, 190.0, 1e3, 1e3, 0.0, 1e3, 0.0, 4.0)
     @example(1.8, 110.0, 4.9e3, 9.4e3, 44.0, 1.2e4, 60.0, 8.0)
     @example(1.2, 75.0, 2e3, 10.0, 0.2, -2e3, -1.5, 6.0)
-    def test_equals_vector_rk4_on_every_branch(self, omega_t, omega_g, t_tw,
-                                               t_g, beta, t_g_ref, beta_ref, v):
-        # the step and the rates at the drawn state: bit for bit, or the
-        # same error from both routes
+    # near a stop: only the step raises (the fine rotor speed dips to
+    # 2.5e-4); only the oracle raises (it dips to -5.4e-5); both return,
+    # t_tw 622 against -475; the oracle stops the rotor where the step
+    # overflows at the Cp pole
+    @example(0.005, 0.0, 1e5, 0.0, 40.0, 0.0, 0.0, 4.0)
+    @example(0.005, 200.0, 2.8e5, 2e3, 10.0, 6e3, 4.0, 4.0)
+    @example(0.005, 0.0, 10.0, 850.0, 45.0, 0.0, 60.0, 9.0)
+    @example(0.005, 0.0, 13953.0, 0.0, 0.0, 0.0, -1.0, 4.0)
+    def test_near_fine_rk4_on_every_branch(self, omega_t, omega_g, t_tw, t_g,
+                                           beta, t_g_ref, beta_ref, v):
+        # a sample within the bound of the fine oracle, or the same error
+        # from both
         params = TurbineParams()
         state = PlantState(omega_t, omega_g, t_tw, t_g, beta)
-        u = ControlInput(t_g_ref, beta_ref)
-        for route, reference, args in (
-                (step, rk4_step_reference, (state, u, v, params.t_s, params)),
-                (derivatives, derivatives_reference, (state, u, v, params))):
+        args = (state, ControlInput(t_g_ref, beta_ref), v, params.t_s, params)
+        stages = []
+        outcomes = []
+        for route, kwargs in ((rk4_step_reference, dict(
+                substeps=FINE_SUBSTEPS, stages=stages)), (step, {})):
             try:
-                expected = reference(*args)
+                outcomes.append(route(*args, **kwargs))
             except Exception as exc:
-                with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    route(*args)
-            else:
-                got = route(*args)
-                assert (list(map(float.hex, got))
-                        == list(map(float.hex, expected)))
+                outcomes.append((type(exc), str(exc)))
+        expected, got = outcomes
+        if min(x[0] for x in stages) < NEAR_STOP:
+            assert all(isinstance(out, PlantState) or issubclass(
+                out[0], (DomainError, ArithmeticError)) for out in outcomes)
+        elif isinstance(expected, PlantState) and isinstance(got, PlantState):
+            assert step_error(got, expected, state) <= BRANCH_REL_TOL
+        else:
+            assert got == expected
 
     def test_rotor_speed_driven_nonpositive_raises(self, params):
         # a torsional torque far above the aerodynamic torque reverses the
