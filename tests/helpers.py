@@ -171,14 +171,11 @@ def derivatives_reference(state, u, v, params):
     return d_omega_t, d_omega_g, d_t_tw, d_t_g, d_beta
 
 
-def rk4_step_reference(state, u, v, dt, params, substeps=10, stages=None):
+def rk4_step_reference(state, u, v, dt, params, substeps=10):
     """The plant step on numpy 5-vectors: classical RK4 as one vector
     formula per stage on ``derivatives_reference``, the finiteness check,
-    then the actuator clamps. A list passed as ``stages`` collects every
-    stage point, also those before an error."""
+    then the actuator clamps."""
     def rate(x):
-        if stages is not None:
-            stages.append(x)
         return np.array(derivatives_reference(x, u, v, params))
 
     x = np.asarray(state, dtype=float)

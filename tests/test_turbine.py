@@ -10,7 +10,7 @@ from windmpc import (ControlInput, DomainError, PlantState, TurbineParams,
                      aerodynamic_power, aerodynamic_torque, derivatives,
                      equilibrium, generator_power, power_coefficient, step,
                      tip_speed_ratio)
-from windmpc.turbine import (_etd_coefficients, _etd_rk4,
+from windmpc.turbine import (_etd_coefficients, _etd_rk4, _torque,
                              power_coefficient_partials)
 
 from helpers import derivatives_reference, rk4_step_reference
@@ -21,16 +21,11 @@ FINE_SUBSTEPS = 2000
 # bounds on one sample's worst relative error against it, per state on the
 # scale max(1, |x before|, |x after|), each 10x over the worst measured:
 # 2.3e-4 over 1,000 draws of test_near_fine_rk4's states about operating
-# points, 2.3e-3 over 1,500 hypothesis draws of the branch test's ranges
+# points; 9.9e-3 over 8,500 draws of the branch test's ranges, in omega_g
+# where a shaft torque of 4e5 N*m swings it by hundreds of rad/s within the
+# sample (RK4 at 10 substeps: 6.6e-2)
 STEP_REL_TOL = 3e-3
-BRANCH_REL_TOL = 3e-2
-# where the fine trajectory's rotor speed falls below NEAR_STOP (rad/s, 5% of
-# the lowest operating speed), the torque is too steep for two steps per
-# sample (t_tw off by up to 1.8 relative at lambda 0.02), and the coarse and
-# the fine stage points can fall on either side of zero rotor speed or of the
-# Cp surface's pole at lambda = -0.08 beta; so there each side may return a
-# state or raise the torque's DomainError or ArithmeticError on its own
-NEAR_STOP = 0.05
+BRANCH_REL_TOL = 0.1
 
 # frozen by direct scalar evaluation of the Cp closed form (independent script)
 CP_AT_7_0 = 0.4512823932402688
@@ -236,8 +231,9 @@ class TestStep:
         u = ControlInput(1.1 * op.u_bar.t_g_ref, 0.5)
         fine = rk4_step_reference(x0, u, 8.3, params.t_s, params,
                                   substeps=FINE_SUBSTEPS)
-        errors = [step_error(_etd_rk4(x0, u, 8.3, params, _etd_coefficients(
-            params, params.t_s / n), n), fine, x0) for n in (1, 2, 4)]
+        errors = [step_error(_etd_rk4(x0, u, _torque(8.3, params), params,
+                                      _etd_coefficients(params, params.t_s / n),
+                                      n), fine, x0) for n in (1, 2, 4)]
         assert errors[0] / errors[1] >= 8.0
         assert errors[1] / errors[2] >= 8.0
 
@@ -250,7 +246,7 @@ class TestStep:
 
     def test_near_fine_rk4(self, params, rng):
         # states, inputs and gusts about operating points of the envelope
-        for _ in range(20):
+        for _ in range(50):
             v = rng.uniform(5.0, 10.5)
             op = equilibrium(v, params)
             state = np.asarray(op.x_bar) * (1.0 + 0.05 * rng.normal(size=5))
@@ -263,7 +259,7 @@ class TestStep:
             assert step_error(step(state, u, gust, params.t_s, params),
                               fine, state) <= STEP_REL_TOL
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(omega_t=st.floats(0.005, 3.0), omega_g=st.floats(0.0, 200.0),
            t_tw=st.floats(-2e4, 1e6), t_g=st.floats(0.0, 9.4e3),
            beta=st.floats(0.0, 45.0), t_g_ref=st.floats(-2e3, 1.2e4),
@@ -275,10 +271,9 @@ class TestStep:
     @example(3.0, 190.0, 1e3, 1e3, 0.0, 1e3, 0.0, 4.0)
     @example(1.8, 110.0, 4.9e3, 9.4e3, 44.0, 1.2e4, 60.0, 8.0)
     @example(1.2, 75.0, 2e3, 10.0, 0.2, -2e3, -1.5, 6.0)
-    # near a stop: only the step raises (the fine rotor speed dips to
-    # 2.5e-4); only the oracle raises (it dips to -5.4e-5); both return,
-    # t_tw 622 against -475; the oracle stops the rotor where the step
-    # overflows at the Cp pole
+    # near a stop, where step refines: the fine rotor speed dips to 2.5e-4;
+    # the rotor reverses; the steep torque of lambda 0.02 (see
+    # test_near_stop_sample_is_refined); the Cp pole at lambda = -0.08 beta
     @example(0.005, 0.0, 1e5, 0.0, 40.0, 0.0, 0.0, 4.0)
     @example(0.005, 200.0, 2.8e5, 2e3, 10.0, 6e3, 4.0, 4.0)
     @example(0.005, 0.0, 10.0, 850.0, 45.0, 0.0, 60.0, 9.0)
@@ -290,22 +285,47 @@ class TestStep:
         params = TurbineParams()
         state = PlantState(omega_t, omega_g, t_tw, t_g, beta)
         args = (state, ControlInput(t_g_ref, beta_ref), v, params.t_s, params)
-        stages = []
         outcomes = []
         for route, kwargs in ((rk4_step_reference, dict(
-                substeps=FINE_SUBSTEPS, stages=stages)), (step, {})):
+                substeps=FINE_SUBSTEPS)), (step, {})):
             try:
                 outcomes.append(route(*args, **kwargs))
             except Exception as exc:
                 outcomes.append((type(exc), str(exc)))
         expected, got = outcomes
-        if min(x[0] for x in stages) < NEAR_STOP:
-            assert all(isinstance(out, PlantState) or issubclass(
-                out[0], (DomainError, ArithmeticError)) for out in outcomes)
-        elif isinstance(expected, PlantState) and isinstance(got, PlantState):
+        if isinstance(expected, PlantState) and isinstance(got, PlantState):
             assert step_error(got, expected, state) <= BRANCH_REL_TOL
         else:
             assert got == expected
+
+    def test_near_stop_sample_is_refined(self, params):
+        # at lambda 0.02 and 45 deg the rotor torque grows as 1/omega_t; two
+        # steps per sample gave t_tw -475 here where the reference gives 622
+        state = PlantState(0.005, 0.0, 10.0, 850.0, 45.0)
+        args = (state, ControlInput(0.0, 60.0), 9.0, params.t_s, params)
+        fine = rk4_step_reference(*args, substeps=FINE_SUBSTEPS)
+        assert fine.t_tw == pytest.approx(622.0, rel=1e-3)
+        assert step_error(step(*args), fine, state) <= 1e-7
+
+    @pytest.mark.xfail(strict=True, raises=DomainError, reason=(
+        "a drawn state where only step raises: the rotor slows to about 6e-6 "
+        "rad/s, where the 25 us steps of step's refined pass put a stage "
+        "point below zero; the reference, RK4 at 20,000 substeps and 4,000 "
+        "exponential steps keep it turning"))
+    def test_near_stop_knife_edge(self, params):
+        args = (PlantState(0.005, 200.0, 529961.5037138545, 7205.459164616214,
+                           45.0),
+                ControlInput(-1108.4463847902416, 32.12130362683354),
+                4.8113005582426, params.t_s, params)
+        fine = rk4_step_reference(*args, substeps=FINE_SUBSTEPS)
+        assert step_error(step(*args), fine, args[0]) <= BRANCH_REL_TOL
+
+    def test_cp_pole_raises_domain_error(self, params):
+        # a pitch reference below zero drives beta under -lambda / 0.08 as
+        # the rotor slows, onto the second pole of the Cp surface
+        state = PlantState(0.005, 0.0, 13953.0, 0.0, 0.0)
+        with pytest.raises(DomainError, match="Cp surface"):
+            step(state, ControlInput(0.0, -1.0), 4.0, params.t_s, params)
 
     def test_rotor_speed_driven_nonpositive_raises(self, params):
         # a torsional torque far above the aerodynamic torque reverses the
