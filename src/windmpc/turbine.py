@@ -10,7 +10,9 @@ in 2,000 within 0.05 rad/s of a rotor stop, where the rotor torque grows as
 1/omega_t. Against RK4 at 2,000 substeps a sample errs by 5.6e-6 on a typical
 transient, by at most 2.3e-4 of each state's size in 1,000 samples about
 operating points and by 9.9e-3 (omega_g, under shaft torques to 100x rated)
-over 8,500 samples of the test ranges, near a stop included.
+over 8,500 samples of the test ranges, near a stop included. Very near a
+stop (about 1e-5 rad/s) a sample can raise a rotor-reversal ``DomainError``
+where finer integration keeps the rotor turning.
 """
 
 import math
