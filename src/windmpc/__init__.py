@@ -10,7 +10,7 @@ from .control import (OfflineMpc, OnlineMpc, ReferenceSignal,
 from .errors import (ConfigError, DomainError, InfeasibleQpError,
                      IntegrationError, QpIterationError, SimulationError)
 from .experiment import (Metrics, SimLog, compute_metrics, run_closed_loop,
-                         run_experiment, torque_total_variation)
+                         run_experiment)
 from .linearize import (OperatingPoint, continuous_model, discretize,
                         equilibrium, matrix_exponential, torque_gradients)
 from .mpc import (CondensedQp, MpcWeights, augment, condense, condense_cost,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import build_config, parse_wind_spec, read_kv_file
 from .errors import ConfigError, SimulationError
-from .experiment import run_experiment, torque_total_variation
+from .experiment import run_experiment
 from .mpc import MpcWeights
 from .output import emit, read_csv
 from .turbine import V_PARTIAL_MIN, V_RATED, TurbineParams
@@ -86,7 +86,7 @@ def _run_sim(args) -> int:
               f"{metrics.rms_speed_error:.6g} rad/s | violations "
               f"{metrics.constraint_violations} | mean step "
               f"{metrics.step_time_mean * 1e3:.3f} ms | torque variation "
-              f"{torque_total_variation(log):.6g} N*m")
+              f"{metrics.torque_total_variation:.6g} N*m")
     if len(results) == 2:
         off, on = results["offline"][1], results["online"][1]
         better = on.rms_power_error <= off.rms_power_error
@@ -143,7 +143,7 @@ def _qpbench(args) -> int:
 def _compare_logs(args) -> int:
     try:
         logs = [read_csv(path) for path in args.logs]
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read a log: {exc}") from exc
     print(f"log comparison: {args.logs[0]} against {args.logs[1]}")
     return _report([compare_logs(*logs, TurbineParams())])

@@ -169,8 +169,8 @@ class _MpcControllerBase:
 
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  kappa=0.1):
-        if not kappa >= 0.0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0.0 <= kappa < math.inf:
+            raise ValueError("kappa must be finite and nonnegative")
         self.params = params
         self.weights = weights if weights is not None else MpcWeights()
         self.kappa = kappa
@@ -260,8 +260,8 @@ class OfflineMpc(_MpcControllerBase):
     def __init__(self, params: TurbineParams, weights: MpcWeights | None = None,
                  op_low=6.4, op_high=10.0, v_switch=8.7, hysteresis=0.0,
                  kappa=0.1):
-        if not hysteresis >= 0.0:
-            raise ValueError("hysteresis must be nonnegative")
+        if not 0.0 <= hysteresis < math.inf:
+            raise ValueError("hysteresis must be finite and nonnegative")
         if not (op_low < op_high and op_low <= v_switch <= op_high):
             raise ValueError("the bank needs op_low < op_high and v_switch in "
                              "[op_low, op_high]")

@@ -13,6 +13,9 @@ from .wind import WindProfile, generate_wind
 
 LOG_FLOAT_FIELDS = ("t", "v", "omega_t", "omega_g", "t_tw", "t_g", "beta",
                     "t_g_ref", "beta_ref", "p_g", "p_t", "p_max", "omega_g_ref")
+# one sample's record, in SimLog's field order; the CSV stores all but the
+# last, the wall-clock step time
+LOG_FIELDS = LOG_FLOAT_FIELDS + ("mode", "qp_iters", "qp_status", "step_time")
 
 
 @dataclass
@@ -40,6 +43,17 @@ class SimLog:
     def __len__(self):
         return self.t.shape[0]
 
+    @classmethod
+    def from_columns(cls, columns):
+        """The log of its columns in LOG_FIELDS order, as numbers or as their
+        strings: the floats and step times become float arrays, ``qp_iters``
+        an int array, ``mode`` and ``qp_status`` lists."""
+        *floats, mode, qp_iters, qp_status, step_time = columns
+        return cls(*(np.array(column, dtype=float) for column in floats),
+                   mode=list(mode), qp_iters=np.array(qp_iters, dtype=int),
+                   qp_status=list(qp_status),
+                   step_time=np.array(step_time, dtype=float))
+
 
 @dataclass
 class Metrics:
@@ -51,6 +65,7 @@ class Metrics:
     step_time_mean: float = 0.0
     step_time_max: float = 0.0
     energy: float = 0.0
+    torque_total_variation: float = 0.0  # of the torque command, N*m
 
 
 def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
@@ -61,42 +76,28 @@ def run_closed_loop(profile: WindProfile, controller, params: TurbineParams,
     sample so startup transients do not contaminate metrics. Controller or
     plant failures abort with the step index and cause.
     """
-    n = len(profile)
-    if n == 0:
+    if len(profile) == 0:
         return SimLog()
     state = x0 if x0 is not None else equilibrium(profile.v[0], params).x_bar
-    rows = {name: np.empty(n) for name in LOG_FLOAT_FIELDS}
-    qp_iters = np.empty(n, dtype=int)
-    step_time = np.empty(n)
-    mode: list[str] = []
-    qp_status: list[str] = []
-
-    for k in range(n):
-        t_k = profile.t[k]
-        v_k = float(profile.v[k])
+    rows = []
+    for k, (t_k, v_k) in enumerate(zip(profile.t.tolist(), profile.v.tolist())):
         try:
             u, info = controller.step(state, v_k)
         except Exception as exc:
             raise SimulationError(f"controller failed at step {k}: {exc}",
                                   step=k) from exc
         lam = tip_speed_ratio(state.omega_t, v_k, params)
-        sample = (t_k, v_k, *state, *u,  # in the order of LOG_FLOAT_FIELDS
-                  generator_power(state.t_g, state.omega_g, params),
-                  aerodynamic_power(v_k, lam, state.beta, params),
-                  max_power(v_k, params), info.omega_g_ref)
-        for name, value in zip(LOG_FLOAT_FIELDS, sample):
-            rows[name][k] = value
-        mode.append(info.mode)
-        qp_iters[k] = info.qp_iterations
-        qp_status.append(info.qp_status)
-        step_time[k] = info.solve_time
+        rows.append((t_k, v_k, *state, *u,  # in the order of LOG_FIELDS
+                     generator_power(state.t_g, state.omega_g, params),
+                     aerodynamic_power(v_k, lam, state.beta, params),
+                     max_power(v_k, params), info.omega_g_ref, info.mode,
+                     info.qp_iterations, info.qp_status, info.solve_time))
         try:
             state = step(state, u, v_k, params.t_s, params)
         except Exception as exc:
             raise SimulationError(f"plant failed at step {k}: {exc}",
                                   step=k) from exc
-    return SimLog(**rows, mode=mode, qp_iters=qp_iters, qp_status=qp_status,
-                  step_time=step_time)
+    return SimLog.from_columns(zip(*rows))
 
 
 def compute_metrics(log: SimLog, params: TurbineParams) -> Metrics:
@@ -110,7 +111,9 @@ def compute_metrics(log: SimLog, params: TurbineParams) -> Metrics:
                    constraint_violations=violations,
                    step_time_mean=float(np.mean(log.step_time)),
                    step_time_max=float(np.max(log.step_time)),
-                   energy=float(np.sum(log.p_g) * params.t_s))
+                   energy=float(np.sum(log.p_g) * params.t_s),
+                   torque_total_variation=float(
+                       np.abs(np.diff(log.t_g_ref)).sum()))
 
 
 def violation_masks(log: SimLog, params: TurbineParams) -> dict:
@@ -139,13 +142,6 @@ def count_violations(log: SimLog, params: TurbineParams) -> int:
     """Samples breaching any operating bound of ``violation_masks``."""
     return int(np.count_nonzero(np.logical_or.reduce(
         list(violation_masks(log, params).values()))))
-
-
-def torque_total_variation(log: SimLog) -> float:
-    """Total variation of the commanded generator torque, a fluctuation measure."""
-    if len(log) < 2:
-        return 0.0
-    return float(np.abs(np.diff(log.t_g_ref)).sum())
 
 
 def make_controller(name: str, params: TurbineParams, weights, cfg=None):

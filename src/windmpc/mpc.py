@@ -7,7 +7,7 @@ and the controller gains integral action. Eliminating the predicted states
 condenses the finite-horizon tracking cost and the stacked bounds into
 
     min  0.5 dU' H dU + [x' rs'] F dU
-    s.t. G dU <= W + S [x; rs]
+    s.t. G dU <= W + S x
 
 where everything except the per-sample linear term and bound vector
 depends only on the model, horizons, weights and bounds, and is therefore
@@ -69,8 +69,8 @@ class MpcWeights:
 class CondensedQp:
     """Cached dense-QP matrices for one model/horizon/weights/bounds tuple.
 
-    The per-sample pieces are assembled from the stacked vector
-    z = [x_a; r_s]: linear term f = F' z, bound vector b = W + S z. H and G
+    The per-sample pieces are the linear term f = F' [x_a; r_s] and the bound
+    vector b = W + S x_a, since references never constrain. H and G
     live in the solver's factor, which is built once with them. The bounds
     of one move, tiled over the control horizon, clip the fallback.
     """
@@ -115,7 +115,7 @@ def _input_operators(n, m, n_c):
 
 @lru_cache(maxsize=32)
 def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
-    """Read-only parts of G dU <= W + S [x; rs] for one pattern of finite
+    """Read-only parts of G dU <= W + S x for one pattern of finite
     stacked bounds: the kept rows of the G and S templates, W's signed
     gather of the bounds and the signed Gamma/Phi rows of its output rows."""
     l1, l2 = _input_operators(n, m, n_c)
@@ -123,8 +123,8 @@ def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
     # and du >= du_min; the Gamma rows of G and Phi rows of S are per model
     eye = np.eye(m * n_c)
     g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), l2, -l2, eye, -eye])
-    s = np.zeros((len(g), n + q * n_p))
-    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-l1, l1])
+    s = np.zeros((len(g), n))
+    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c] = np.vstack([-l1, l1])
     # each block's bound in the stacked order du_min, du_max, u_min, u_max
     # (m each), y_min, y_max (q each)
     w_gather = np.concatenate(
@@ -193,8 +193,8 @@ def condense(h, f, gamma, phi, bounds, n_c) -> CondensedQp:
     bounds the QP keeps as views. The factor of (H, G) is ``factorize``'s.
 
     Output bounds repeat over the prediction horizon, input and move bounds
-    over the control horizon; rows whose bound is infinite are omitted. The
-    reference block of S is identically zero (references never constrain).
+    over the control horizon; rows whose bound is infinite are omitted. S
+    acts on the state alone, as references never constrain.
     """
     q_n_p, n = phi.shape
     m = gamma.shape[1] // n_c
@@ -204,7 +204,7 @@ def condense(h, f, gamma, phi, bounds, n_c) -> CondensedQp:
     k = len(rows.y_rows)
     g, s = rows.g.copy(), rows.s.copy()
     np.multiply(rows.g_sign, gamma.take(rows.y_rows, 0), out=g[:k])
-    np.multiply(rows.s_sign, phi.take(rows.y_rows, 0), out=s[:k, :n])
+    np.multiply(rows.s_sign, phi.take(rows.y_rows, 0), out=s[:k])
     w = rows.w_sign * bounds[rows.w_gather]
     return CondensedQp(factorize(h, g), f, w, s, bounds[:m],
                        bounds[m:2 * m])
@@ -237,10 +237,9 @@ def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
     the unconstrained minimizer clipped to the move bounds is applied
     instead and flagged with status "fallback".
     """
-    z = np.concatenate([np.asarray(x_a, dtype=float),
-                        np.asarray(r_s, dtype=float)])
-    f = qp.f.T @ z
-    b = qp.w + qp.s @ z
+    x_a = np.asarray(x_a, dtype=float)
+    f = qp.f.T @ np.concatenate([x_a, np.asarray(r_s, dtype=float)])
+    b = qp.w + qp.s @ x_a
     m = len(qp.du_min)
     try:
         sol = solver.solve(qp.factor, f, b)

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiment import LOG_FLOAT_FIELDS, SimLog, torque_total_variation
+from .experiment import LOG_FIELDS, SimLog
 
-CSV_HEADER = ",".join(LOG_FLOAT_FIELDS + ("mode", "qp_iters", "qp_status"))
+CSV_FIELDS = LOG_FIELDS[:-1]  # all but the wall-clock step time
+CSV_HEADER = ",".join(CSV_FIELDS)
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e")
 
@@ -20,13 +21,16 @@ MAX_PLOT_POINTS = 4000
 
 
 def write_csv(log: SimLog, path) -> Path:
-    """One row per sample under the fixed header; floats round-trip exactly."""
+    """One row per sample under the fixed header, each column of the type
+    ``SimLog.from_columns`` gives it; floats round-trip exactly (str of a
+    float is its shortest repr)."""
     path = Path(path)
-    columns = [map(repr, np.asarray(getattr(log, name), dtype=float).tolist())
-               for name in LOG_FLOAT_FIELDS]
-    iters = map(str, np.asarray(log.qp_iters, dtype=int).tolist())
-    rows = zip(*columns, log.mode, iters, log.qp_status)
-    path.write_text("\n".join([CSV_HEADER, *map(",".join, rows)]) + "\n")
+    typed = SimLog.from_columns([getattr(log, name) for name in LOG_FIELDS])
+    columns = (getattr(typed, name) for name in CSV_FIELDS)
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c)
+             for c in columns]
+    path.write_text("\n".join([CSV_HEADER, *map(",".join, zip(*cells))])
+                    + "\n")
     return path
 
 
@@ -36,15 +40,12 @@ def read_csv(path) -> SimLog:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not carry the expected header")
     rows = [line.split(",") for line in lines[1:]]
-    n = len(rows)
-    data = {name: np.array([float(row[i]) for row in rows])
-            for i, name in enumerate(LOG_FLOAT_FIELDS)}
-    n_f = len(LOG_FLOAT_FIELDS)
-    return SimLog(**data,
-                  mode=[row[n_f] for row in rows],
-                  qp_iters=np.array([int(row[n_f + 1]) for row in rows], dtype=int),
-                  qp_status=[row[n_f + 2] for row in rows],
-                  step_time=np.zeros(n))
+    for k, row in enumerate(rows, start=1):
+        if len(row) != len(CSV_FIELDS):
+            raise ValueError(f"{path}: row {k} has {len(row)} fields, not "
+                             f"{len(CSV_FIELDS)}")
+    columns = list(zip(*rows)) or [()] * len(CSV_FIELDS)
+    return SimLog.from_columns([*columns, np.zeros(len(rows))])
 
 
 def _thin(x, y):
@@ -137,6 +138,20 @@ def svg_line_plot(series, title, y_label, path=None) -> str:
     return text
 
 
+def _plots(log: SimLog):
+    """Each plot of one controller's run: (file suffix, series, title, y
+    label)."""
+    return (("speed", [("omega_g", log.t, log.omega_g),
+                       ("omega_g_ref", log.t, log.omega_g_ref)],
+             "Generator speed tracking", "omega_g [rad/s]"),
+            ("power", [("captured", log.t, log.p_t),
+                       ("maximum", log.t, log.p_max)],
+             "Power capture", "power [W]"),
+            ("inputs", [("t_g_ref [kNm]", log.t, log.t_g_ref / 1e3),
+                        ("beta_ref [deg]", log.t, log.beta_ref)],
+             "Control inputs", "input"))
+
+
 def emit(results: dict, out_dir) -> list[Path]:
     """Write CSV, SVG and metrics files for one or more controller runs.
 
@@ -151,24 +166,10 @@ def emit(results: dict, out_dir) -> list[Path]:
     for name, (log, metrics) in results.items():
         written.append(write_csv(log, out / f"{name}.csv"))
         metrics_doc[name] = asdict(metrics)
-        metrics_doc[name]["torque_total_variation"] = torque_total_variation(log)
-        if len(log):
-            svg_line_plot(
-                [("omega_g", log.t, log.omega_g),
-                 ("omega_g_ref", log.t, log.omega_g_ref)],
-                f"Generator speed tracking ({name})", "omega_g [rad/s]",
-                out / f"{name}_speed.svg")
-            svg_line_plot(
-                [("captured", log.t, log.p_t), ("maximum", log.t, log.p_max)],
-                f"Power capture ({name})", "power [W]",
-                out / f"{name}_power.svg")
-            svg_line_plot(
-                [("t_g_ref [kNm]", log.t, log.t_g_ref / 1e3),
-                 ("beta_ref [deg]", log.t, log.beta_ref)],
-                f"Control inputs ({name})", "input",
-                out / f"{name}_inputs.svg")
-            written += [out / f"{name}_speed.svg", out / f"{name}_power.svg",
-                        out / f"{name}_inputs.svg"]
+        for suffix, series, title, y_label in _plots(log) if len(log) else ():
+            path = out / f"{name}_{suffix}.svg"
+            svg_line_plot(series, f"{title} ({name})", y_label, path)
+            written.append(path)
     if len(results) >= 2:
         series = [(name, log.t, np.abs(log.p_max - log.p_t))
                   for name, (log, _) in results.items() if len(log)]

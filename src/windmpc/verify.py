@@ -274,7 +274,7 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
         explicit = explicit_cost(model, weights, x_a, r_s, du)
         worst = max(worst, abs(explicit - (condensed + constant))
                     / max(1.0, abs(explicit)))
-        residual = qp.factor.g @ du - (qp.w + qp.s @ z)
+        residual = qp.factor.g @ du - (qp.w + qp.s @ x_a)
         if np.abs(residual).min() >= 1e-9:
             compared += 1
             agreed += bool(residual.max() <= 0.0) == unrolled_bounds_ok(

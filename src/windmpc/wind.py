@@ -41,11 +41,11 @@ def generate_wind(kind, seed, duration, params: TurbineParams,
         through a first-order filter with a 2 s time constant, stationary
         standard deviation ``std``.
     All samples are clamped to [4, 11) m/s. Raises DomainError for a
-    negative duration or seed, an unknown kind, a negative or non-finite
-    ``std`` and a non-finite ``level``.
+    negative or non-finite duration, a negative seed, an unknown kind, a
+    negative or non-finite ``std`` and a non-finite ``level``.
     """
-    if duration < 0.0:
-        raise DomainError("duration must be nonnegative")
+    if not 0.0 <= duration < math.inf:
+        raise DomainError("duration must be finite and nonnegative")
     if seed < 0:
         raise DomainError("seed must be nonnegative")
     if not 0.0 <= std < math.inf:

@@ -12,8 +12,7 @@ import pytest
 
 from windmpc import (MpcWeights, OfflineMpc, OnlineMpc, PlantState,
                      TurbineParams, compute_metrics, equilibrium,
-                     generate_wind, reference, run_closed_loop, step,
-                     torque_total_variation)
+                     generate_wind, reference, run_closed_loop, step)
 from windmpc.experiment import violation_masks
 from windmpc.verify import (CP_SWEEP_BUDGET_S, JACOBIAN_SWEEP_BUDGET_S,
                             QP_BENCH_BUDGET_S, QP_INSTANCES, SAMPLE_BUDGET_S,
@@ -148,8 +147,9 @@ def test_criterion_8_online_beats_offline_on_turbulent_seeds():
         for name, controller in (("offline", OfflineMpc(PARAMS, WEIGHTS)),
                                  ("online", OnlineMpc(PARAMS, WEIGHTS))):
             log = run_closed_loop(profile, controller, PARAMS, x0)
-            runs[name] = (compute_metrics(log, PARAMS).rms_power_error,
-                          torque_total_variation(log))
+            metrics = compute_metrics(log, PARAMS)
+            runs[name] = (metrics.rms_power_error,
+                          metrics.torque_total_variation)
         power_ok = runs["online"][0] <= runs["offline"][0]
         torque_ok = runs["online"][1] <= runs["offline"][1]
         ok &= power_ok and torque_ok and crossings >= 1

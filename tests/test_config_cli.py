@@ -257,8 +257,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert "first differing row 4" in out and "FAIL" in out
 
-    @pytest.mark.parametrize("text", [None, "not,a,log\n", "HEADER\n1,2\n"],
-                             ids=["missing", "bad_header", "short_row"])
+    @pytest.mark.parametrize("text", [None, "not,a,log\n", "HEADER\n1,2\n",
+                                      "HEADER\n" + ",".join("1" * 17) + "\n"],
+                             ids=["missing", "bad_header", "short_row",
+                                  "long_row"])
     def test_compare_logs_unreadable_csv_exit_code(self, logs, tmp_path,
                                                    capsys, text):
         bad = tmp_path / "bad.csv"

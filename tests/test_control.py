@@ -119,6 +119,11 @@ class TestDisturbanceEstimator:
             with pytest.raises(ValueError, match="kappa"):
                 cls(params, weights, kappa=kappa)
 
+    @pytest.mark.parametrize("cls", [OfflineMpc, OnlineMpc])
+    def test_infinite_gain_rejected(self, params, weights, cls):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            cls(params, weights, kappa=float("inf"))
+
 
 class TestOfflineMpc:
     def test_switch_happens_exactly_once_across_threshold(self, params, weights):
@@ -154,6 +159,13 @@ class TestOfflineMpc:
     def test_negative_hysteresis_rejected(self, params, weights):
         with pytest.raises(ValueError, match="hysteresis"):
             OfflineMpc(params, weights, hysteresis=-0.2)
+
+    @pytest.mark.parametrize("hysteresis", [float("inf"), float("nan")],
+                             ids=["inf", "nan"])
+    def test_non_finite_hysteresis_rejected(self, params, weights, hysteresis):
+        # an infinite band would never switch up
+        with pytest.raises(ValueError, match="hysteresis must be finite"):
+            OfflineMpc(params, weights, hysteresis=hysteresis)
 
     @pytest.mark.parametrize("layout", [
         dict(op_low=10.0, op_high=6.4),
@@ -444,7 +456,8 @@ class TestCondenseRoute:
             for name in ("h", "g", "h_inv", "h_inv_gt", "m"):
                 assert_bitwise(getattr(ms.qp.factor, name),
                                getattr(want, name))
-            for got, want in ((ms.qp.f, f), (ms.qp.w, w), (ms.qp.s, s),
+            for got, want in ((ms.qp.f, f), (ms.qp.w, w),
+                              (ms.qp.s, s[:, :phi.shape[1]]),
                               (ms.qp.du_min, bounds.du_min),
                               (ms.qp.du_max, bounds.du_max)):
                 assert_bitwise(got, want)

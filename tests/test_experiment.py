@@ -7,7 +7,7 @@ import pytest
 from helpers import synthetic_log
 from windmpc import (Metrics, OfflineMpc, OnlineMpc, SimLog, compute_metrics,
                      equilibrium, generate_wind, reference, run_closed_loop,
-                     run_experiment, torque_total_variation)
+                     run_experiment)
 from windmpc.config import build_config
 from windmpc.errors import SimulationError
 from windmpc.experiment import count_violations, violation_masks
@@ -201,9 +201,11 @@ class TestRunExperiment:
 
 class TestTorqueTotalVariation:
     def test_constant_torque_zero(self, params):
-        assert torque_total_variation(synthetic_log(50, params)) == 0.0
+        log = synthetic_log(50, params)
+        assert compute_metrics(log, params).torque_total_variation == 0.0
 
     def test_known_staircase(self, params):
         log = synthetic_log(4, params)
         log.t_g_ref = np.array([0.0, 10.0, 5.0, 25.0])
-        assert torque_total_variation(log) == pytest.approx(35.0)
+        tv = compute_metrics(log, params).torque_total_variation
+        assert tv == pytest.approx(35.0)

@@ -216,13 +216,13 @@ class TestCondenseConstraints:
         g, w, s = condensed_rows(augmented, self.example_bounds(), 20, 5)
         assert g.shape == (120, 10)
         assert w.shape == (120,)
-        assert s.shape == (120, 8 + 2 * 20)
+        assert s.shape == (120, 8)  # S acts on the state x_a only
 
     def test_all_infinite_bounds_empty(self, augmented):
         g, w, s = condensed_rows(augmented, unbounded_constraints(), 4, 2)
         assert g.shape == (0, 4)
         assert w.size == 0
-        assert s.shape == (0, 8 + 2 * 4)
+        assert s.shape == (0, 8)
 
     def test_membership_matches_unrolled_bounds(self, augmented, rng):
         n_p, n_c = 6, 3
@@ -233,8 +233,7 @@ class TestCondenseConstraints:
             x_a = rng.normal(size=8) * np.array([0.1, 2.0, 200.0, 200.0, 0.5,
                                                  0.2, 300.0, 0.5])
             du = rng.normal(size=2 * n_c) * np.tile([150.0, 0.3], n_c)
-            z = np.concatenate([x_a, np.zeros(2 * n_p)])
-            residual = g @ du - (wvec + s @ z)
+            residual = g @ du - (wvec + s @ x_a)
             # skip draws sitting on a boundary within tolerance
             if np.abs(residual).min() < 1e-9:
                 continue
@@ -245,7 +244,7 @@ class TestCondenseConstraints:
         assert checked > 100
 
     def test_rows_equal_simulated_slacks(self, augmented, rng):
-        # each condensed row, G du - (W + S z), is one bound's excess along
+        # each condensed row, G du - (W + S x_a), is one bound's excess along
         # the forward simulation, in the stacking order of condense
         n_p, n_c = 6, 3
         a, bm, c = augmented
@@ -270,7 +269,7 @@ class TestCondenseConstraints:
                 ys - np.tile(bounds.y_max, n_p), np.tile(bounds.y_min, n_p) - ys,
                 us - np.tile(bounds.u_max, n_c), np.tile(bounds.u_min, n_c) - us,
                 dus - np.tile(bounds.du_max, n_c), np.tile(bounds.du_min, n_c) - dus])
-            residual = g @ du - (wvec + s @ np.concatenate([x_a, np.zeros(2 * n_p)]))
+            residual = g @ du - (wvec + s @ x_a)
             np.testing.assert_allclose(residual, expected, rtol=1e-9,
                                        atol=1e-9 * np.abs(expected).max())
 
@@ -280,8 +279,7 @@ class TestCondenseConstraints:
         g, wvec, s = condensed_rows(augmented, bounds, n_p, n_c)
         x_a = np.zeros(8)
         du = np.tile([1.0, 0.001], n_c)  # tiny moves from rest stay inside
-        z = np.concatenate([x_a, np.zeros(2 * n_p)])
-        assert np.all(g @ du <= wvec + s @ z)
+        assert np.all(g @ du <= wvec + s @ x_a)
 
 
 class TestCachedLayout:
@@ -303,9 +301,11 @@ class TestCachedLayout:
         qp = condensed_qp(model, weights, bounds)
         got = (qp.factor.h, qp.f, qp.factor.g, qp.w, qp.s, qp.du_min,
                qp.du_max)
+        g, w, s = condense_constraints_reference(phi, gamma, bounds, weights)
+        n = phi.shape[1]
+        assert not s[:, n:].any()  # references never constrain
         want = (condense_cost_reference(phi, gamma, weights)
-                + condense_constraints_reference(phi, gamma, bounds, weights)
-                + (bounds.du_min, bounds.du_max))
+                + (g, w, s[:, :n], bounds.du_min, bounds.du_max))
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()

@@ -1,13 +1,24 @@
+import json
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 import windmpc.output
-from windmpc import (OfflineMpc, OnlineMpc, compute_metrics, generate_wind,
-                     run_closed_loop)
-from windmpc.experiment import LOG_FLOAT_FIELDS
+from windmpc import (Metrics, OfflineMpc, OnlineMpc, SimLog, compute_metrics,
+                     generate_wind, run_closed_loop)
+from windmpc.experiment import LOG_FIELDS, LOG_FLOAT_FIELDS
 from windmpc.output import CSV_HEADER, emit, read_csv, svg_line_plot, write_csv
 
 from helpers import svg_line_plot_reference, synthetic_log, write_csv_reference
+
+
+def assert_column_types(log):
+    """The types ``SimLog.from_columns`` gives each column."""
+    for name in LOG_FLOAT_FIELDS + ("step_time",):
+        assert getattr(log, name).dtype == np.float64, name
+    assert log.qp_iters.dtype == np.dtype(int)
+    assert type(log.mode) is list and type(log.qp_status) is list
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +31,11 @@ def short_log():
 
 
 class TestCsv:
+    def test_one_field_order(self):
+        # SimLog, the loop's rows and the CSV header share LOG_FIELDS' order
+        assert tuple(f.name for f in fields(SimLog)) == LOG_FIELDS
+        assert tuple(CSV_HEADER.split(",")) == LOG_FIELDS[:-1]
+
     def test_header_and_row_count(self, short_log, tmp_path):
         params, log = short_log
         path = write_csv(log, tmp_path / "run.csv")
@@ -40,12 +56,37 @@ class TestCsv:
         assert np.array_equal(back.qp_iters, log.qp_iters)
         assert back.mode == log.mode
         assert back.qp_status == log.qp_status
+        assert_column_types(log)
+        assert_column_types(back)
 
     def test_rejects_foreign_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             read_csv(bad)
+
+
+class TestEmptyRun:
+    def test_header_only_csv_and_zero_metrics(self, params, tmp_path):
+        # a zero-length profile: the loop's empty log, a header-only CSV that
+        # reads back empty, no plots and all-zero metrics, TV included
+        profile = generate_wind("turbulent", 2024, 0.0, params)
+        log = run_closed_loop(profile, OfflineMpc(params), params)
+        metrics = compute_metrics(log, params)
+        assert len(log) == 0 and metrics == Metrics()
+        assert metrics.torque_total_variation == 0.0
+        written = emit({"offline": (log, metrics)}, tmp_path)
+        names = ["metrics.json", "offline.csv"]
+        assert sorted(p.name for p in written) == names
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert (tmp_path / "offline.csv").read_text() == CSV_HEADER + "\n"
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        assert doc == {"offline": asdict(Metrics())}
+        back = read_csv(tmp_path / "offline.csv")
+        for name in LOG_FIELDS:
+            assert len(getattr(back, name)) == 0, name
+        assert_column_types(back)
+        assert_column_types(log)
 
 
 class TestSvg:
@@ -81,7 +122,6 @@ class TestEmit:
         assert ">offline<" in comparison and ">online<" in comparison
 
     def test_metrics_json_fields(self, short_log, tmp_path):
-        import json
         params, log = short_log
         metrics = compute_metrics(log, params)
         emit({"online": (log, metrics)}, tmp_path / "m")

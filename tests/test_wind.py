@@ -76,9 +76,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(seed=-1), dict(std=-1.0), dict(std=np.nan), dict(std=np.inf),
-        dict(level=np.nan), dict(level=np.inf)],
+        dict(level=np.nan), dict(level=np.inf), dict(duration=np.inf),
+        dict(duration=np.nan)],
         ids=["seed_negative", "std_negative", "std_nan", "std_inf",
-             "level_nan", "level_inf"])
+             "level_nan", "level_inf", "duration_inf", "duration_nan"])
     def test_bad_input_rejected(self, params, kwargs):
         with pytest.raises(DomainError):
             generate_wind(**{"kind": "turbulent", "seed": 0, "duration": 10.0,
