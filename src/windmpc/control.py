@@ -77,7 +77,6 @@ class ModelSet:
     b_du: np.ndarray   # discrete input matrix
     qp: CondensedQp
     x_bar: np.ndarray  # op.x_bar as an array
-    u_bar: np.ndarray  # op.u_bar as an array
     p_g_bar: float     # generator power at the point, W
     b_d: np.ndarray    # discrete wind-disturbance column, raveled
     b_d_sq: float      # b_d . b_d
@@ -104,8 +103,8 @@ def assemble_model_set(op: OperatingPoint, arrays, params: TurbineParams,
     qp = condense(h, f, gamma, phi, _bounds_about(
         params, op.x_bar.omega_g, p_g_bar, *op.u_bar), weights.n_c)
     b_d = b_d.ravel()
-    return ModelSet(op, a_d, b_du, qp, np.array(op.x_bar), np.array(op.u_bar),
-                    p_g_bar, b_d, float(b_d @ b_d))
+    return ModelSet(op, a_d, b_du, qp, np.array(op.x_bar), p_g_bar, b_d,
+                    float(b_d @ b_d))
 
 
 def build_model_set(v_bar, params: TurbineParams, weights: MpcWeights) -> ModelSet:
@@ -222,24 +221,25 @@ class _MpcControllerBase:
             self.u_prev = ControlInput(float(x[3]), float(x[4]))
 
         dx = x - ms.x_bar
-        u_prev = np.asarray(self.u_prev, dtype=float)
-        du_prev = u_prev - ms.u_bar
-        x_a = np.concatenate([dx, [self.d_hat], du_prev])
+        t_prev, beta_prev = self.u_prev
+        du_prev = [t_prev - ms.op.u_bar[0], beta_prev - ms.op.u_bar[1]]
+        x_a = np.array(dx.tolist() + [self.d_hat] + du_prev)
 
         r_s = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
                         ref.p_g_ref - ms.p_g_bar])[self._ref_index]
 
         du, info = mpc_step(ms.qp, x_a, r_s, self.solver)
 
-        u = u_prev + du
-        u[0] = min(max(u[0], 0.0), p.t_g_max)
-        u[1] = min(max(u[1], p.beta_min), p.beta_max)
-        u_out = ControlInput(float(u[0]), float(u[1]))
+        du_t, du_beta = du.tolist()
+        u_out = ControlInput(
+            float(min(max(t_prev + du_t, 0.0), p.t_g_max)),
+            float(min(max(beta_prev + du_beta, p.beta_min), p.beta_max)))
 
         # one-step-ahead prediction with the applied (saturated) input,
         # whose innovation updates d_hat at the next sample
-        du_applied = u - u_prev
-        x_pred = (ms.x_bar + ms.a_d @ dx + ms.b_du @ (du_prev + du_applied)
+        du_total = np.array([du_prev[0] + (u_out.t_g_ref - t_prev),
+                             du_prev[1] + (u_out.beta_ref - beta_prev)])
+        x_pred = (ms.x_bar + ms.a_d @ dx + ms.b_du @ du_total
                   + ms.b_d * self.d_hat)
         self._prediction = (x_pred, ms)
         self.u_prev = u_out

@@ -17,16 +17,17 @@ The steps run in range-space form on a factor of (H, G) that only
 D H D, D = diag(H)^(-1/2), then H^-1 G' and M = G H^-1 G'. A solve
 that steps inverts M_WW on its working set W once and updates the inverse as
 rows join and leave W, so a step costs a gather of M's rows and products the
-size of W. Suited to receding-horizon
-control, where H and G are fixed per model and the active set barely
-changes between samples: a solver instance starts from the optimum on its
-last working set, pruned of rows with negative multipliers. Each factor also
-remembers the working sets found optimal on it as affine laws of (f, b),
-the explicit MPC of Bemporad et al. (2002) learned only where the loop goes,
-the partial enumeration of Pannocchia et al. (2007); a solve tries them
-before the dual loop. A law is built on its factor's next solve, so a factor
-solved once builds none, and at most LAW_CAP are kept. The enumeration
-oracle the solver is checked against lives in ``windmpc.verify``.
+size of W. Suited to receding-horizon control, where H and G are fixed per
+model and the active set barely changes between samples: a solver instance
+starts from the optimum on its last working set, pruned of rows with negative
+multipliers. Each factor also remembers the working sets found optimal on it
+as affine laws of (f, b), the explicit MPC of Bemporad et al. (2002) learned
+only where the loop goes, the partial enumeration of Pannocchia et al.
+(2007); a solve tries them before the dual loop. A law that holds hands over
+the x and G x - b it was tested on, and the KKT check on every accepted x
+reuses them. A law is built on its factor's next solve, so a factor solved
+once builds none, and at most LAW_CAP are kept. The enumeration oracle the
+solver is checked against lives in ``windmpc.verify``.
 """
 
 from dataclasses import dataclass, field
@@ -71,9 +72,10 @@ class LawTable(dict):
             self[key] = None
 
     def match(self, factor: "QpFactor", last, x_free, b, tol):
-        """(W, lambda_W, 1) for a law optimal at (f, b), lambda_W >= 0 and
-        G x - b <= tol: the last working set's law if it is, else the earliest
-        learned; None on a miss."""
+        """(W, lambda_W, 1, x, G x - b) for a law optimal at (f, b): lambda_W
+        >= 0 and G x - b <= tol on the x and G x - b returned, in the sweep a
+        row of the batch. The last working set's law if it is, else the
+        earliest learned; None on a miss."""
         if not self:
             return None
         if self.stack is None or len(self.stack[0]) < len(self):
@@ -81,19 +83,23 @@ class LawTable(dict):
         r, law = factor.g @ x_free - b, self.get(tuple(last))
         if law is not None:
             lam = law[0] @ r
-            if lam.min() >= 0.0 and (
-                    factor.g @ (x_free - law[1] @ r) - b).max() <= tol:
-                return list(last), lam, 1
+            if lam.min() >= 0.0:
+                x = x_free - law[1] @ r
+                gx_b = factor.g @ x - b
+                if gx_b.max() <= tol:
+                    return list(last), lam, 1, x, gx_b
         keys, p, q, starts, rows = self.stack
         if keys:
             lam = p[:rows] @ r
             dual = np.flatnonzero(
                 np.minimum.reduceat(lam, starts[:len(keys)]) >= 0.0)
             x = x_free - q[dual] @ r
-            ok = np.flatnonzero((x @ factor.g.T - b).max(axis=1) <= tol)
+            gx_b = x @ factor.g.T - b
+            ok = np.flatnonzero(gx_b.max(axis=1) <= tol)
             if ok.size:
-                i = dual[ok[0]]
-                return list(keys[i]), lam[starts[i]:starts[i] + len(keys[i])], 1
+                k, i = ok[0], dual[ok[0]]
+                return (list(keys[i]), lam[starts[i]:starts[i] + len(keys[i])],
+                        1, x[k], gx_b[k])
         return None
 
     def _build(self, factor: "QpFactor"):
@@ -175,9 +181,10 @@ class ActiveSetSolver:
         Raises InfeasibleQpError when no feasible point exists, carrying the
         row this dual path stalled on: the warm start and the step order pick
         it, so it is not a property of the program. Raises QpIterationError
-        when the iteration cap is hit or the KKT residuals fail to verify. The
-        iteration count includes the start-point solve and each pruned row; a
-        solve taken from the factor's law table counts 1.
+        when the iteration cap is hit or the KKT residuals fail to verify, on a
+        law-table hit too, whose x and G x - b are those ``LawTable.match``
+        tested. The iteration count includes the start-point solve and each
+        pruned row; a hit counts 1.
         """
         h, g = factor.h, factor.g
         f = np.asarray(f, dtype=float).ravel()
@@ -185,28 +192,31 @@ class ActiveSetSolver:
         x_free = -(factor.h_inv @ f)
         if m == 0:
             return QpSolution(x_free, np.zeros(0), [], 1,
-                              self._objective(h, f, x_free))
+                              float(0.5 * x_free @ h @ x_free + f @ x_free))
         b = np.asarray(b, dtype=float).ravel()
-        tol = FEAS_TOL * (1.0 + float(np.abs(b).max()))
+        b_scale = 1.0 + float(np.abs(b).max())
+        tol = FEAS_TOL * b_scale
 
-        ws, lam, iterations = (
+        ws, lam, iterations, x, gx_b = (
             factor.laws.match(factor, self.working_set, x_free, b, tol)
             or self._warm_start(factor, x_free, b))
-        x = x_free - factor.h_inv_gt[:, ws] @ lam
-        viol = g @ x - b
-        viol[ws] = -np.inf
-        p = int(np.argmax(viol))
-        if viol[p] > tol:
-            x, ws, lam, iterations = self._dual_steps(
-                factor, x_free, b, tol, ws, lam, iterations, viol, p)
+        if gx_b.max() > tol:  # never on a law-table hit
+            viol = gx_b.copy()
+            viol[ws] = -np.inf
+            p = int(np.argmax(viol))
+            if viol[p] > tol:
+                x, ws, lam, iterations = self._dual_steps(
+                    factor, x_free, b, tol, ws, lam, iterations, viol, p)
+                gx_b = g @ x - b
         mult = np.zeros(m)
         mult[ws] = np.maximum(lam, 0.0)
-        self._verify_kkt(h, f, g, b, x, mult)
+        hx = h @ x
+        self._verify_kkt(f, g, gx_b, hx, mult, b_scale)
         self.working_set = sorted(ws)
         if ws:
             factor.laws.record(tuple(self.working_set))
         return QpSolution(x, mult, sorted(ws), iterations,
-                          self._objective(h, f, x))
+                          float(0.5 * (x @ hx) + f @ x))
 
     def _dual_steps(self, factor: QpFactor, x_free, b, tol, ws, lam,
                     iterations, viol, p):
@@ -285,7 +295,7 @@ class ActiveSetSolver:
                 del ws[drop], lam[drop]
 
     def _warm_start(self, factor: QpFactor, x_free, b):
-        """(working set, multipliers, solves spent) to start from: the last
+        """(W, multipliers, solves spent, x, G x - b) to start from: the last
         working set W with M_WW lam = G_W x_free - b_W, dropping the row of
         the most negative multiplier until none is negative, which keeps the
         start dual feasible. An emptied or singular set starts cold."""
@@ -299,26 +309,24 @@ class ActiveSetSolver:
             except np.linalg.LinAlgError:
                 break
             if lam.min() >= 0.0:
-                return ws, lam, solves
+                x = x_free - factor.h_inv_gt[:, ws] @ lam
+                return ws, lam, solves, x, factor.g @ x - b
             del ws[int(np.argmin(lam))]
             solves += 1
-        return [], np.zeros(0), solves
+        return [], np.zeros(0), solves, x_free, factor.g @ x_free - b
 
     @staticmethod
-    def _objective(h, f, x):
-        return float(0.5 * x @ h @ x + f @ x)
-
-    @staticmethod
-    def _verify_kkt(h, f, g, b, x, mult):
+    def _verify_kkt(f, g, gx_b, hx, mult, b_scale):
+        """Raise QpIterationError unless x with G x - b = ``gx_b`` and H x =
+        ``hx`` is a KKT point; ``b_scale`` = 1 + max|b| scales as in ``solve``."""
         # each test is written "not residual <= tol", so that NaN fails it
-        stationarity = np.abs(h @ x + f + g.T @ mult).max()
+        stationarity = np.abs(hx + f + g.T @ mult).max()
         if not stationarity <= STAT_TOL * (1.0 + np.abs(f).max()):
             raise QpIterationError(
                 f"stationarity residual {stationarity:.3e} above tolerance")
-        slack = b - g @ x
-        if not slack.min() >= -FEAS_TOL * (1.0 + np.abs(b).max()):
+        if not gx_b.max() <= FEAS_TOL * b_scale:
             raise QpIterationError("accepted point is primal infeasible")
-        comp = np.abs(mult * slack).max() if mult.size else 0.0
-        if not comp <= STAT_TOL * (1.0 + np.abs(b).max()) * (1.0 + np.abs(mult).max()):
+        comp = np.abs(mult * gx_b).max()
+        if not comp <= STAT_TOL * b_scale * (1.0 + np.abs(mult).max()):
             raise QpIterationError(
                 f"complementary slackness residual {comp:.3e} above tolerance")

@@ -1,18 +1,22 @@
 """Fixtures shared by the unit suites."""
 
+import math
+import re
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from windmpc import (ActiveSetSolver, DomainError, InfeasibleQpError,
-                     IntegrationError, OnlineMpc, PlantState, QpIterationError,
-                     SimLog, aerodynamic_torque, build_model_set, condense,
-                     condense_cost, generator_power, output,
-                     prediction_matrices)
+from windmpc import (ActiveSetSolver, ControlInput, DomainError,
+                     InfeasibleQpError, IntegrationError, OnlineMpc,
+                     PlantState, QpIterationError, SimLog, aerodynamic_torque,
+                     build_model_set, condense, condense_cost, equilibrium,
+                     generator_power, output, prediction_matrices,
+                     run_closed_loop)
 from windmpc.control import _bounds_about
 from windmpc.experiment import LOG_FLOAT_FIELDS
 from windmpc.qp import DEP_TOL, MAX_ITER_FACTOR
+from windmpc.verify import compare_logs
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,42 @@ def synthetic_log(n, params, power_error=None):
         omega_g_ref=np.full(n, 101.412), mode=["online"] * n,
         qp_iters=np.ones(n, dtype=int), qp_status=["optimal"] * n,
         step_time=np.full(n, 1e-3))
+
+
+def ulp_sensitivity(profile, make_controller, params):
+    """The sensitivity probe: the closed loop over ``profile`` from the
+    equilibrium at its first wind, and again with omega_t(0) one ulp higher,
+    each on a fresh ``make_controller()``. Returns (ok, worst relative gap,
+    report) of ``compare_logs`` on the two logs. The gap is the loop's own
+    rounding noise, so an output drift far above it is a change in the
+    answers."""
+    x0 = equilibrium(profile.v[0], params).x_bar
+    x1 = x0._replace(omega_t=math.nextafter(x0.omega_t, math.inf))
+    ok, report = compare_logs(
+        *(run_closed_loop(profile, make_controller(), params, x)
+          for x in (x0, x1)), params)
+    gaps = re.findall(r"\w+ (\S+) \(row \d+\)", report)
+    if len(gaps) != len(LOG_FLOAT_FIELDS):
+        raise ValueError(f"no gap per float column in: {report}")
+    return ok, max(map(float, gaps)), report
+
+
+def apply_inputs_reference(ms, x, u_prev, d_hat, du, params):
+    """The controller step's input arithmetic on numpy 2-vectors: (x_a,
+    the clamped input, the one-step prediction) for measured state x,
+    previous input u_prev, estimate d_hat and QP move du on ModelSet ms. The
+    oracle of ``_apply``'s arithmetic on Python floats."""
+    dx = x - ms.x_bar
+    u_prev = np.asarray(u_prev, dtype=float)
+    du_prev = u_prev - np.array(ms.op.u_bar)
+    x_a = np.concatenate([dx, [d_hat], du_prev])
+    u = u_prev + du
+    u[0] = min(max(u[0], 0.0), params.t_g_max)
+    u[1] = min(max(u[1], params.beta_min), params.beta_max)
+    du_applied = u - u_prev
+    x_pred = (ms.x_bar + ms.a_d @ dx + ms.b_du @ (du_prev + du_applied)
+              + ms.b_d * d_hat)
+    return x_a, ControlInput(float(u[0]), float(u[1])), x_pred
 
 
 class DirectOnlineMpc(OnlineMpc):

@@ -1,23 +1,35 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import windmpc.control as control_mod
 import windmpc.linearize as linearize_mod
-from windmpc import (DomainError, MpcWeights, OfflineMpc, OnlineMpc,
-                     PlantState, TurbineParams, aerodynamic_torque,
+from windmpc import (ControlInput, DomainError, MpcWeights, OfflineMpc,
+                     OnlineMpc, PlantState, TurbineParams, aerodynamic_torque,
                      build_model_set, equilibrium,
                      generate_wind, generator_power, reference,
                      run_closed_loop, step)
 from windmpc.control import (D_HAT_LIMIT, EXPANSION_REL_TOL,
                              assemble_model_set, expanded_arrays, model_arrays,
                              model_expansion)
+from windmpc.mpc import StepInfo
 from windmpc.qp import factorize
 from windmpc.verify import compare_logs
 
-from helpers import (DirectOnlineMpc, condense_constraints_reference,
-                     condense_cost_reference, shift_constraints)
+from helpers import (DirectOnlineMpc, apply_inputs_reference,
+                     condense_constraints_reference, condense_cost_reference,
+                     shift_constraints)
+
+T_G_MAX = TurbineParams().t_g_max
+
+
+@pytest.fixture(scope="module")
+def controller(params, weights):
+    """One OfflineMpc for the hypothesis tests, which reset its state."""
+    return OfflineMpc(params, weights)
 
 
 class TestReference:
@@ -231,6 +243,50 @@ class TestOfflineMpc:
                 controller.step(state, v)
 
 
+class TestInputArithmetic:
+    """``_apply``'s input arithmetic on Python floats equals the numpy
+    2-vector formula of ``apply_inputs_reference`` bit for bit: x_a, the
+    clamped input and the one-step prediction, for any QP move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(high=st.booleans(), t_prev=st.floats(0.0, T_G_MAX),
+           beta_prev=st.floats(0.0, 45.0),
+           du_t=st.floats(-2.0 * T_G_MAX, 2.0 * T_G_MAX),
+           du_beta=st.floats(-60.0, 60.0), d_hat=st.floats(-5.0, 5.0),
+           rel=st.lists(st.floats(-0.1, 0.1), min_size=5, max_size=5))
+    # clamps at 0, t_g_max, beta_min and beta_max, and moves that land on
+    # a bound exactly
+    @example(high=False, t_prev=1e3, beta_prev=1.0, du_t=-2e3, du_beta=-3.0,
+             d_hat=0.0, rel=[0.0] * 5)
+    @example(high=True, t_prev=T_G_MAX - 1.0, beta_prev=44.0, du_t=5.0,
+             du_beta=2.0, d_hat=-1.0, rel=[0.01] * 5)
+    @example(high=True, t_prev=1e3, beta_prev=0.5, du_t=-1e3, du_beta=44.5,
+             d_hat=0.5, rel=[-0.01] * 5)
+    def test_equals_numpy_formula_bit_for_bit(self, controller, params, high,
+                                              t_prev, beta_prev, du_t,
+                                              du_beta, d_hat, rel):
+        ms = controller.bank[high]
+        x = ms.x_bar * (1.0 + np.array(rel))
+        du = np.array([du_t, du_beta])
+        controller.u_prev = ControlInput(t_prev, beta_prev)
+        controller.d_hat, controller._prediction = d_hat, None
+        seen = []
+
+        def qp_move(qp, x_a, r_s, solver):
+            seen.append(x_a)
+            return du.copy(), StepInfo("optimal", 1, 0, 0.0)
+
+        with mock.patch.object(control_mod, "mpc_step", qp_move):
+            u_out, _ = controller._apply(ms, PlantState(*x.tolist()),
+                                         reference(8.0, params))
+        x_a, u_ref, x_pred = apply_inputs_reference(
+            ms, x, (t_prev, beta_prev), d_hat, du, params)
+        assert seen[0].tobytes() == x_a.tobytes()
+        assert np.array(u_out).tobytes() == np.array(u_ref).tobytes()
+        assert all(type(u) is float for u in u_out)
+        assert controller._prediction[0].tobytes() == x_pred.tobytes()
+
+
 @pytest.mark.parametrize("cls", [OfflineMpc, OnlineMpc])
 class TestNonFiniteState:
     @pytest.mark.parametrize("field,value", [("omega_g", np.nan),
@@ -369,7 +425,6 @@ class TestOnlineMpc:
     def test_model_set_caches_the_step_offsets(self, params, weights):
         ms = build_model_set(8.0, params, weights)
         assert ms.x_bar.tolist() == list(ms.op.x_bar)
-        assert ms.u_bar.tolist() == list(ms.op.u_bar)
         assert ms.p_g_bar == generator_power(ms.op.x_bar.t_g,
                                              ms.op.x_bar.omega_g, params)
         b_d = model_arrays(ms.op, params, weights)[2].ravel()

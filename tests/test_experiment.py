@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import synthetic_log
+from helpers import synthetic_log, ulp_sensitivity
 from windmpc import (Metrics, OfflineMpc, OnlineMpc, SimLog, compute_metrics,
                      equilibrium, generate_wind, reference, run_closed_loop,
                      run_experiment)
@@ -175,6 +175,22 @@ class TestCompareLogs:
         ok, report = compare_logs(synthetic_log(3, params),
                                   synthetic_log(4, params), params)
         assert not ok and "3 against 4" in report
+
+
+class TestSensitivityProbe:
+    @pytest.mark.parametrize("level, std", [(8.7, 1.0), (10.3, 1.5)])
+    def test_one_ulp_of_rotor_speed_stays_rounding_noise(self, params,
+                                                         weights, level, std):
+        # the 60 s offline loop of the benchmark's wind and of gusts near
+        # rated, from omega_t(0) and from the next double up: the ulp must
+        # reach the log and stay three orders below LOG_REL_TOL, so that a
+        # drift near the tolerance reads as a change in the answers
+        profile = generate_wind("turbulent", 2024, 60.0, params, level=level,
+                                std=std)
+        ok, worst, report = ulp_sensitivity(
+            profile, lambda: OfflineMpc(params, weights), params)
+        assert ok, report
+        assert 0.0 < worst <= 1e-3 * LOG_REL_TOL, report
 
 
 class TestRunExperiment:

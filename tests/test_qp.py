@@ -18,6 +18,12 @@ from windmpc.verify import (check_qp_solver, enumerate_qp, random_qp_instance,
 from helpers import ReferenceSolver
 
 
+def verify_kkt_at(h, f, g, b, x, mult):
+    """``ActiveSetSolver._verify_kkt`` on the products it takes, formed at x."""
+    ActiveSetSolver._verify_kkt(f, g, g @ x - b, h @ x, mult,
+                                1.0 + float(np.abs(b).max()))
+
+
 class TestScalarCases:
     def test_unconstrained_minimum(self):
         x = ActiveSetSolver().solve(factorize(np.array([[2.0]])),
@@ -46,10 +52,10 @@ class TestScalarCases:
         h, f = np.eye(2), np.array([-2.0, -1.0])
         g, b = np.array([[1.0, 0.0]]), np.array([5.0])
         x, mult = np.array([2.0, 1.0]), np.zeros(1)
-        ActiveSetSolver._verify_kkt(h, f, g, b, x, mult)
+        verify_kkt_at(h, f, g, b, x, mult)
         x[nan_at] = np.nan
         with pytest.raises(QpIterationError):
-            ActiveSetSolver._verify_kkt(h, f, g, b, x, mult)
+            verify_kkt_at(h, f, g, b, x, mult)
 
 
 class TestAgainstEnumeration:
@@ -311,6 +317,63 @@ class TestLawTable:
             assert np.abs(x - enumerate_qp(h, f_k, g, b_k)).max() <= 1e-6
 
 
+class TestHitVerified:
+    """A law-table hit hands the x and G x - b it tested to the KKT check,
+    which rejects a wrong law as it rejects any other accepted point."""
+
+    F, B = np.array([-2.0, -2.0]), np.array([1.0, 5.0])
+
+    def learned(self):
+        # min 0.5|x|^2 - 2 x1 - 2 x2 on x1 <= 1, x2 <= 5: x = (1, 2) on row
+        # 0 with multiplier 1; the second solve builds law {0} and hits it
+        factor, solver = factorize(np.eye(2), np.eye(2)), ActiveSetSolver()
+        solver.solve(factor, self.F, self.B)
+        sol = solver.solve(factor, self.F, self.B)
+        assert list(factor.laws) == [(0,)] and sol.iterations == 1
+        assert np.array_equal(sol.x, [1.0, 2.0])
+        return factor, solver
+
+    @staticmethod
+    def tamper(factor, block, entry, delta):
+        """Add ``delta`` at ``entry`` of law {0}'s P (block 0) or Q (block
+        1), both in the table and in its stack."""
+        factor.laws[(0,)][block][entry] += delta
+        _, p, q, _, _ = factor.laws.stack
+        (p if block == 0 else q[0])[entry] += delta
+
+    @pytest.mark.parametrize("block, delta", [(0, 1.0), (1, 0.5)],
+                             ids=["p", "q"])
+    def test_non_stationary_hit_raises(self, block, delta):
+        # P: lambda_0 = 2 at the right x; Q: x = (1, 1.5), feasible with
+        # lambda_0 = 1. Either way H x + f + G' mult is not zero
+        factor, solver = self.learned()
+        self.tamper(factor, block, (0, 0) if block == 0 else (1, 0), delta)
+        with pytest.raises(QpIterationError, match="stationarity"):
+            solver.solve(factor, self.F, self.B)
+
+    def test_infeasible_hit_raises(self, monkeypatch):
+        # P and Q: lambda_0 = 1/2 and x = (3/2, 2), stationary but breaking
+        # its own working row x1 <= 1. The law misses, so the solve answers
+        # from the warm start; handed over untested, the point is rejected
+        factor, solver = self.learned()
+        self.tamper(factor, 0, (0, 0), -0.5)
+        self.tamper(factor, 1, (0, 0), -0.5)
+        x_free, tol = np.array([2.0, 2.0]), 1e-9 * 6.0
+        assert factor.laws.match(factor, [0], x_free, self.B, tol) is None
+        assert np.array_equal(solver.solve(factor, self.F, self.B).x,
+                              [1.0, 2.0])
+
+        def untested(table, factor, last, x_free, b, tol):
+            p_w, q_w = table[tuple(last)]
+            r = factor.g @ x_free - b
+            x = x_free - q_w @ r
+            return list(last), p_w @ r, 1, x, factor.g @ x - b
+
+        monkeypatch.setattr(windmpc.qp.LawTable, "match", untested)
+        with pytest.raises(QpIterationError, match="primal infeasible"):
+            solver.solve(factor, self.F, self.B)
+
+
 class TestFactor:
     def test_inverse_of_condensed_hessian(self, params, weights):
         for v in (4.5, 6.1, 7.7, 9.3, 10.9):
@@ -520,7 +583,7 @@ class TestDependentRow:
         assert np.abs(x - [-1.0, -0.5]).max() <= 1e-7
         mult = np.zeros(4)
         mult[ws] = lam_w
-        ActiveSetSolver._verify_kkt(np.eye(2), -lam, g, b, x, mult)
+        verify_kkt_at(np.eye(2), -lam, g, b, x, mult)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 6),
