@@ -231,7 +231,8 @@ class ActiveSetSolver:
         (through J's updates it drifts when M_WW is ill-conditioned), x =
         x_free - H^-1 G_W' lam is formed and G x - b at it decides the exit."""
         g, mm = factor.g, factor.m
-        max_iter = max(10, MAX_ITER_FACTOR * g.shape[1])
+        n = g.shape[1]
+        max_iter = max(10, MAX_ITER_FACTOR * n)
         j = np.linalg.inv(mm[np.array(ws, dtype=np.intp)[:, None], ws])
         screen = DEP_SCREEN * float(np.abs(factor.h_inv).sum()) * DEP_TOL ** 2
         lam, lam_p = lam.tolist(), 0.0     # lam_p: row p's multiplier so far
@@ -257,12 +258,13 @@ class ActiveSetSolver:
             g_z = u @ rows[:-1] - rows[-1]
             s, viol_p = -float(g_z[p]), float(viol[p])
             t_full = np.inf                # step that makes row p active
-            # row p is dependent on W when H z is tiny; s = (Hz)' H^-1 (Hz)
-            # <= |Hz|_inf^2 sum|H^-1| and |g_p|_inf^2 <= g_p'g_p, so a large s
-            # proves it is not
+            # row p is dependent on W when W already holds n rows (the
+            # working rows stay independent, so |W| <= n) or when H z is
+            # tiny; s = (Hz)' H^-1 (Hz) <= |Hz|_inf^2 sum|H^-1| and
+            # |g_p|_inf^2 <= g_p'g_p, so a large s proves it is not
             g_p = g[p]
-            if s > screen * (g_p @ g_p) or np.abs(u @ g[ws] - g_p).max() \
-                    > DEP_TOL * np.abs(g_p).max():
+            if len(ws) < n and (s > screen * (g_p @ g_p) or np.abs(
+                    u @ g[ws] - g_p).max() > DEP_TOL * np.abs(g_p).max()):
                 t_full = viol_p / s
             t_part, drop = np.inf, -1      # step that zeroes a working multiplier
             u = u.tolist()

@@ -165,7 +165,8 @@ class ReferenceSolver(ActiveSetSolver):
             z = -(factor.h_inv_gt[:, p] + factor.h_inv_gt[:, w] @ r)
             viol_p = float(g[p] @ x - b[p])
             t_full = np.inf                # step that makes row p active
-            if np.abs(h_z).max() > DEP_TOL * np.abs(g[p]).max():
+            if len(ws) < g.shape[1] and \
+                    np.abs(h_z).max() > DEP_TOL * np.abs(g[p]).max():
                 t_full = viol_p / -float(g[p] @ z)
             t_part, drop = np.inf, -1      # step that zeroes a working multiplier
             shrinking = np.flatnonzero(r < 0.0)

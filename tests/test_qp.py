@@ -611,3 +611,65 @@ class TestDependentRow:
         limit = DEP_TOL * np.abs(g_p).max()
         if s > DEP_SCREEN * h_inv_sum * limit ** 2:
             assert h_z > limit
+
+
+class TestIndependentWorkingRows:
+    """The dual steps keep the working rows linearly independent, so |W| <=
+    n (Goldfarb and Idnani 1983): a row repeated, rescaled or mirrored never
+    makes M_WW singular."""
+
+    @pytest.mark.parametrize("cls", [ActiveSetSolver, ReferenceSolver])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           copies=st.lists(st.tuples(st.integers(0, 5),
+                                     st.sampled_from(["dup", "scale", "mirror"]),
+                                     st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=6))
+    def test_dependent_rows_never_raise_linalg_error(self, cls, seed, copies):
+        # each copy is row i repeated, scaled by 10^c, or negated with its
+        # bound shifted by c (an equality pair for c = 0, a gap for c > 0,
+        # an empty slab for c < 0); a cold and a warm solve on one factor
+        rng = np.random.default_rng(seed)
+        h, f, g, b = random_qp_instance(rng)
+        rows, bounds = [g], [b]
+        for i, kind, c in copies:
+            g_i, b_i = g[i % len(g)], b[i % len(g)]
+            if kind == "dup":
+                rows.append(g_i[None]), bounds.append([b_i])
+            elif kind == "scale":
+                rows.append(10.0 ** c * g_i[None]), bounds.append([10.0 ** c * b_i])
+            else:
+                rows.append(-g_i[None]), bounds.append([c - b_i])
+        g, b = np.vstack(rows), np.concatenate(bounds)
+        factor, solver = factorize(h, g), cls()
+        for f_k in (f, f + 0.1 * rng.normal(size=f.size)):
+            try:
+                sol = solver.solve(factor, f_k, b)
+            except (InfeasibleQpError, QpIterationError):
+                continue
+            assert len(sol.working_set) <= len(h)
+            verify_kkt_at(h, f_k, g, b, sol.x, sol.multipliers)
+
+    @pytest.mark.parametrize("cls", [ActiveSetSolver, ReferenceSolver])
+    def test_full_working_set_admits_no_row(self, cls, monkeypatch):
+        # with the H z test switched off every violated row looks
+        # independent; on the program of TestDependentRow, W = {0, 1} already
+        # holds n = 2 rows, so row 2 = row 0 + row 1 must still only shrink
+        # working multipliers, and the solve ends as it does with the test on
+        import helpers
+        monkeypatch.setattr(windmpc.qp, "DEP_TOL", -1.0)
+        monkeypatch.setattr(helpers, "DEP_TOL", -1.0)
+        g = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        sol = TestDependentRow.warm_solve(cls(), g, np.array([-1.0, -1.0]),
+                                          np.array([0.0, 0.0, -1.0]))
+        assert sol.working_set == [2] and sol.iterations == 4
+        assert np.abs(sol.x + 0.5).max() <= 1e-15
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_near_rated_offline_loop_never_holds(self, params, seed):
+        # gusts at 10.6 m/s once drove the dual steps to a working set of 25
+        # rows on 10 variables, whose multiplier solve raised LinAlgError
+        profile = generate_wind("turbulent", seed, 60.0, params, level=10.6,
+                                std=0.5)
+        log = run_closed_loop(profile, OfflineMpc(params), params)
+        assert "hold" not in log.qp_status
