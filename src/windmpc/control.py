@@ -177,7 +177,6 @@ class _MpcControllerBase:
         self.solver = ActiveSetSolver()
         self.u_prev: ControlInput | None = None
         self._prediction: tuple[np.ndarray, ModelSet] | None = None
-        self._ref_index = np.tile(np.arange(2), self.weights.n_p)
 
     def step(self, x_meas, v):
         """Input for measured state x_meas and wind v, with its StepInfo.
@@ -223,12 +222,10 @@ class _MpcControllerBase:
         dx = x - ms.x_bar
         t_prev, beta_prev = self.u_prev
         du_prev = [t_prev - ms.op.u_bar[0], beta_prev - ms.op.u_bar[1]]
-        x_a = np.array(dx.tolist() + [self.d_hat] + du_prev)
-
-        r_s = np.array([ref.omega_g_ref - ms.op.x_bar.omega_g,
-                        ref.p_g_ref - ms.p_g_bar])[self._ref_index]
-
-        du, info = mpc_step(ms.qp, x_a, r_s, self.solver)
+        theta = np.array(dx.tolist() + [self.d_hat] + du_prev + [  # [x_a; r; 1]
+            ref.omega_g_ref - ms.op.x_bar.omega_g, ref.p_g_ref - ms.p_g_bar,
+            1.0])
+        du, info = mpc_step(ms.qp, theta, self.solver)
 
         du_t, du_beta = du.tolist()
         u_out = ControlInput(

@@ -6,14 +6,15 @@ input in one velocity-form model, so the decision variables are input moves
 and the controller gains integral action. Eliminating the predicted states
 condenses the finite-horizon tracking cost and the stacked bounds into
 
-    min  0.5 dU' H dU + [x' rs'] F dU
-    s.t. G dU <= W + S x
+    min  0.5 dU' H dU + (F theta)' dU
+    s.t. G dU <= B theta
 
-where everything except the per-sample linear term and bound vector
-depends only on the model, horizons, weights and bounds, and is therefore
-built once and cached per linearization, by ``condense`` for any pattern
-of finite bounds. ``mpc_step`` solves one sample's program and reports it
-in the shared per-sample ``StepInfo`` record.
+on the sample's parameters theta = [x; r; 1]: the augmented state, the
+reference r, constant over the horizon, and a 1 for the bounds W in B's last
+column. H, G, F and B depend only on the model, horizons, weights and
+bounds, so ``condense`` builds them once per linearization, for any pattern
+of finite bounds. ``mpc_step`` solves one sample's program and reports it in
+the shared per-sample ``StepInfo`` record.
 """
 
 from dataclasses import dataclass
@@ -69,16 +70,13 @@ class MpcWeights:
 class CondensedQp:
     """Cached dense-QP matrices for one model/horizon/weights/bounds tuple.
 
-    The per-sample pieces are the linear term f = F' [x_a; r_s] and the bound
-    vector b = W + S x_a, since references never constrain. H and G
-    live in the solver's factor, which is built once with them. The bounds
-    of one move, tiled over the control horizon, clip the fallback.
+    The solver's factor, built once, holds H, G and the maps of the sample's
+    parameters theta = [x_a; r; 1] to the linear term f = F theta and the
+    bound vector b = B theta = S x_a + W. The bounds of one move, tiled over
+    the control horizon, clip the fallback.
     """
 
     factor: QpFactor
-    f: np.ndarray
-    w: np.ndarray
-    s: np.ndarray
     du_min: np.ndarray
     du_max: np.ndarray
 
@@ -115,16 +113,16 @@ def _input_operators(n, m, n_c):
 
 @lru_cache(maxsize=32)
 def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
-    """Read-only parts of G dU <= W + S x for one pattern of finite
-    stacked bounds: the kept rows of the G and S templates, W's signed
-    gather of the bounds and the signed Gamma/Phi rows of its output rows."""
+    """Read-only parts of G dU <= B theta for one pattern of finite stacked
+    bounds: the kept rows of the G and B templates, W's signed gather of
+    the bounds and the signed Gamma/Phi rows of its output rows."""
     l1, l2 = _input_operators(n, m, n_c)
     # row blocks y <= y_max, y >= y_min, u <= u_max, u >= u_min, du <= du_max
     # and du >= du_min; the Gamma rows of G and Phi rows of S are per model
     eye = np.eye(m * n_c)
     g = np.vstack([np.zeros((2 * q * n_p, m * n_c)), l2, -l2, eye, -eye])
-    s = np.zeros((len(g), n))
-    s[2 * q * n_p:2 * q * n_p + 2 * m * n_c] = np.vstack([-l1, l1])
+    b = np.zeros((len(g), n + q + 1))  # [S 0 W] on theta = [x; r; 1]
+    b[2 * q * n_p:2 * q * n_p + 2 * m * n_c, :n] = np.vstack([-l1, l1])
     # each block's bound in the stacked order du_min, du_max, u_min, u_max
     # (m each), y_min, y_max (q each)
     w_gather = np.concatenate(
@@ -134,7 +132,7 @@ def _constraint_rows(n, m, q, n_p, n_c, finite: bytes):
     keep = np.frombuffer(finite, dtype=bool)[w_gather]
     kept_y = np.flatnonzero(keep[:2 * q * n_p])
     rows = SimpleNamespace(
-        g=g[keep], s=s[keep], w_gather=w_gather[keep], w_sign=w_sign[keep],
+        g=g[keep], b=b[keep], w_gather=w_gather[keep], w_sign=w_sign[keep],
         y_rows=kept_y % (q * n_p), g_sign=w_sign[kept_y, None],
         s_sign=-w_sign[kept_y, None])
     for array in vars(rows).values():
@@ -170,10 +168,11 @@ def prediction_matrices(a, b, c, n_p: int, n_c: int):
 def condense_cost(phi, gamma, weights: MpcWeights):
     """Hessian H and linear map F of the condensed tracking cost.
 
-    H = 2 (Gamma'Q1Gamma + R1 + L2'Ru1L2); F stacks the state-side and
-    reference-side contributions so the per-sample linear coefficient is
-    F' [x; rs]. Q1, R1 and Ru1 are diagonal, so they enter as tiled weight
-    diagonals. H is symmetrized to kill assembly roundoff.
+    H = 2 (Gamma'Q1Gamma + R1 + L2'Ru1L2) and the linear term is F theta on
+    theta = [x; r; 1], r held over the horizon: F = [2 (Phi'Q1Gamma +
+    L1'Ru1L2)', -2 sum_i (Q Gamma_i)', 0] over Gamma's block rows Gamma_i.
+    Q1, R1 and Ru1 are diagonal, so they enter as tiled weight diagonals. H
+    is symmetrized to kill assembly roundoff.
     """
     n_p, n_c = weights.n_p, weights.n_c
     l1, l2 = _input_operators(phi.shape[1], gamma.shape[1] // n_c, n_c)
@@ -182,19 +181,20 @@ def condense_cost(phi, gamma, weights: MpcWeights):
     h = 2.0 * (gamma.T @ q1_gamma + np.diag(np.tile(weights.r.diagonal(), n_c))
                + l2.T @ ru1_l2)
     h = 0.5 * (h + h.T)
-    f_top = 2.0 * (phi.T @ q1_gamma + l1.T @ ru1_l2)
-    return h, np.vstack([f_top, -2.0 * q1_gamma])
+    f_r = (-2.0 * q1_gamma).reshape(n_p, -1, len(h)).sum(0)
+    return h, np.hstack([2.0 * (phi.T @ q1_gamma + l1.T @ ru1_l2).T, f_r.T,
+                         np.zeros((len(h), 1))])
 
 
 def condense(h, f, gamma, phi, bounds, n_c) -> CondensedQp:
     """The cached QP of one model from its cost (H, F), Gamma, Phi and
     ``bounds``: du_min, du_max, u_min, u_max (one entry per input each),
     y_min and y_max (one per output each) stacked in one vector, whose move
-    bounds the QP keeps as views. The factor of (H, G) is ``factorize``'s.
+    bounds the QP keeps as views. Its factor of (H, G, F, B) is factorize's.
 
     Output bounds repeat over the prediction horizon, input and move bounds
-    over the control horizon; rows whose bound is infinite are omitted. S
-    acts on the state alone, as references never constrain.
+    over the control horizon; rows whose bound is infinite are omitted. B =
+    [S 0 W], as references never constrain.
     """
     q_n_p, n = phi.shape
     m = gamma.shape[1] // n_c
@@ -202,12 +202,11 @@ def condense(h, f, gamma, phi, bounds, n_c) -> CondensedQp:
     rows = _constraint_rows(n, m, q, q_n_p // q, n_c,
                             np.isfinite(bounds).tobytes())
     k = len(rows.y_rows)
-    g, s = rows.g.copy(), rows.s.copy()
+    g, b = rows.g.copy(), rows.b.copy()
     np.multiply(rows.g_sign, gamma.take(rows.y_rows, 0), out=g[:k])
-    np.multiply(rows.s_sign, phi.take(rows.y_rows, 0), out=s[:k])
-    w = rows.w_sign * bounds[rows.w_gather]
-    return CondensedQp(factorize(h, g), f, w, s, bounds[:m],
-                       bounds[m:2 * m])
+    np.multiply(rows.s_sign, phi.take(rows.y_rows, 0), out=b[:k, :n])
+    np.multiply(rows.w_sign, bounds[rows.w_gather], out=b[:, -1])
+    return CondensedQp(factorize(h, g, f, b), bounds[:m], bounds[m:2 * m])
 
 
 @dataclass
@@ -228,21 +227,19 @@ class StepInfo:
     omega_g_ref: float = 0.0  # generator speed reference, rad/s
 
 
-def mpc_step(qp: CondensedQp, x_a, r_s, solver: ActiveSetSolver):
-    """Solve the receding-horizon program; return the first move and a
-    StepInfo with the QP fields filled.
+def mpc_step(qp: CondensedQp, theta, solver: ActiveSetSolver):
+    """Solve the receding-horizon program at the parameters theta = [x_a;
+    r; 1]; return the first move and a StepInfo with the QP fields filled.
 
     Only the first block of the optimal move sequence is returned (the
     receding-horizon rule). If the QP is infeasible or the solver stalls,
     the unconstrained minimizer clipped to the move bounds is applied
     instead and flagged with status "fallback".
     """
-    x_a = np.asarray(x_a, dtype=float)
-    f = qp.f.T @ np.concatenate([x_a, np.asarray(r_s, dtype=float)])
-    b = qp.w + qp.s @ x_a
+    f, b = qp.factor.f_map @ theta, qp.factor.b_map @ theta
     m = len(qp.du_min)
     try:
-        sol = solver.solve(qp.factor, f, b)
+        sol = solver.solve(qp.factor, f, b, theta)
         du_seq = sol.x
         info = StepInfo("optimal", sol.iterations, len(sol.working_set),
                         sol.objective)

@@ -21,13 +21,13 @@ size of W. Suited to receding-horizon control, where H and G are fixed per
 model and the active set barely changes between samples: a solver instance
 starts from the optimum on its last working set, pruned of rows with negative
 multipliers. Each factor also remembers the working sets found optimal on it
-as affine laws of (f, b), the explicit MPC of Bemporad et al. (2002) learned
-only where the loop goes, the partial enumeration of Pannocchia et al.
-(2007); a solve tries them before the dual loop. A law that holds hands over
-the x and G x - b it was tested on, and the KKT check on every accepted x
-reuses them. A law is built on its factor's next solve, so a factor solved
-once builds none, and at most LAW_CAP are kept. The enumeration oracle the
-solver is checked against lives in ``windmpc.verify``.
+as laws affine in the parameters theta of f = F theta and b = B theta, the
+explicit MPC of Bemporad et al. (2002) learned only where the loop goes, the
+partial enumeration of Pannocchia et al. (2007); a solve screens them with
+one stacked product before the dual loop. A law that holds hands over the x
+and G x - b it was tested on to the KKT check. A law is built on its
+factor's next solve, so a factor solved once builds none, and at most
+LAW_CAP are kept. The solver's enumeration oracle is in ``windmpc.verify``.
 """
 
 from dataclasses import dataclass, field
@@ -49,12 +49,14 @@ LAW_CAP = 256           # optimal working sets remembered per factor
 
 class LawTable(dict):
     """Working sets found optimal on one factor, in learning order: sorted
-    rows W -> the law (P, Q), lambda_W = P r and x = x_free - Q r for
-    r = G x_free - b, so P holds M_WW^-1 in the columns W and Q = H^-1 G_W' P;
-    None until built. ``stack`` holds the built laws in learning order for
-    ``match``, None until a build and after an eviction: their sets, buffers
-    that double when full of the P blocks row by row, of Q and of each block's
-    first row, and the filled P rows. ``recency`` orders sets by last use."""
+    rows W -> the law (Lambda_W, H^-1 G_W', G X_W - B) on the parameters
+    theta, lambda_W = Lambda_W theta and x = x_free - H^-1 G_W' lambda_W =
+    X_W theta; None until built. With x_free = K theta and G x_free - b =
+    R theta, Lambda_W = M_WW^-1 R_W and X_W = K - H^-1 G_W' Lambda_W.
+    ``stack`` holds the built laws in learning order for ``match``, None
+    until a build and after an eviction: their sets, places, a buffer of
+    their Lambda_W that doubles when full, their first rows and the filled
+    rows. ``recency`` orders sets by last use."""
 
     def __init__(self):
         super().__init__()
@@ -71,43 +73,48 @@ class LawTable(dict):
                 self.stack = None  # restack in full
             self[key] = None
 
-    def match(self, factor: "QpFactor", last, x_free, b, tol):
-        """(W, lambda_W, 1, x, G x - b) for a law optimal at (f, b): lambda_W
-        >= 0 and G x - b <= tol on the x and G x - b returned, in the sweep a
-        row of the batch. The last working set's law if it is, else the
-        earliest learned; None on a miss."""
+    def match(self, factor: "QpFactor", last, theta, x_free, b, tol):
+        """(W, lambda_W, 1, x, G x - b) of a law holding at (F theta, B theta)
+        by ``_test``: the last working set's law, else the earliest learned.
+        One stacked product gives lambda_W of every law, and each with
+        lambda_W >= 0 and G X_W theta - b <= tol is tested. None on a miss."""
+        if self and (self.stack is None or len(self.stack[0]) < len(self)):
+            self._build(factor)
         if not self:
             return None
-        if self.stack is None or len(self.stack[0]) < len(self):
-            self._build(factor)
-        r, law = factor.g @ x_free - b, self.get(tuple(last))
-        if law is not None:
-            lam = law[0] @ r
-            if lam.min() >= 0.0:
-                x = x_free - law[1] @ r
-                gx_b = factor.g @ x - b
-                if gx_b.max() <= tol:
-                    return list(last), lam, 1, x, gx_b
-        keys, p, q, starts, rows = self.stack
-        if keys:
-            lam = p[:rows] @ r
-            dual = np.flatnonzero(
-                np.minimum.reduceat(lam, starts[:len(keys)]) >= 0.0)
-            x = x_free - q[dual] @ r
-            gx_b = x @ factor.g.T - b
-            ok = np.flatnonzero(gx_b.max(axis=1) <= tol)
-            if ok.size:
-                k, i = ok[0], dual[ok[0]]
-                return (list(keys[i]), lam[starts[i]:starts[i] + len(keys[i])],
-                        1, x[k], gx_b[k])
+        keys, place, lam_map, starts, rows = self.stack
+        i = place.get(tuple(last), -1)
+        hit = i >= 0 and self._test(factor, keys[i], self[keys[i]][0] @ theta,
+                                    x_free, b, tol)
+        if hit:
+            return hit
+        lam = lam_map[:rows] @ theta
+        for j in (np.minimum.reduceat(lam, starts) >= 0.0).nonzero()[0].tolist():
+            key = keys[j]
+            hit = j != i and (self[key][2] @ theta).max() <= tol and self._test(
+                factor, key, lam[starts[j]:starts[j] + len(key)], x_free, b, tol)
+            if hit:
+                return hit
+        return None
+
+    def _test(self, factor: "QpFactor", key, lam_w, x_free, b, tol):
+        """(W, lambda_W, 1, x, G x - b) if lambda_W >= 0 and G x - b <= tol
+        at x = x_free - H^-1 G_W' lambda_W (stationary for any lambda_W)."""
+        if lam_w.min() >= 0.0:
+            x = x_free - self[key][1] @ lam_w
+            gx_b = factor.g @ x - b
+            if gx_b.max() <= tol:
+                return list(key), lam_w, 1, x, gx_b
         return None
 
     def _build(self, factor: "QpFactor"):
         """Build each pending law, dropping a set whose M_WW fails to invert,
         and append the laws not yet stacked."""
-        m, n = factor.g.shape
-        keys, p, q, starts, rows = self.stack or (
-            [], np.empty((0, m)), np.empty((0, n, m)), np.empty(0, np.intp), 0)
+        k = -(factor.h_inv @ factor.f_map)
+        r, p = factor.g @ k - factor.b_map, k.shape[1]
+        keys, place, lam_map, starts, rows = self.stack or (
+            [], {}, np.empty((0, p)), [], 0)
+        starts = list(starts)
         new = []
         for key in list(self)[len(keys):]:
             if self[key] is None:
@@ -116,47 +123,52 @@ class LawTable(dict):
                 except np.linalg.LinAlgError:
                     del self[key], self.recency[key]
                     continue
-                p_w = np.zeros((len(key), m))
-                p_w[:, key] = m_inv
-                self[key] = p_w, factor.h_inv_gt[:, key] @ p_w
+                lam_w, hg_w = m_inv @ r.take(key, 0), factor.h_inv_gt[:, key]
+                self[key] = (lam_w, hg_w,
+                             factor.g @ (k - hg_w @ lam_w) - factor.b_map)
             new.append(key)
-        if rows + sum(map(len, new)) > len(p):  # np.resize keeps the head
-            p = np.resize(p, (max(rows + sum(map(len, new)), 2 * len(p)), m))
-        if len(keys) + len(new) > len(q):
-            q = np.resize(q, (max(len(keys) + len(new), 2 * len(q)), n, m))
-            starts = np.resize(starts, len(q))
+        if rows + sum(map(len, new)) > len(lam_map):  # np.resize keeps the head
+            lam_map = np.resize(lam_map, (max(rows + sum(map(len, new)),
+                                              2 * len(lam_map)), p))
         for key in new:
-            starts[len(keys)], q[len(keys)] = rows, self[key][1]
-            p[rows:rows + len(key)] = self[key][0]
+            place[key] = len(keys)
             keys.append(key)
+            starts.append(rows)
             rows += len(key)
-        self.stack = keys, p, q, starts, rows
+            lam_map[starts[-1]:rows] = self[key][0]
+        self.stack = keys, place, lam_map, np.array(starts, np.intp), rows
 
 
 @dataclass(frozen=True)
 class QpFactor:
-    """The matrices (H, G) of a program and the range-space factor on them."""
+    """(H, G) of a program, the range-space factor on them and its maps."""
 
     h: np.ndarray          # n x n Hessian, symmetric positive definite
     g: np.ndarray          # m x n constraint rows, m may be 0
     h_inv: np.ndarray      # H^-1
     h_inv_gt: np.ndarray   # H^-1 G', n x m
     m: np.ndarray          # G H^-1 G', m x m
+    f_map: np.ndarray      # F, n x p
+    b_map: np.ndarray      # B, m x p
     laws: LawTable = field(default_factory=LawTable, compare=False, repr=False)
 
 
-def factorize(h, g=None) -> QpFactor:
+def factorize(h, g=None, f_map=None, b_map=None) -> QpFactor:
     """Factor of (H, G), G None when unconstrained, on the root R = D L^-T of
     H^-1 = R R', D H D = L L'. cond(D H D) is about 5e3 for the MPC Hessian
-    against 7e9 for H. Raises LinAlgError unless H is positive definite."""
+    against 7e9 for H. With no maps F and B, theta = (f, b). Raises
+    LinAlgError unless H is positive definite."""
     h = np.asarray(h, dtype=float)
     g = np.asarray(np.zeros((0, len(h))) if g is None else g, dtype=float)
+    if f_map is None:
+        f_map, b_map = np.split(np.eye(len(h) + len(g)), [len(h)])
     d = 1.0 / np.sqrt(h.diagonal())
     root = d[:, None] * np.linalg.inv(np.linalg.cholesky(d[:, None] * h * d)).T
     if not np.isfinite(root).all():  # NaN passes np.linalg.cholesky silently
         raise np.linalg.LinAlgError("Hessian is not positive definite")
     g_root = g @ root
-    return QpFactor(h, g, root @ root.T, root @ g_root.T, g_root @ g_root.T)
+    return QpFactor(h, g, root @ root.T, root @ g_root.T, g_root @ g_root.T,
+                    f_map, b_map)
 
 
 @dataclass
@@ -175,8 +187,9 @@ class ActiveSetSolver:
     def __init__(self):
         self.working_set: list[int] = []
 
-    def solve(self, factor: QpFactor, f, b=None) -> QpSolution:
-        """Minimize 0.5 x'Hx + f'x subject to G x <= b, H and G from ``factor``.
+    def solve(self, factor: QpFactor, f, b=None, theta=None) -> QpSolution:
+        """Minimize 0.5 x'Hx + f'x subject to G x <= b, H and G from
+        ``factor``, f = F theta and b = B theta; theta None is (f, b).
 
         Raises InfeasibleQpError when no feasible point exists, carrying the
         row this dual path stalled on: the warm start and the step order pick
@@ -198,7 +211,8 @@ class ActiveSetSolver:
         tol = FEAS_TOL * b_scale
 
         ws, lam, iterations, x, gx_b = (
-            factor.laws.match(factor, self.working_set, x_free, b, tol)
+            factor.laws.match(factor, self.working_set, np.concatenate(
+                [f, b]) if theta is None else theta, x_free, b, tol)
             or self._warm_start(factor, x_free, b))
         if gx_b.max() > tol:  # never on a law-table hit
             viol = gx_b.copy()

@@ -249,15 +249,15 @@ def check_zoh_diagonals(params: TurbineParams, v_bar):
 def check_condensation(params: TurbineParams, weights: MpcWeights):
     """Criterion 4: the condensed QP at 8 m/s against forward simulation.
 
-    Over seeded draws of state, reference and moves at closed-loop scale,
+    Over seeded draws of theta = [x_a; r; 1] and moves at closed-loop scale,
     the condensed cost must equal :func:`explicit_cost` up to the zero-move
-    cost, and membership in the condensed rows must match
+    cost, and membership in G dU <= B theta must match
     :func:`unrolled_bounds_ok` wherever no row is within 1e-9 of its bound.
     """
     ms = build_model_set(8.0, params, weights)
     a_c, b_u, b_v, c = continuous_model(ms.op, params)
     model = augment(*discretize(a_c, b_u, b_v, params.t_s), c)
-    qp, n_p, n_c = ms.qp, weights.n_p, weights.n_c
+    factor, n_p, n_c = ms.qp.factor, weights.n_p, weights.n_c
     bounds = _bounds_about(params, ms.op.x_bar.omega_g, ms.p_g_bar,
                            *ms.op.u_bar)
     rng = np.random.default_rng(4)
@@ -266,15 +266,16 @@ def check_condensation(params: TurbineParams, weights: MpcWeights):
     for _ in range(draws):
         x_a = rng.normal(size=8) * scale_x
         x_a[6:] = np.clip(x_a[6:], *bounds[4:8].reshape(2, 2))  # u_min, u_max
-        r_s = np.tile(rng.normal(size=2) * np.array([8.0, 5e4]), n_p)
+        r = rng.normal(size=2) * np.array([8.0, 5e4])
+        r_s = np.tile(r, n_p)
         du = rng.normal(size=2 * n_c) * np.tile([300.0, 0.3], n_c)
-        z = np.concatenate([x_a, r_s])
-        condensed = 0.5 * du @ qp.factor.h @ du + z @ qp.f @ du
+        theta = np.concatenate([x_a, r, [1.0]])
+        condensed = 0.5 * du @ factor.h @ du + (factor.f_map @ theta) @ du
         constant = explicit_cost(model, weights, x_a, r_s, np.zeros(2 * n_c))
         explicit = explicit_cost(model, weights, x_a, r_s, du)
         worst = max(worst, abs(explicit - (condensed + constant))
                     / max(1.0, abs(explicit)))
-        residual = qp.factor.g @ du - (qp.w + qp.s @ x_a)
+        residual = factor.g @ du - factor.b_map @ theta
         if np.abs(residual).min() >= 1e-9:
             compared += 1
             agreed += bool(residual.max() <= 0.0) == unrolled_bounds_ok(
@@ -301,21 +302,20 @@ def check_qp_solver(instances=QP_INSTANCES, seed=0):
 def check_model_expansion(params: TurbineParams, weights: MpcWeights, grid):
     """The online model's Chebyshev expansion against the direct build, over
     ``grid`` and seeded random winds in [4, 11): each array's worst gap
-    relative to its largest entry, W and the QP factor of the expanded H
+    relative to its largest entry, B and the QP factor of the expanded H
     included, must stay within EXPANSION_REL_TOL."""
     expansion = model_expansion(params, weights)
     winds = np.concatenate([grid, np.random.default_rng(5).uniform(
         V_PARTIAL_MIN, V_RATED, EXPANSION_RANDOM_WINDS)])
-    names = ("A_d", "B_du", "b_d", "H", "F", "G", "W", "S", "H^-1", "H^-1 G'",
-             "M")
+    names = ("A_d", "B_du", "b_d", "H", "F", "G", "B", "H^-1", "H^-1 G'", "M")
     worst = dict.fromkeys(names, 0.0)
     for v in winds.tolist():
         direct = build_model_set(v, params, weights)
         expanded = assemble_model_set(direct.op, expanded_arrays(expansion, v),
                                       params, weights)
         for name, want, got in zip(names, *(
-                (ms.a_d, ms.b_du, ms.b_d, ms.qp.factor.h, ms.qp.f,
-                 ms.qp.factor.g, ms.qp.w, ms.qp.s, ms.qp.factor.h_inv,
+                (ms.a_d, ms.b_du, ms.b_d, ms.qp.factor.h, ms.qp.factor.f_map,
+                 ms.qp.factor.g, ms.qp.factor.b_map, ms.qp.factor.h_inv,
                  ms.qp.factor.h_inv_gt, ms.qp.factor.m)
                 for ms in (direct, expanded))):
             worst[name] = max(worst[name], float(

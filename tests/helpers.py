@@ -108,22 +108,25 @@ def ulp_sensitivity(profile, make_controller, params):
     return ok, max(map(float, gaps)), report
 
 
-def apply_inputs_reference(ms, x, u_prev, d_hat, du, params):
-    """The controller step's input arithmetic on numpy 2-vectors: (x_a,
-    the clamped input, the one-step prediction) for measured state x,
-    previous input u_prev, estimate d_hat and QP move du on ModelSet ms. The
-    oracle of ``_apply``'s arithmetic on Python floats."""
+def apply_inputs_reference(ms, x, u_prev, d_hat, ref, du, params):
+    """The controller step's input arithmetic on numpy 2-vectors: (the QP
+    parameters theta = [x_a; r; 1], the clamped input, the one-step
+    prediction) for measured state x, previous input u_prev, estimate d_hat,
+    reference ``ref`` and QP move du on ModelSet ms. The oracle of
+    ``_apply``'s arithmetic on Python floats."""
     dx = x - ms.x_bar
     u_prev = np.asarray(u_prev, dtype=float)
     du_prev = u_prev - np.array(ms.op.u_bar)
-    x_a = np.concatenate([dx, [d_hat], du_prev])
+    r = np.array([ref.omega_g_ref, ref.p_g_ref]) - [ms.op.x_bar.omega_g,
+                                                    ms.p_g_bar]
+    theta = np.concatenate([dx, [d_hat], du_prev, r, [1.0]])
     u = u_prev + du
     u[0] = min(max(u[0], 0.0), params.t_g_max)
     u[1] = min(max(u[1], params.beta_min), params.beta_max)
     du_applied = u - u_prev
     x_pred = (ms.x_bar + ms.a_d @ dx + ms.b_du @ (du_prev + du_applied)
               + ms.b_d * d_hat)
-    return x_a, ControlInput(float(u[0]), float(u[1])), x_pred
+    return theta, ControlInput(float(u[0]), float(u[1])), x_pred
 
 
 class DirectOnlineMpc(OnlineMpc):
@@ -195,6 +198,51 @@ class ReferenceSolver(ActiveSetSolver):
         return x, ws, lam, iterations
 
 
+class ResidualLaws(dict):
+    """The law table of one factor matched in the residual r = G x_free - b:
+    set W -> (P, Q), built on first use, lambda_W = P r and x = x_free - Q r
+    with P = M_WW^-1 in the columns W and Q = H^-1 G_W' P. The oracle of
+    ``LawTable.match``'s stacked test in theta."""
+
+    def __init__(self, factor):
+        super().__init__()
+        self.factor = factor
+
+    def law(self, key):
+        if key not in self:
+            m = len(self.factor.g)
+            p_w = np.zeros((len(key), m))
+            p_w[:, key] = np.linalg.inv(self.factor.m[np.ix_(key, key)])
+            self[key] = p_w, self.factor.h_inv_gt[:, key] @ p_w
+        return self[key]
+
+    def match(self, keys, last, x_free, b, tol):
+        """(W, x) of the law optimal at (x_free, b) among ``keys``, the
+        learned sets in learning order: the last working set's law if
+        lambda_W = P r >= 0 and G x - b <= tol, else the earliest learned
+        that passes, all of them tested at once; None on a miss."""
+        g = self.factor.g
+        r = g @ x_free - b
+        if tuple(last) in keys:
+            p_w, q_w = self.law(tuple(last))
+            if (p_w @ r).min() >= 0.0:
+                x = x_free - q_w @ r
+                if (g @ x - b).max() <= tol:
+                    return list(last), x
+        if not keys:
+            return None
+        laws = [self.law(key) for key in keys]
+        lam = np.vstack([p_w for p_w, _ in laws]) @ r
+        starts = np.cumsum([0] + [len(key) for key in keys[:-1]])
+        dual = np.flatnonzero(np.minimum.reduceat(lam, starts) >= 0.0)
+        x = x_free - np.array([laws[i][1] for i in dual]).reshape(
+            len(dual), len(x_free), len(g)) @ r
+        ok = np.flatnonzero((x @ g.T - b).max(axis=1) <= tol)
+        if ok.size:
+            return list(keys[dual[ok[0]]]), x[ok[0]]
+        return None
+
+
 def derivatives_reference(state, u, v, params):
     """The plant ODE through ``aerodynamic_torque``, one relation per
     line: the oracle of ``turbine.derivatives``."""
@@ -262,7 +310,9 @@ def prediction_matrices_reference(model, n_p, n_c):
 
 
 def condense_cost_reference(phi, gamma, weights):
-    """(H, F) assembled from tiled weight diagonals on every call."""
+    """(H, F) assembled from tiled weight diagonals on every call: F on
+    theta = [x; r; 1] from the map [F_x; F_r] of [x; r_s], r_s the reference
+    r tiled over the horizon, by adding F_r's blocks one by one."""
     n_p, n_c = weights.n_p, weights.n_c
     l1, l2 = input_operators_reference(phi.shape[1], gamma.shape[1] // n_c,
                                        n_c)
@@ -273,11 +323,16 @@ def condense_cost_reference(phi, gamma, weights):
     h = 0.5 * (h + h.T)
     f_top = 2.0 * (phi.T @ q1_gamma + l1.T @ ru1_l2)
     f_bottom = -2.0 * q1_gamma
-    return h, np.vstack([f_top, f_bottom])
+    q = len(weights.q)
+    f_r = np.zeros((q, len(h)))
+    for i in range(n_p):
+        f_r = f_r + f_bottom[i * q:(i + 1) * q]
+    return h, np.hstack([f_top.T, f_r.T, np.zeros((len(h), 1))])
 
 
 def condense_constraints_reference(phi, gamma, bounds, weights):
-    """(G, W, S) stacked block by block with tiled bound vectors."""
+    """(G, B) stacked block by block with tiled bound vectors: B = [S 0 W]
+    on theta = [x; r; 1], as references never constrain."""
     n_p, n_c = weights.n_p, weights.n_c
     l1, l2 = input_operators_reference(phi.shape[1], gamma.shape[1] // n_c,
                                        n_c)
@@ -290,8 +345,10 @@ def condense_constraints_reference(phi, gamma, bounds, weights):
         np.tile(bounds.du_max, n_c), np.tile(-bounds.du_min, n_c)])
     s_x = np.vstack([-phi, phi, -l1, l1, no_state, no_state])
     keep = np.isfinite(w)
-    s = np.hstack([s_x[keep], np.zeros((int(keep.sum()), phi.shape[0]))])
-    return g[keep], w[keep], s
+    q = len(weights.q)
+    b = np.hstack([s_x[keep], np.zeros((int(keep.sum()), q)),
+                   w[keep, None]])
+    return g[keep], b
 
 
 def write_csv_reference(log, path):

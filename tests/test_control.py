@@ -245,8 +245,9 @@ class TestOfflineMpc:
 
 class TestInputArithmetic:
     """``_apply``'s input arithmetic on Python floats equals the numpy
-    2-vector formula of ``apply_inputs_reference`` bit for bit: x_a, the
-    clamped input and the one-step prediction, for any QP move."""
+    2-vector formula of ``apply_inputs_reference`` bit for bit: the QP
+    parameters theta, the clamped input and the one-step prediction, for any
+    QP move."""
 
     @settings(max_examples=300, deadline=None)
     @given(high=st.booleans(), t_prev=st.floats(0.0, T_G_MAX),
@@ -272,16 +273,16 @@ class TestInputArithmetic:
         controller.d_hat, controller._prediction = d_hat, None
         seen = []
 
-        def qp_move(qp, x_a, r_s, solver):
-            seen.append(x_a)
+        def qp_move(qp, theta, solver):
+            seen.append(theta)
             return du.copy(), StepInfo("optimal", 1, 0, 0.0)
 
+        ref = reference(8.0, params)
         with mock.patch.object(control_mod, "mpc_step", qp_move):
-            u_out, _ = controller._apply(ms, PlantState(*x.tolist()),
-                                         reference(8.0, params))
-        x_a, u_ref, x_pred = apply_inputs_reference(
-            ms, x, (t_prev, beta_prev), d_hat, du, params)
-        assert seen[0].tobytes() == x_a.tobytes()
+            u_out, _ = controller._apply(ms, PlantState(*x.tolist()), ref)
+        theta, u_ref, x_pred = apply_inputs_reference(
+            ms, x, (t_prev, beta_prev), d_hat, ref, du, params)
+        assert seen[0].tobytes() == theta.tobytes()
         assert np.array(u_out).tobytes() == np.array(u_ref).tobytes()
         assert all(type(u) is float for u in u_out)
         assert controller._prediction[0].tobytes() == x_pred.tobytes()
@@ -449,7 +450,7 @@ class TestModelExpansion:
         assert model_expansion.cache_info().currsize == 1
         assert OnlineMpc(params, weights).expansion is controller.expansion
         coef, _ = controller.expansion
-        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 1340)
+        assert coef.shape == (control_mod.EXPANSION_DEGREE + 1, 970)
         assert not coef.flags.writeable
 
     @pytest.mark.parametrize("changed", [dict(q2=1.0), dict(n_p=60, n_c=10)],
@@ -505,15 +506,13 @@ class TestCondenseRoute:
             gamma, phi = model_arrays(ms.op, params, weights)[5:7]
             bounds = shift_constraints(ms.op, params)
             h, f = condense_cost_reference(phi, gamma, weights)
-            g, w, s = condense_constraints_reference(phi, gamma, bounds,
-                                                     weights)
-            want = factorize(h, g)
-            for name in ("h", "g", "h_inv", "h_inv_gt", "m"):
+            g, b = condense_constraints_reference(phi, gamma, bounds,
+                                                  weights)
+            want = factorize(h, g, f, b)
+            for name in ("h", "g", "h_inv", "h_inv_gt", "m", "f_map", "b_map"):
                 assert_bitwise(getattr(ms.qp.factor, name),
                                getattr(want, name))
-            for got, want in ((ms.qp.f, f), (ms.qp.w, w),
-                              (ms.qp.s, s[:, :phi.shape[1]]),
-                              (ms.qp.du_min, bounds.du_min),
+            for got, want in ((ms.qp.du_min, bounds.du_min),
                               (ms.qp.du_max, bounds.du_max)):
                 assert_bitwise(got, want)
 

@@ -16,9 +16,12 @@ from helpers import (ConstraintSet, condense_constraints_reference,
 
 
 def condensed_rows(model, bounds, n_p, n_c):
-    """(G, W, S) of ``condense`` at default cost weights."""
+    """(G, W, S) of ``condense`` at default cost weights: B = [S 0 W] on
+    theta = [x_a; r; 1], its reference columns zero."""
     qp = condensed_qp(model, MpcWeights(n_p=n_p, n_c=n_c), bounds)
-    return qp.factor.g, qp.w, qp.s
+    b, n = qp.factor.b_map, len(model[0])
+    assert b.shape[1] == n + 3 and not b[:, n:-1].any()
+    return qp.factor.g, b[:, -1], b[:, :n]
 
 
 def discrete_arrays(v_bar, params):
@@ -192,12 +195,12 @@ class TestCondenseCost:
         for _ in range(100):
             x_a = rng.normal(size=8) * np.array([0.5, 10.0, 1e3, 1e3, 2.0,
                                                  0.5, 1e3, 2.0])
-            r_s = np.tile(rng.normal(size=2) * np.array([10.0, 1e4]),
-                          weights.n_p)
+            r = rng.normal(size=2) * np.array([10.0, 1e4])
+            r_s = np.tile(r, weights.n_p)
             du = rng.normal(size=2 * weights.n_c) * np.tile([200.0, 0.3],
                                                             weights.n_c)
-            z = np.concatenate([x_a, r_s])
-            condensed = 0.5 * du @ h @ du + z @ f @ du
+            theta = np.concatenate([x_a, r, [1.0]])
+            condensed = 0.5 * du @ h @ du + (f @ theta) @ du
             constant = explicit_cost(augmented, weights, x_a, r_s,
                                      np.zeros(2 * weights.n_c))
             explicit = explicit_cost(augmented, weights, x_a, r_s, du)
@@ -299,13 +302,13 @@ class TestCachedLayout:
     def assert_condensed_as_reference(model, weights, bounds):
         phi, gamma = prediction_matrices(*model, weights.n_p, weights.n_c)
         qp = condensed_qp(model, weights, bounds)
-        got = (qp.factor.h, qp.f, qp.factor.g, qp.w, qp.s, qp.du_min,
-               qp.du_max)
-        g, w, s = condense_constraints_reference(phi, gamma, bounds, weights)
+        got = (qp.factor.h, qp.factor.f_map, qp.factor.g, qp.factor.b_map,
+               qp.du_min, qp.du_max)
+        g, b = condense_constraints_reference(phi, gamma, bounds, weights)
         n = phi.shape[1]
-        assert not s[:, n:].any()  # references never constrain
+        assert not b[:, n:-1].any()  # references never constrain
         want = (condense_cost_reference(phi, gamma, weights)
-                + (g, w, s[:, :n], bounds.du_min, bounds.du_max))
+                + (g, b, bounds.du_min, bounds.du_max))
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
@@ -345,7 +348,7 @@ class TestCachedLayout:
             bounds = ConstraintSet(*np.where(pattern, finite, infinite)
                                    .reshape(6, 2))
             qp = self.assert_condensed_as_reference(augmented, weights, bounds)
-            assert len(qp.w) == sum(
+            assert len(qp.factor.b_map) == sum(
                 n * sum(pattern[k:k + 4]) for k, n in (
                     (0, weights.n_c), (4, weights.n_c), (8, weights.n_p)))
 
@@ -361,7 +364,7 @@ class TestCachedLayout:
                 cached[0, ...] = 1.0
         # what a call returns is the caller's own
         h, f = condense_cost(phi, gamma, weights)
-        for fresh in (h, f, qp.factor.g, qp.w, qp.s):
+        for fresh in (h, f, qp.factor.g, qp.factor.f_map, qp.factor.b_map):
             fresh[0, ...] = 1.0
 
 
@@ -369,8 +372,7 @@ class TestMpcStep:
     def test_zero_state_zero_reference_is_fixed_point(self, augmented, weights, params):
         op = equilibrium(8.0, params)
         qp = condensed_qp(augmented, weights, shift_constraints(op, params))
-        du, info = mpc_step(qp, np.zeros(8), np.zeros(2 * weights.n_p),
-                            ActiveSetSolver())
+        du, info = mpc_step(qp, np.eye(11)[10], ActiveSetSolver())
         assert np.abs(du).max() <= 1e-9
         assert info.qp_status == "optimal"
 
@@ -386,16 +388,16 @@ class TestMpcStep:
             x_a = rng.normal(size=8) * np.array([0.2, 8.0, 800.0, 800.0, 1.0,
                                                  1.0, 500.0, 1.0])
             x_a[6:] = np.clip(x_a[6:], bounds.u_min, bounds.u_max)
-            r_s = np.tile([rng.normal() * 5.0, 0.0], weights.n_p)
-            du, info = mpc_step(qp, x_a, r_s, solver)
+            theta = np.concatenate([x_a, [rng.normal() * 5.0, 0.0, 1.0]])
+            du, info = mpc_step(qp, theta, solver)
             assert abs(du[1]) <= 0.5 + 1e-9
 
     def test_single_step_horizon_matches_hand_solution(self, augmented):
         w = MpcWeights(q1=2.0, q2=0.0, r1=1.0, r2=1.0, r3=0.0, n_p=1, n_c=1)
         qp = condensed_qp(augmented, w, unbounded_constraints())
-        x_a = np.zeros(8)
         r_s = np.array([5.0, 0.0])
-        du, _ = mpc_step(qp, x_a, r_s, ActiveSetSolver())
+        du, _ = mpc_step(qp, np.concatenate([np.zeros(8), r_s, [1.0]]),
+                         ActiveSetSolver())
         # hand solution of min (r - c(a x + b du))' q (...) + du' r du at x=0:
         # du* = (b'c' q c b + r)^-1 b'c' q r_s
         cb = augmented[2] @ augmented[1]
@@ -413,9 +415,9 @@ class TestMpcStep:
         qp = condensed_qp(augmented, weights, bounds)
         # free response already violates the output cap and moves cannot
         # recover within the horizon
-        x_a = np.zeros(8)
-        x_a[1] = 500.0
-        du, info = mpc_step(qp, x_a, np.zeros(2 * weights.n_p), ActiveSetSolver())
+        theta = np.eye(11)[10]
+        theta[1] = 500.0
+        du, info = mpc_step(qp, theta, ActiveSetSolver())
         assert info.qp_status == "fallback"
         assert np.all(du <= bounds.du_max + 1e-12)
         assert np.all(du >= bounds.du_min - 1e-12)

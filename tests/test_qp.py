@@ -12,10 +12,10 @@ from windmpc import (ActiveSetSolver, InfeasibleQpError, OfflineMpc, OnlineMpc,
                      QpIterationError, build_model_set, factorize,
                      generate_wind, run_closed_loop)
 from windmpc.qp import DEP_SCREEN, DEP_TOL
-from windmpc.verify import (check_qp_solver, enumerate_qp, random_qp_instance,
-                            run_benchmark)
+from windmpc.verify import (QP_ORACLE_TOL, check_qp_solver, enumerate_qp,
+                            random_qp_instance, run_benchmark)
 
-from helpers import ReferenceSolver
+from helpers import ReferenceSolver, ResidualLaws
 
 
 def verify_kkt_at(h, f, g, b, x, mult):
@@ -274,25 +274,28 @@ class TestLawTable:
             f_k = f + np.abs(f).max() * rng.normal(size=f.size)
             b_k = b + 0.3 * np.abs(rng.normal(size=b.size))
             x_free, tol = -(factor.h_inv @ f_k), 1e-9 * (1.0 + np.abs(b_k).max())
+            theta = np.concatenate([f_k, b_k])
             scratch = windmpc.qp.LawTable()
             for key in factor.laws:
                 scratch.record(key)
             for last in (solver.working_set, []):
-                got = factor.laws.match(factor, last, x_free, b_k, tol)
-                want = scratch.match(factor, last, x_free, b_k, tol)
+                got = factor.laws.match(factor, last, theta, x_free, b_k, tol)
+                want = scratch.match(factor, last, theta, x_free, b_k, tol)
                 assert (got is None) == (want is None)
                 if want is not None:
                     assert got[0] == want[0] and np.array_equal(got[1], want[1])
                     hits += 1
             if factor.laws:  # the buffers hold the laws as restacked whole
-                keys, p, q, starts, rows = factor.laws.stack
-                laws = [factor.laws[key] for key in keys]
-                assert keys == list(factor.laws) == list(scratch)
-                assert np.array_equal(p[:rows],
-                                      np.vstack([law[0] for law in laws]))
-                assert np.array_equal(q[:len(keys)],
-                                      np.array([law[1] for law in laws]))
-                assert np.array_equal(starts[:len(keys)], np.cumsum(
+                keys, place, lam_map, starts, rows = factor.laws.stack
+                assert keys == list(factor.laws) == scratch.stack[0]
+                assert place == scratch.stack[1] == {
+                    key: i for i, key in enumerate(keys)}
+                assert rows == scratch.stack[4] == sum(map(len, keys))
+                assert np.array_equal(lam_map[:rows], scratch.stack[2])
+                assert np.array_equal(lam_map[:rows], np.vstack(
+                    [factor.laws[key][0] for key in keys]))
+                assert np.array_equal(starts, scratch.stack[3])
+                assert np.array_equal(starts, np.cumsum(
                     [0] + [len(key) for key in keys[:-1]]))
             try:
                 learned.add(tuple(solver.solve(factor, f_k, b_k).working_set))
@@ -319,59 +322,99 @@ class TestLawTable:
 
 class TestHitVerified:
     """A law-table hit hands the x and G x - b it tested to the KKT check,
-    which rejects a wrong law as it rejects any other accepted point."""
+    which rejects a wrong law as it rejects any other accepted point; the
+    stacked screen of lambda_W and G X_W theta - b only picks the laws to
+    test, so a wrong screen costs a miss, never a wrong answer."""
 
     F, B = np.array([-2.0, -2.0]), np.array([1.0, 5.0])
+    THETA, X_FREE, TOL = np.array([-2.0, -2.0, 1.0, 5.0]), np.array(
+        [2.0, 2.0]), 1e-9 * 6.0
 
-    def learned(self):
+    def learned(self, *extra):
         # min 0.5|x|^2 - 2 x1 - 2 x2 on x1 <= 1, x2 <= 5: x = (1, 2) on row
-        # 0 with multiplier 1; the second solve builds law {0} and hits it
+        # 0 with multiplier 1; the second solve builds law {0} and hits it.
+        # ``extra`` bound vectors teach their sets first
         factor, solver = factorize(np.eye(2), np.eye(2)), ActiveSetSolver()
-        solver.solve(factor, self.F, self.B)
+        for b in (*extra, self.B):
+            solver.solve(factor, self.F, b)
         sol = solver.solve(factor, self.F, self.B)
-        assert list(factor.laws) == [(0,)] and sol.iterations == 1
+        assert list(factor.laws)[-1] == (0,) and sol.iterations == 1
         assert np.array_equal(sol.x, [1.0, 2.0])
         return factor, solver
 
     @staticmethod
-    def tamper(factor, block, entry, delta):
-        """Add ``delta`` at ``entry`` of law {0}'s P (block 0) or Q (block
-        1), both in the table and in its stack."""
-        factor.laws[(0,)][block][entry] += delta
-        _, p, q, _, _ = factor.laws.stack
-        (p if block == 0 else q[0])[entry] += delta
+    def tamper(factor, key, block, entry, delta):
+        """Add ``delta`` at ``entry`` of the law of ``key``: its Lambda_W
+        (block 0, in the table and in its stack), H^-1 G_W' (block 1) or
+        G X_W - B (block 2)."""
+        factor.laws[key][block][entry] += delta
+        if block == 0:
+            _, place, lam_map, starts, _ = factor.laws.stack
+            lam_map[starts[place[key]] + entry[0], entry[1]] += delta
 
-    @pytest.mark.parametrize("block, delta", [(0, 1.0), (1, 0.5)],
-                             ids=["p", "q"])
-    def test_non_stationary_hit_raises(self, block, delta):
-        # P: lambda_0 = 2 at the right x; Q: x = (1, 1.5), feasible with
-        # lambda_0 = 1. Either way H x + f + G' mult is not zero
+    @pytest.mark.parametrize("block, entry, delta, error", [
+        (0, (0, 2), 1.0, "complementary"), (1, (1, 0), 0.5, "stationarity")],
+        ids=["lambda", "h_inv_gt"])
+    def test_wrong_hit_raises(self, block, entry, delta, error):
+        # Lambda: lambda_0 = 2 and x = (0, 2), stationary and feasible but
+        # slack on its working row; H^-1 G_W': x = (1, 1.5), feasible with
+        # lambda_0 = 1 but not stationary
         factor, solver = self.learned()
-        self.tamper(factor, block, (0, 0) if block == 0 else (1, 0), delta)
-        with pytest.raises(QpIterationError, match="stationarity"):
+        self.tamper(factor, (0,), block, entry, delta)
+        with pytest.raises(QpIterationError, match=error):
             solver.solve(factor, self.F, self.B)
 
     def test_infeasible_hit_raises(self, monkeypatch):
-        # P and Q: lambda_0 = 1/2 and x = (3/2, 2), stationary but breaking
+        # Lambda: lambda_0 = 1/2 and x = (3/2, 2), stationary but breaking
         # its own working row x1 <= 1. The law misses, so the solve answers
         # from the warm start; handed over untested, the point is rejected
         factor, solver = self.learned()
-        self.tamper(factor, 0, (0, 0), -0.5)
-        self.tamper(factor, 1, (0, 0), -0.5)
-        x_free, tol = np.array([2.0, 2.0]), 1e-9 * 6.0
-        assert factor.laws.match(factor, [0], x_free, self.B, tol) is None
+        self.tamper(factor, (0,), 0, (0, 2), -0.5)
+        assert factor.laws.match(factor, [0], self.THETA, self.X_FREE, self.B,
+                                 self.TOL) is None
         assert np.array_equal(solver.solve(factor, self.F, self.B).x,
                               [1.0, 2.0])
 
-        def untested(table, factor, last, x_free, b, tol):
-            p_w, q_w = table[tuple(last)]
-            r = factor.g @ x_free - b
-            x = x_free - q_w @ r
-            return list(last), p_w @ r, 1, x, factor.g @ x - b
+        def untested(table, factor, last, theta, x_free, b, tol):
+            lam_w, hg_w, _ = table[tuple(last)]
+            x = x_free - hg_w @ (lam_w @ theta)
+            return list(last), lam_w @ theta, 1, x, factor.g @ x - b
 
         monkeypatch.setattr(windmpc.qp.LawTable, "match", untested)
         with pytest.raises(QpIterationError, match="primal infeasible"):
             solver.solve(factor, self.F, self.B)
+
+    @pytest.mark.parametrize("block, entry", [(0, (0, 3)), (2, (0, 3)),
+                                              (2, (1, 3))],
+                             ids=["lambda", "x1", "x2"])
+    def test_screen_that_rejects_the_law_misses(self, block, entry):
+        # law {0} screens lambda_0 = 1 and G X_0 theta - b = (0, -3); one of
+        # them pushed by 10 b_2 = 50 the wrong way drops the law from the
+        # sweep of a solver with no last working set, so the solve misses and
+        # answers from a cold start
+        factor, _ = self.learned()
+        self.tamper(factor, (0,), block, entry, -10.0 if block == 0 else 10.0)
+        assert factor.laws.match(factor, [], self.THETA, self.X_FREE, self.B,
+                                 self.TOL) is None
+        sol = ActiveSetSolver().solve(factor, self.F, self.B)
+        assert sol.working_set == [0] and sol.iterations == 2
+        assert np.array_equal(sol.x, [1.0, 2.0])
+
+    def test_screen_that_admits_a_wrong_law_is_overruled(self):
+        # law {1}, learned first at b = (9, 1/2), is wrong here: lambda_1 =
+        # -3 and x = (2, 5) breaks x1 <= 1. With its screen moved to pass it
+        # comes first in the sweep, yet x = (2, 2 - lambda_1) breaks x1 <= 1
+        # for any lambda_1 >= 0, so its own test rejects it and law {0}
+        # answers
+        factor, _ = self.learned(np.array([9.0, 0.5]))
+        assert list(factor.laws) == [(1,), (0,)]
+        assert (factor.laws[(1,)][0] @ self.THETA).tolist() == [-3.0]
+        assert (factor.laws[(1,)][2] @ self.THETA).tolist() == [1.0, 0.0]
+        self.tamper(factor, (1,), 0, (0, 3), 1.0)
+        self.tamper(factor, (1,), 2, (0, 3), -1.0)
+        got = factor.laws.match(factor, [], self.THETA, self.X_FREE, self.B,
+                                self.TOL)
+        assert got[0] == [0] and np.array_equal(got[3], [1.0, 2.0])
 
 
 class TestFactor:
@@ -423,12 +466,12 @@ class TestInfeasibility:
 
 
 def captured_qps(controller, profile, params):
-    """(factor, f, b) of every solve in one closed loop, in order."""
+    """(factor, f, b, theta) of every solve in one closed loop, in order."""
     calls, solve = [], controller.solver.solve
 
-    def record(factor, f, b=None):
-        calls.append((factor, f.copy(), b.copy()))
-        return solve(factor, f, b)
+    def record(factor, f, b=None, theta=None):
+        calls.append((factor, f.copy(), b.copy(), theta.copy()))
+        return solve(factor, f, b, theta)
 
     controller.solver.solve = record
     run_closed_loop(profile, controller, params)
@@ -446,12 +489,12 @@ def replay(qps, solver):
         return steps(*args)
 
     solver._dual_steps = spy
-    for factor, f, b in qps:
+    for factor, f, b, theta in qps:
         factor = copies.setdefault(id(factor), replace(
             factor, laws=windmpc.qp.LawTable()))
         ran.clear()
         try:
-            sol = solver.solve(factor, f, b)
+            sol = solver.solve(factor, f, b, theta)
             out.append((sol.working_set, sol.iterations, None, sol.x, any(ran)))
         except (InfeasibleQpError, QpIterationError) as exc:
             out.append((None, None, (type(exc), getattr(exc, "worst_row", None)),
@@ -503,9 +546,39 @@ class TestReferencePath:
         h, f, g, b = random_qp_instance(rng)
         factor = factorize(h, g)
         qps = [(factor, f + scale * rng.normal(size=f.size),
-                b + scale * np.abs(rng.normal(size=b.size)))
+                b + scale * np.abs(rng.normal(size=b.size)), None)
                for _ in range(steps)]
         assert_same_path(qps, ActiveSetSolver(), ReferenceSolver())
+
+
+class TestThetaLaws:
+    """The stacked region test in theta against the residual-space match
+    it replaced (``helpers.ResidualLaws``): on every QP of a closed loop,
+    the same law or the same miss, on the same table."""
+
+    @pytest.mark.parametrize("level, std, min_hits", [(8.7, 1.0, 1000),
+                                                       (10.3, 1.5, 700)])
+    def test_offline_loop_picks_the_reference_law(self, params, monkeypatch,
+                                                  level, std, min_hits):
+        match, oracles, seen = windmpc.qp.LawTable.match, {}, []
+
+        def checked(table, factor, last, theta, x_free, b, tol):
+            got = match(table, factor, last, theta, x_free, b, tol)
+            keys = table.stack[0] if table.stack else []
+            want = oracles.setdefault(id(factor), ResidualLaws(factor)).match(
+                keys, last, x_free, b, tol)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                assert np.abs(got[3] - want[1]).max() <= QP_ORACLE_TOL
+            seen.append(got is not None)
+            return got
+
+        monkeypatch.setattr(windmpc.qp.LawTable, "match", checked)
+        profile = generate_wind("turbulent", 2024, 60.0, params, level=level,
+                                std=std)
+        run_closed_loop(profile, OfflineMpc(params), params)
+        assert len(seen) == 1200 and sum(seen) >= min_hits
 
 
 class TestDependentRow:
