@@ -131,10 +131,11 @@ def _lincheck(args) -> int:
 
 
 def _qpbench(args) -> int:
-    if args.instances < 1:
-        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     t0 = time.perf_counter()
-    result = check_qp_solver(args.instances, args.seed)
+    try:
+        result = check_qp_solver(args.instances, args.seed)
+    except ValueError as exc:  # an instance count below 1, a negative seed
+        raise ConfigError(str(exc)) from exc
     print(f"qp benchmark: {args.instances} instances, seed {args.seed}, "
           f"{time.perf_counter() - t0:.2f} s")
     return _report([result])

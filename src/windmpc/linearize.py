@@ -1,8 +1,9 @@
 """Operating points, analytic linearization, and exact ZOH discretization.
 
-The maximum-power locus fixes the equilibrium for a given mean wind speed;
-the only nonlinearity is the aerodynamic torque, whose three gradients
-(L_omega, L_v, L_beta) close the plant's affine matrix form
+The maximum-power locus fixes the equilibrium for a given mean wind speed
+in closed form; its plant-ODE residual is checked by the tests, not on
+every call. The only nonlinearity is the aerodynamic torque, whose three
+gradients (L_omega, L_v, L_beta) close the plant's affine matrix form
 (``turbine.unified_matrices``) into the continuous-time linear model. The
 gradients are closed-form, chained from the partials of the Cp surface;
 finite differences appear only in the oracle that checks the linear model,
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .turbine import (V_PARTIAL_MIN, V_RATED, ControlInput, PlantState,
-                      TurbineParams, aerodynamic_torque, derivatives,
+                      TurbineParams, aerodynamic_torque,
                       power_coefficient_partials, tip_speed_ratio,
                       unified_matrices, wind_power)
 
@@ -56,24 +57,18 @@ def equilibrium(v_bar, params: TurbineParams) -> OperatingPoint:
     """Maximum-power steady state for mean wind v_bar in [4, 11] m/s.
 
     Rotor speed sits on the optimal tip-speed-ratio locus, pitch at its
-    optimum, and the torques follow from the steady torque balance. The
-    residual of the plant ODEs at the returned point is verified to be
-    below 1e-6 of each state's scale.
+    optimum, and the torques follow from the steady torque balance, so the
+    plant ODEs' residual there is rounding; the tests check it against
+    1e-6 of each state's scale, not every call.
     """
     if not V_PARTIAL_MIN <= v_bar <= V_RATED:
         raise DomainError(
             f"v_bar={v_bar} m/s outside the partial-load range [4, 11]")
     omega_t = params.lambda_opt * v_bar / params.radius
-    omega_g = params.n_g * omega_t
     beta = params.beta_opt
-    t_t = aerodynamic_torque(omega_t, v_bar, beta, params)
-    t_tw = t_t / params.n_g
-    x_bar = PlantState(omega_t, omega_g, t_tw, t_tw, beta)
-    u_bar = ControlInput(t_tw, beta)
-    if any(abs(r) > 1e-6 * max(1.0, abs(x))
-           for r, x in zip(derivatives(x_bar, u_bar, v_bar, params), x_bar)):
-        raise DomainError("equilibrium residual check failed")
-    return OperatingPoint(v_bar, x_bar, u_bar)
+    t_tw = aerodynamic_torque(omega_t, v_bar, beta, params) / params.n_g
+    x_bar = PlantState(omega_t, params.n_g * omega_t, t_tw, t_tw, beta)
+    return OperatingPoint(v_bar, x_bar, ControlInput(t_tw, beta))
 
 
 def continuous_model(op: OperatingPoint, params: TurbineParams):

@@ -13,8 +13,8 @@ on the sample's parameters theta = [x; r; 1]: the augmented state, the
 reference r, constant over the horizon, and a 1 for the bounds W in B's last
 column. H, G, F and B depend only on the model, horizons, weights and
 bounds, so ``condense`` builds them once per linearization, for any pattern
-of finite bounds. ``mpc_step`` solves one sample's program and reports it in
-the shared per-sample ``StepInfo`` record.
+of finite bounds that keeps a row. ``mpc_step`` solves one sample's program
+and reports it in the shared per-sample ``StepInfo`` record.
 """
 
 from dataclasses import dataclass
@@ -193,8 +193,8 @@ def condense(h, f, gamma, phi, bounds, n_c) -> CondensedQp:
     bounds the QP keeps as views. Its factor of (H, G, F, B) is factorize's.
 
     Output bounds repeat over the prediction horizon, input and move bounds
-    over the control horizon; rows whose bound is infinite are omitted. B =
-    [S 0 W], as references never constrain.
+    over the control horizon; rows whose bound is infinite are omitted, but
+    one row must stay. B = [S 0 W], as references never constrain.
     """
     q_n_p, n = phi.shape
     m = gamma.shape[1] // n_c
@@ -236,14 +236,14 @@ def mpc_step(qp: CondensedQp, theta, solver: ActiveSetSolver):
     the unconstrained minimizer clipped to the move bounds is applied
     instead and flagged with status "fallback".
     """
-    f, b = qp.factor.f_map @ theta, qp.factor.b_map @ theta
     m = len(qp.du_min)
     try:
-        sol = solver.solve(qp.factor, f, b, theta)
+        sol = solver.solve(qp.factor, theta)
         du_seq = sol.x
         info = StepInfo("optimal", sol.iterations, len(sol.working_set),
                         sol.objective)
     except (InfeasibleQpError, QpIterationError):
+        f = qp.factor.f_map @ theta
         du_seq = np.clip(-(qp.factor.h_inv @ f).reshape(-1, m), qp.du_min,
                          qp.du_max).ravel()
         cost = 0.5 * du_seq @ qp.factor.h @ du_seq + f @ du_seq

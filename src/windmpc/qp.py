@@ -1,16 +1,17 @@
 """Dense dual active-set solver for strictly convex quadratic programs.
 
-Solves
+Solves, at the parameters theta that are a solve's one input,
 
-    min  0.5 x' H x + f' x    s.t.  G x <= b
+    min  0.5 x' H x + (F theta)' x    s.t.  G x <= B theta
 
-with H symmetric positive definite, by the dual method of Goldfarb and
-Idnani (1983). Every iterate minimizes the objective subject to the rows
-of a working set held as equalities, with nonnegative multipliers. The
-most violated row outside the set is then enforced: a full step adds it,
-a partial step drops the working row whose multiplier reaches zero first.
-No feasible starting point is needed, and a row that no step can reduce
-proves the program infeasible.
+with H symmetric positive definite and G of at least one row, by the dual
+method of Goldfarb and Idnani (1983); a plain program (f, b) is theta =
+[f; b] on the identity maps of a factor built without F and B. Every iterate
+minimizes the objective subject to the rows of a working set held as
+equalities, with nonnegative multipliers. The most violated row outside the
+set is then enforced: a full step adds it, a partial step drops the working
+row whose multiplier reaches zero first. No feasible starting point is
+needed, and a row that no step can reduce proves the program infeasible.
 
 The steps run in range-space form on a factor of (H, G) that only
 ``factorize`` builds: a root R of H^-1 = R R' from the Cholesky factor of
@@ -21,13 +22,13 @@ size of W. Suited to receding-horizon control, where H and G are fixed per
 model and the active set barely changes between samples: a solver instance
 starts from the optimum on its last working set, pruned of rows with negative
 multipliers. Each factor also remembers the working sets found optimal on it
-as laws affine in the parameters theta of f = F theta and b = B theta, the
-explicit MPC of Bemporad et al. (2002) learned only where the loop goes, the
-partial enumeration of Pannocchia et al. (2007); a solve screens them with
-one stacked product before the dual loop. A law that holds hands over the x
-and G x - b it was tested on to the KKT check. A law is built on its
-factor's next solve, so a factor solved once builds none, and at most
-LAW_CAP are kept. The solver's enumeration oracle is in ``windmpc.verify``.
+as laws affine in theta, the explicit MPC of Bemporad et al. (2002) learned
+only where the loop goes, the partial enumeration of Pannocchia et al.
+(2007); a solve screens them with one stacked product before the dual loop.
+A law that holds hands over the x and G x - b it was tested on to the KKT
+check. A law is built on its factor's next solve, so a factor solved once
+builds none, and at most LAW_CAP are kept. The solver's enumeration oracle
+is in ``windmpc.verify``.
 """
 
 from dataclasses import dataclass, field
@@ -144,7 +145,7 @@ class QpFactor:
     """(H, G) of a program, the range-space factor on them and its maps."""
 
     h: np.ndarray          # n x n Hessian, symmetric positive definite
-    g: np.ndarray          # m x n constraint rows, m may be 0
+    g: np.ndarray          # m x n constraint rows, m >= 1
     h_inv: np.ndarray      # H^-1
     h_inv_gt: np.ndarray   # H^-1 G', n x m
     m: np.ndarray          # G H^-1 G', m x m
@@ -153,13 +154,14 @@ class QpFactor:
     laws: LawTable = field(default_factory=LawTable, compare=False, repr=False)
 
 
-def factorize(h, g=None, f_map=None, b_map=None) -> QpFactor:
-    """Factor of (H, G), G None when unconstrained, on the root R = D L^-T of
-    H^-1 = R R', D H D = L L'. cond(D H D) is about 5e3 for the MPC Hessian
-    against 7e9 for H. With no maps F and B, theta = (f, b). Raises
+def factorize(h, g, f_map=None, b_map=None) -> QpFactor:
+    """Factor of (H, G) on the root R = D L^-T of H^-1 = R R', D H D = L L'.
+    cond(D H D) is about 5e3 for the MPC Hessian against 7e9 for H. With no
+    maps F and B, theta = [f; b]. Raises ValueError when G has no rows and
     LinAlgError unless H is positive definite."""
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(np.zeros((0, len(h))) if g is None else g, dtype=float)
+    h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
+    if not len(g):
+        raise ValueError("G must have at least one row")
     if f_map is None:
         f_map, b_map = np.split(np.eye(len(h) + len(g)), [len(h)])
     d = 1.0 / np.sqrt(h.diagonal())
@@ -187,9 +189,10 @@ class ActiveSetSolver:
     def __init__(self):
         self.working_set: list[int] = []
 
-    def solve(self, factor: QpFactor, f, b=None, theta=None) -> QpSolution:
-        """Minimize 0.5 x'Hx + f'x subject to G x <= b, H and G from
-        ``factor``, f = F theta and b = B theta; theta None is (f, b).
+    def solve(self, factor: QpFactor, theta) -> QpSolution:
+        """Minimize 0.5 x'Hx + f'x subject to G x <= b at f = F theta and b =
+        B theta, H, G, F and B from ``factor``; on a factor built without
+        maps, theta = [f; b].
 
         Raises InfeasibleQpError when no feasible point exists, carrying the
         row this dual path stalled on: the warm start and the step order pick
@@ -199,33 +202,25 @@ class ActiveSetSolver:
         tested. The iteration count includes the start-point solve and each
         pruned row; a hit counts 1.
         """
-        h, g = factor.h, factor.g
-        f = np.asarray(f, dtype=float).ravel()
-        m = len(g)
+        f, b = factor.f_map @ theta, factor.b_map @ theta
         x_free = -(factor.h_inv @ f)
-        if m == 0:
-            return QpSolution(x_free, np.zeros(0), [], 1,
-                              float(0.5 * x_free @ h @ x_free + f @ x_free))
-        b = np.asarray(b, dtype=float).ravel()
         b_scale = 1.0 + float(np.abs(b).max())
         tol = FEAS_TOL * b_scale
 
         ws, lam, iterations, x, gx_b = (
-            factor.laws.match(factor, self.working_set, np.concatenate(
-                [f, b]) if theta is None else theta, x_free, b, tol)
+            factor.laws.match(factor, self.working_set, theta, x_free, b, tol)
             or self._warm_start(factor, x_free, b))
         if gx_b.max() > tol:  # never on a law-table hit
             viol = gx_b.copy()
             viol[ws] = -np.inf
             p = int(np.argmax(viol))
             if viol[p] > tol:
-                x, ws, lam, iterations = self._dual_steps(
+                x, ws, lam, iterations, gx_b = self._dual_steps(
                     factor, x_free, b, tol, ws, lam, iterations, viol, p)
-                gx_b = g @ x - b
-        mult = np.zeros(m)
+        mult = np.zeros(len(b))
         mult[ws] = np.maximum(lam, 0.0)
-        hx = h @ x
-        self._verify_kkt(f, g, gx_b, hx, mult, b_scale)
+        hx = factor.h @ x
+        self._verify_kkt(f, factor.g, gx_b, hx, mult, b_scale)
         self.working_set = sorted(ws)
         if ws:
             factor.laws.record(tuple(self.working_set))
@@ -235,15 +230,16 @@ class ActiveSetSolver:
     def _dual_steps(self, factor: QpFactor, x_free, b, tol, ws, lam,
                     iterations, viol, p):
         """Steps from working set W = ``ws``, multipliers ``lam``, ``viol`` =
-        G x - b (W at -inf) and its worst row ``p`` until no row is violated.
+        G x - b (W at -inf) and its worst row ``p`` until no row is violated;
+        returns (x, W, lambda_W, iterations, G x - b).
 
         J = M_WW^-1 is inverted once, bordered by s = M_pp - M_pW J M_Wp when
         row p joins W and downdated by rank one when a row leaves. Per unit of
         row p's multiplier lam_W moves by -u = -J M_Wp and x by z, H z =
         G_W' u - g_p, so G z = M_:W u - M_:p and s = z'Hz = -(G z)_p; viol is
-        carried as viol += t G z. Once none is left, lam is solved afresh on W
-        (through J's updates it drifts when M_WW is ill-conditioned), x =
-        x_free - H^-1 G_W' lam is formed and G x - b at it decides the exit."""
+        carried as viol += t G z. Once none is left, ``_point`` solves lam
+        afresh on W (through J's updates it drifts when M_WW is
+        ill-conditioned), and G x - b at its x decides the exit."""
         g, mm = factor.g, factor.m
         n = g.shape[1]
         max_iter = max(10, MAX_ITER_FACTOR * n)
@@ -254,15 +250,13 @@ class ActiveSetSolver:
             if p < 0:
                 p = int(viol.argmax())
                 if viol[p] <= tol:
-                    w = np.array(ws, dtype=np.intp)
-                    lam = np.linalg.solve(mm[w[:, None], w],
-                                          g[w] @ x_free - b[w]).tolist()
-                    x = x_free - factor.h_inv_gt[:, ws] @ lam
-                    viol = g @ x - b
+                    lam, x, gx_b = self._point(factor, x_free, b, ws)
+                    viol = gx_b.copy()
                     viol[ws] = -np.inf
                     p = int(viol.argmax())
                     if viol[p] <= tol:
-                        return x, ws, lam, iterations
+                        return x, ws, lam, iterations, gx_b
+                    lam = lam.tolist()
             if iterations >= max_iter:
                 raise QpIterationError(
                     f"active set did not settle in {max_iter} iterations")
@@ -311,25 +305,34 @@ class ActiveSetSolver:
                 del ws[drop], lam[drop]
 
     def _warm_start(self, factor: QpFactor, x_free, b):
-        """(W, multipliers, solves spent, x, G x - b) to start from: the last
-        working set W with M_WW lam = G_W x_free - b_W, dropping the row of
-        the most negative multiplier until none is negative, which keeps the
-        start dual feasible. An emptied or singular set starts cold."""
-        ws = [i for i in self.working_set if i < b.size]
-        solves = 1
+        """(W, multipliers, solves spent, x, G x - b) to start from: the
+        ``_point`` of the last working set W, dropping the row of the most
+        negative multiplier until none is negative, which keeps the start
+        dual feasible. An emptied or singular set starts cold."""
+        ws, solves = [i for i in self.working_set if i < b.size], 1
         while ws:
-            w = np.array(ws)
             try:
-                lam = np.linalg.solve(factor.m[w[:, None], w],
-                                      factor.g[w] @ x_free - b[w])
+                lam, x, gx_b = self._point(factor, x_free, b, ws, prune=True)
             except np.linalg.LinAlgError:
                 break
-            if lam.min() >= 0.0:
-                x = x_free - factor.h_inv_gt[:, ws] @ lam
-                return ws, lam, solves, x, factor.g @ x - b
+            if x is not None:
+                return ws, lam, solves, x, gx_b
             del ws[int(np.argmin(lam))]
             solves += 1
         return [], np.zeros(0), solves, x_free, factor.g @ x_free - b
+
+    @staticmethod
+    def _point(factor: QpFactor, x_free, b, ws, prune=False):
+        """(lambda_W, x, G x - b) with W = ``ws`` held as equalities: M_WW
+        lambda_W = G_W x_free - b_W, x = x_free - H^-1 G_W' lambda_W. With
+        ``prune``, x and G x - b are None if some lambda_W < 0."""
+        w = np.array(ws, dtype=np.intp)
+        lam = np.linalg.solve(factor.m[w[:, None], w],
+                              factor.g[w] @ x_free - b[w])
+        if prune and lam.min() < 0.0:
+            return lam, None, None
+        x = x_free - factor.h_inv_gt[:, ws] @ lam
+        return lam, x, factor.g @ x - b
 
     @staticmethod
     def _verify_kkt(f, g, gx_b, hx, mult, b_scale):
@@ -343,6 +346,6 @@ class ActiveSetSolver:
         if not gx_b.max() <= FEAS_TOL * b_scale:
             raise QpIterationError("accepted point is primal infeasible")
         comp = np.abs(mult * gx_b).max()
-        if not comp <= STAT_TOL * b_scale * (1.0 + np.abs(mult).max()):
+        if not comp <= STAT_TOL * b_scale * (1.0 + mult.max()):
             raise QpIterationError(
                 f"complementary slackness residual {comp:.3e} above tolerance")

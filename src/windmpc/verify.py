@@ -185,9 +185,9 @@ def random_qp_instance(rng):
 def run_benchmark(instances=QP_INSTANCES, seed=0):
     """Solve seeded random QPs and compare against the enumeration oracle.
 
-    Each instance is solved twice by one solver on one factor, the second
-    time at a perturbed (f, b) that x0 still satisfies, so the second solve
-    can take the factor's law table. Returns (failures, worst_deviation,
+    Each instance is solved twice by one solver on one factor, at theta =
+    [f; b] and at a perturbed one that x0 still satisfies, so the second
+    solve can take the factor's law table. Returns (failures, worst_deviation,
     hits): a failure is an instance with a solver exception or a solution
     further than QP_ORACLE_TOL from the oracle's in the max norm, and a hit a
     second solve that ends in one iteration on a nonempty working set.
@@ -202,7 +202,7 @@ def run_benchmark(instances=QP_INSTANCES, seed=0):
         try:
             deviation = 0.0
             for f_k, b_k in ((f, b), again):
-                sol = solver.solve(factor, f_k, b_k)
+                sol = solver.solve(factor, np.concatenate([f_k, b_k]))
                 deviation = max(deviation, float(
                     np.abs(sol.x - enumerate_qp(h, f_k, g, b_k)).max()))
         except (InfeasibleQpError, QpIterationError):

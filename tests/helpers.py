@@ -24,7 +24,8 @@ class ConstraintSet:
     """Per-step bounds in deviation coordinates; ``stacked`` is the vector
     that ``condense`` takes.
 
-    Infinite entries are legal and drop the matching stacked rows. du
+    Infinite entries are legal and drop the matching stacked rows, but
+    ``condense`` needs at least one finite bound to form a program. du
     bounds apply to single moves, u bounds to accumulated inputs over the
     control horizon, y bounds to predicted outputs over the prediction
     horizon.
@@ -52,7 +53,8 @@ class ConstraintSet:
 
 
 def unbounded_constraints(n_in=2, n_out=2):
-    """A ConstraintSet whose every bound is infinite, so it adds no rows."""
+    """A ConstraintSet whose every bound is infinite, so it adds no rows;
+    give it a finite bound before ``condense``."""
     inf_in = np.full(n_in, np.inf)
     inf_out = np.full(n_out, np.inf)
     return ConstraintSet(-inf_in, inf_in, -inf_in, inf_in, -inf_out, inf_out)
@@ -195,7 +197,7 @@ class ReferenceSolver(ActiveSetSolver):
             else:
                 del ws[drop]
                 lam = np.delete(lam, drop)
-        return x, ws, lam, iterations
+        return x, ws, lam, iterations, g @ x - b
 
 
 class ResidualLaws(dict):

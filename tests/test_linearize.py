@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from windmpc import (DomainError, aerodynamic_torque, continuous_model,
-                     derivatives, discretize, equilibrium, fd_jacobian,
-                     matrix_exponential, torque_gradients, verify_linearization)
+from windmpc import (DomainError, TurbineParams, aerodynamic_torque,
+                     continuous_model, derivatives, discretize, equilibrium,
+                     fd_jacobian, matrix_exponential, torque_gradients,
+                     verify_linearization)
+from windmpc.cli import _parse_v_range
 from windmpc.verify import JACOBIAN_REL_TOL
 
 
@@ -56,12 +60,25 @@ class TestEquilibrium:
         assert op.x_bar.omega_t == pytest.approx(2.0134, abs=1e-4)
         assert op.x_bar.omega_g == pytest.approx(126.04, abs=5e-3)
 
-    def test_residuals_at_offline_operating_points(self, params):
-        for v in (6.4, 10.0):
+    @settings(max_examples=60, deadline=None)
+    @given(j_t=st.floats(1e4, 1e8), j_g=st.floats(1.0, 1e4),
+           k_s=st.floats(1e3, 1e8), b_s=st.floats(1.0, 1e5),
+           n_g=st.floats(1.0, 200.0), lambda_opt=st.floats(4.0, 12.0),
+           beta_opt=st.floats(0.0, 5.0))
+    @example(**{name: getattr(TurbineParams(), name) for name in (
+        "j_t", "j_g", "k_s", "b_s", "n_g", "lambda_opt", "beta_opt")})
+    def test_residuals_on_the_lincheck_grid(self, **drawn):
+        # equilibrium does not check its ODE residual itself, so this is the
+        # gate: the offline bank's 6.4 and 10.0 m/s and lincheck's 71 winds,
+        # on the default turbine and on drawn ones
+        params = TurbineParams(**drawn)
+        grid = _parse_v_range("4:11:0.1")
+        assert len(grid) == 71
+        for v in [6.4, 10.0, *grid.tolist()]:
             op = equilibrium(v, params)
             resid = derivatives(op.x_bar, op.u_bar, v, params)
             scale = np.maximum(1.0, np.abs(np.asarray(op.x_bar)))
-            assert np.all(np.abs(resid) < 1e-6 * scale)
+            assert np.all(np.abs(resid) < 1e-6 * scale), v
 
     def test_steady_torque_balance(self, params):
         for v in (5.0, 7.3, 9.9):

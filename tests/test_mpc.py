@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -222,10 +224,13 @@ class TestCondenseConstraints:
         assert s.shape == (120, 8)  # S acts on the state x_a only
 
     def test_all_infinite_bounds_empty(self, augmented):
-        g, w, s = condensed_rows(augmented, unbounded_constraints(), 4, 2)
-        assert g.shape == (0, 4)
-        assert w.size == 0
-        assert s.shape == (0, 8)
+        # the row template is empty, and a program without rows is refused
+        bounds = unbounded_constraints()
+        rows = _constraint_rows(8, 2, 2, 4, 2, np.isfinite(
+            bounds.stacked()).tobytes())
+        assert rows.g.shape == (0, 4) and rows.b.shape == (0, 11)
+        with pytest.raises(ValueError, match="at least one row"):
+            condensed_rows(augmented, bounds, 4, 2)
 
     def test_membership_matches_unrolled_bounds(self, augmented, rng):
         n_p, n_c = 6, 3
@@ -327,11 +332,10 @@ class TestCachedLayout:
             op = equilibrium(v_bar, params)
             model = augment(*discrete_arrays(v_bar, params))
             for w in weight_sets:
-                for bounds in (shift_constraints(op, params), unbounded,
-                               self.SKEWED):
-                    qp = self.assert_condensed_as_reference(model, w, bounds)
-                    if bounds is unbounded:
-                        assert qp.factor.g.shape == (0, 2 * w.n_c)
+                for bounds in (shift_constraints(op, params), self.SKEWED):
+                    self.assert_condensed_as_reference(model, w, bounds)
+                with pytest.raises(ValueError, match="at least one row"):
+                    condensed_qp(model, w, unbounded)
 
     @settings(max_examples=50, deadline=None)
     @given(draws=st.lists(st.tuples(
@@ -341,12 +345,16 @@ class TestCachedLayout:
     def test_any_pattern_of_finite_bounds(self, augmented, draws):
         # each of the 12 stacked bounds finite or infinite, several patterns
         # and horizons per example, so a cached row set served under the
-        # wrong pattern would show
+        # wrong pattern would show; with none finite there is no program
         finite = self.SKEWED.stacked()
         infinite = np.repeat(np.tile([-np.inf, np.inf], 3), 2)
         for pattern, weights in draws:
             bounds = ConstraintSet(*np.where(pattern, finite, infinite)
                                    .reshape(6, 2))
+            if not any(pattern):
+                with pytest.raises(ValueError, match="at least one row"):
+                    condensed_qp(augmented, weights, bounds)
+                continue
             qp = self.assert_condensed_as_reference(augmented, weights, bounds)
             assert len(qp.factor.b_map) == sum(
                 n * sum(pattern[k:k + 4]) for k, n in (
@@ -394,7 +402,10 @@ class TestMpcStep:
 
     def test_single_step_horizon_matches_hand_solution(self, augmented):
         w = MpcWeights(q1=2.0, q2=0.0, r1=1.0, r2=1.0, r3=0.0, n_p=1, n_c=1)
-        qp = condensed_qp(augmented, w, unbounded_constraints())
+        # move bounds of +-1, which the optimum (-8.6e-4, -5.7e-2) leaves slack
+        ones = np.ones(2)
+        bounds = replace(unbounded_constraints(), du_min=-ones, du_max=ones)
+        qp = condensed_qp(augmented, w, bounds)
         r_s = np.array([5.0, 0.0])
         du, _ = mpc_step(qp, np.concatenate([np.zeros(8), r_s, [1.0]]),
                          ActiveSetSolver())

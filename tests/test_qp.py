@@ -25,23 +25,17 @@ def verify_kkt_at(h, f, g, b, x, mult):
 
 
 class TestScalarCases:
-    def test_unconstrained_minimum(self):
-        x = ActiveSetSolver().solve(factorize(np.array([[2.0]])),
-                                    np.array([-4.0])).x
-        assert x[0] == pytest.approx(2.0)
-
+    # theta = [f; b] on the identity maps of a factor built without maps
     def test_clipped_at_bound(self):
-        sol = ActiveSetSolver().solve(
-            factorize(np.array([[2.0]]), np.array([[1.0]])), np.array([-4.0]),
-            np.array([1.0]))
+        factor = factorize(np.array([[2.0]]), np.array([[1.0]]))
+        sol = ActiveSetSolver().solve(factor, np.array([-4.0, 1.0]))
         assert sol.x[0] == pytest.approx(1.0)
         assert sol.working_set == [0]
         assert sol.multipliers[0] > 0.0
 
     def test_inactive_bound_ignored(self):
-        sol = ActiveSetSolver().solve(
-            factorize(np.array([[2.0]]), np.array([[1.0]])), np.array([-4.0]),
-            np.array([5.0]))
+        factor = factorize(np.array([[2.0]]), np.array([[1.0]]))
+        sol = ActiveSetSolver().solve(factor, np.array([-4.0, 5.0]))
         assert sol.x[0] == pytest.approx(2.0)
         assert sol.working_set == []
 
@@ -62,14 +56,14 @@ class TestAgainstEnumeration:
     def test_random_instances_match_oracle(self, rng):
         for _ in range(300):
             h, f, g, b = random_qp_instance(rng)
-            x = ActiveSetSolver().solve(factorize(h, g), f, b).x
+            x = ActiveSetSolver().solve(factorize(h, g), np.r_[f, b]).x
             x_ref = enumerate_qp(h, f, g, b)
             assert np.abs(x - x_ref).max() <= 1e-6
 
     def test_kkt_residuals_on_accepted_solves(self, rng):
         for _ in range(100):
             h, f, g, b = random_qp_instance(rng)
-            sol = ActiveSetSolver().solve(factorize(h, g), f, b)
+            sol = ActiveSetSolver().solve(factorize(h, g), np.r_[f, b])
             grad = h @ sol.x + f + g.T @ sol.multipliers
             assert np.abs(grad).max() <= 1e-8 * (1.0 + np.abs(f).max())
             assert (g @ sol.x - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
@@ -93,9 +87,10 @@ class TestScalingInvariance:
     def test_argmin_unchanged_under_positive_scaling(self, rng):
         for _ in range(50):
             h, f, g, b = random_qp_instance(rng)
-            x1 = ActiveSetSolver().solve(factorize(h, g), f, b).x
+            x1 = ActiveSetSolver().solve(factorize(h, g), np.r_[f, b]).x
             c = 10.0 ** rng.uniform(-3.0, 3.0)
-            x2 = ActiveSetSolver().solve(factorize(c * h, g), c * f, b).x
+            x2 = ActiveSetSolver().solve(factorize(c * h, g),
+                                         np.r_[c * f, b]).x
             assert np.abs(x1 - x2).max() <= 1e-8 * (1.0 + np.abs(x1).max())
 
 
@@ -103,8 +98,8 @@ class TestWarmStart:
     def test_second_solve_reuses_working_set(self, rng):
         h, f, g, b = random_qp_instance(np.random.default_rng(3))
         solver, factor = ActiveSetSolver(), factorize(h, g)
-        first = solver.solve(factor, f, b)
-        again = solver.solve(factor, f, b)
+        first = solver.solve(factor, np.r_[f, b])
+        again = solver.solve(factor, np.r_[f, b])
         assert again.iterations <= first.iterations
         assert np.abs(first.x - again.x).max() <= 1e-10 * (1 + np.abs(first.x).max())
 
@@ -120,7 +115,7 @@ class TestWarmStart:
                 f = f + 0.2 * rng.normal(size=f.size)
                 b_walk = b_walk + 0.05 * rng.normal(size=b.size)
                 b_k = b + np.abs(b_walk)
-                sol = solver.solve(factor, f, b_k)
+                sol = solver.solve(factor, np.r_[f, b_k])
                 assert np.abs(sol.x - enumerate_qp(h, f, g, b_k)).max() <= 1e-6
                 warm_optimal += sol.iterations == 1 and bool(sol.working_set)
         assert warm_optimal > 0   # some solves end on the warm working set
@@ -132,7 +127,7 @@ class TestWarmStart:
         f = np.array([-1.0, -1.0])
         g = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([10.0, 10.0])
-        sol = solver.solve(factorize(h, g), f, b)
+        sol = solver.solve(factorize(h, g), np.r_[f, b])
         assert np.allclose(sol.x, [1.0, 1.0])
         assert sol.working_set == []
 
@@ -146,11 +141,12 @@ class TestPrunedWarmStart:
     b = np.array([0.5, 0.5, 0.5, 10.0])
 
     def test_negative_row_pruned_not_restarted_cold(self):
-        cold = ActiveSetSolver().solve(factorize(self.h, self.g), self.f, self.b)
+        cold = ActiveSetSolver().solve(factorize(self.h, self.g),
+                                       np.r_[self.f, self.b])
         solver = ActiveSetSolver()
         solver.working_set = [0, 1, 2, 3]
         # a fresh factor: on the cold solve's, [0, 1, 2] is a stored law
-        sol = solver.solve(factorize(self.h, self.g), self.f, self.b)
+        sol = solver.solve(factorize(self.h, self.g), np.r_[self.f, self.b])
         assert sol.working_set == [0, 1, 2]
         assert sol.iterations == 2       # the start solve and one prune
         assert cold.iterations == 4      # the start and three adding steps
@@ -162,10 +158,11 @@ class TestPrunedWarmStart:
         b = np.full(4, 10.0)
         solver = ActiveSetSolver()
         solver.working_set = [0, 1, 2, 3]
-        sol = solver.solve(factor, self.f, b)
+        sol = solver.solve(factor, np.r_[self.f, b])
         assert sol.working_set == []
         assert sol.iterations == 5       # the start solve and four prunes
-        assert np.array_equal(sol.x, ActiveSetSolver().solve(factor, self.f, b).x)
+        assert np.array_equal(
+            sol.x, ActiveSetSolver().solve(factor, np.r_[self.f, b]).x)
 
 
 class TestLawTable:
@@ -176,7 +173,7 @@ class TestLawTable:
     g = np.eye(4)
 
     def _solve(self, solver, factor, b):
-        sol = solver.solve(factor, self.f, b)
+        sol = solver.solve(factor, np.r_[self.f, b])
         assert np.abs(sol.x - enumerate_qp(self.h, self.f, self.g, b)).max() <= 1e-6
         return sol
 
@@ -256,7 +253,7 @@ class TestLawTable:
         factor.laws.record((0, 1))       # rows 0 and 1 coincide: M_WW singular
         factor.laws.record((2,))
         f, b = np.array([-1.0, -1.0]), np.array([2.0, 2.0, 0.5])
-        sol = ActiveSetSolver().solve(factor, f, b)
+        sol = ActiveSetSolver().solve(factor, np.r_[f, b])
         assert (0, 1) not in factor.laws
         assert sol.working_set == [2] and sol.iterations == 1
         assert np.abs(sol.x - enumerate_qp(np.eye(2), f, g, b)).max() <= 1e-12
@@ -298,7 +295,7 @@ class TestLawTable:
                 assert np.array_equal(starts, np.cumsum(
                     [0] + [len(key) for key in keys[:-1]]))
             try:
-                learned.add(tuple(solver.solve(factor, f_k, b_k).working_set))
+                learned.add(tuple(solver.solve(factor, theta).working_set))
             except InfeasibleQpError:
                 pass
         assert len(learned) > 8 and hits > 50
@@ -316,7 +313,7 @@ class TestLawTable:
         for k in range(steps):
             f_k = f + scale * rng.normal(size=f.size)
             b_k = b + scale * np.abs(rng.normal(size=b.size))
-            x = solvers[k % 2].solve(factor, f_k, b_k).x
+            x = solvers[k % 2].solve(factor, np.r_[f_k, b_k]).x
             assert np.abs(x - enumerate_qp(h, f_k, g, b_k)).max() <= 1e-6
 
 
@@ -336,8 +333,8 @@ class TestHitVerified:
         # ``extra`` bound vectors teach their sets first
         factor, solver = factorize(np.eye(2), np.eye(2)), ActiveSetSolver()
         for b in (*extra, self.B):
-            solver.solve(factor, self.F, b)
-        sol = solver.solve(factor, self.F, self.B)
+            solver.solve(factor, np.r_[self.F, b])
+        sol = solver.solve(factor, self.THETA)
         assert list(factor.laws)[-1] == (0,) and sol.iterations == 1
         assert np.array_equal(sol.x, [1.0, 2.0])
         return factor, solver
@@ -362,7 +359,7 @@ class TestHitVerified:
         factor, solver = self.learned()
         self.tamper(factor, (0,), block, entry, delta)
         with pytest.raises(QpIterationError, match=error):
-            solver.solve(factor, self.F, self.B)
+            solver.solve(factor, self.THETA)
 
     def test_infeasible_hit_raises(self, monkeypatch):
         # Lambda: lambda_0 = 1/2 and x = (3/2, 2), stationary but breaking
@@ -372,7 +369,7 @@ class TestHitVerified:
         self.tamper(factor, (0,), 0, (0, 2), -0.5)
         assert factor.laws.match(factor, [0], self.THETA, self.X_FREE, self.B,
                                  self.TOL) is None
-        assert np.array_equal(solver.solve(factor, self.F, self.B).x,
+        assert np.array_equal(solver.solve(factor, self.THETA).x,
                               [1.0, 2.0])
 
         def untested(table, factor, last, theta, x_free, b, tol):
@@ -382,7 +379,7 @@ class TestHitVerified:
 
         monkeypatch.setattr(windmpc.qp.LawTable, "match", untested)
         with pytest.raises(QpIterationError, match="primal infeasible"):
-            solver.solve(factor, self.F, self.B)
+            solver.solve(factor, self.THETA)
 
     @pytest.mark.parametrize("block, entry", [(0, (0, 3)), (2, (0, 3)),
                                               (2, (1, 3))],
@@ -396,7 +393,7 @@ class TestHitVerified:
         self.tamper(factor, (0,), block, entry, -10.0 if block == 0 else 10.0)
         assert factor.laws.match(factor, [], self.THETA, self.X_FREE, self.B,
                                  self.TOL) is None
-        sol = ActiveSetSolver().solve(factor, self.F, self.B)
+        sol = ActiveSetSolver().solve(factor, self.THETA)
         assert sol.working_set == [0] and sol.iterations == 2
         assert np.array_equal(sol.x, [1.0, 2.0])
 
@@ -435,9 +432,14 @@ class TestFactor:
             assert np.allclose(factor.m, g @ np.linalg.solve(h, g.T))
             assert np.array_equal(factor.m, factor.m.T)
 
+    def test_constraint_matrix_without_rows_rejected(self):
+        # every program the solver takes has a row: theta = [f; b] needs b
+        with pytest.raises(ValueError, match="at least one row"):
+            factorize(np.eye(2), np.zeros((0, 2)))
+
     def test_indefinite_hessian_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
-            factorize(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            factorize(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
 
     @pytest.mark.parametrize("h", [
         [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
@@ -448,7 +450,7 @@ class TestFactor:
     def test_hessian_without_a_finite_root_rejected(self, h):
         # np.linalg.cholesky returns NaN for these instead of raising
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
-            factorize(np.array(h))
+            factorize(np.array(h), np.eye(2))
 
 
 class TestInfeasibility:
@@ -456,22 +458,17 @@ class TestInfeasibility:
         with pytest.raises(InfeasibleQpError) as exc:
             ActiveSetSolver().solve(
                 factorize(np.array([[2.0]]), np.array([[1.0], [-1.0]])),
-                np.array([0.0]), np.array([-1.0, -2.0]))
+                np.array([0.0, -1.0, -2.0]))
         assert exc.value.worst_row in (0, 1)
-
-    def test_empty_constraint_matrix_is_unconstrained(self):
-        x = ActiveSetSolver().solve(factorize(np.eye(2), np.zeros((0, 2))),
-                                    np.array([-2.0, 4.0]), np.zeros(0)).x
-        assert np.allclose(x, [2.0, -4.0])
 
 
 def captured_qps(controller, profile, params):
-    """(factor, f, b, theta) of every solve in one closed loop, in order."""
+    """(factor, theta) of every solve in one closed loop, in order."""
     calls, solve = [], controller.solver.solve
 
-    def record(factor, f, b=None, theta=None):
-        calls.append((factor, f.copy(), b.copy(), theta.copy()))
-        return solve(factor, f, b, theta)
+    def record(factor, theta):
+        calls.append((factor, theta.copy()))
+        return solve(factor, theta)
 
     controller.solver.solve = record
     run_closed_loop(profile, controller, params)
@@ -489,12 +486,12 @@ def replay(qps, solver):
         return steps(*args)
 
     solver._dual_steps = spy
-    for factor, f, b, theta in qps:
+    for factor, theta in qps:
         factor = copies.setdefault(id(factor), replace(
             factor, laws=windmpc.qp.LawTable()))
         ran.clear()
         try:
-            sol = solver.solve(factor, f, b, theta)
+            sol = solver.solve(factor, theta)
             out.append((sol.working_set, sol.iterations, None, sol.x, any(ran)))
         except (InfeasibleQpError, QpIterationError) as exc:
             out.append((None, None, (type(exc), getattr(exc, "worst_row", None)),
@@ -540,13 +537,13 @@ class TestReferencePath:
     @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(2, 25),
            scale=st.floats(1e-3, 1.0))
     def test_drifting_sequences(self, seed, steps, scale):
-        # one solver on one factor while (f, b) drift, so law hits, warm
-        # starts and dual steps all occur
+        # one solver on one factor while theta = [f; b] drifts, so law hits,
+        # warm starts and dual steps all occur
         rng = np.random.default_rng(seed)
         h, f, g, b = random_qp_instance(rng)
         factor = factorize(h, g)
-        qps = [(factor, f + scale * rng.normal(size=f.size),
-                b + scale * np.abs(rng.normal(size=b.size)), None)
+        qps = [(factor, np.r_[f + scale * rng.normal(size=f.size),
+                              b + scale * np.abs(rng.normal(size=b.size))])
                for _ in range(steps)]
         assert_same_path(qps, ActiveSetSolver(), ReferenceSolver())
 
@@ -590,7 +587,7 @@ class TestDependentRow:
         # H = I and rows 0 and 1 bind at x = 0, with multipliers 1, on the
         # warm start
         solver.working_set = [0, 1]
-        return solver.solve(factorize(np.eye(2), g), f, b)
+        return solver.solve(factorize(np.eye(2), g), np.r_[f, b])
 
     @pytest.mark.parametrize("cls", [ActiveSetSolver, ReferenceSolver])
     def test_positive_combination_enforced_after_drops(self, cls):
@@ -632,7 +629,7 @@ class TestDependentRow:
         source, first = inspect.getsourcelines(code)
         abandon, fresh = (first + next(i for i, line in enumerate(source)
                                        if text in line)
-                          for text in ("abandoned", "lam = np.linalg.solve"))
+                          for text in ("abandoned", "self._point("))
         seen = {}
 
         def trace(frame, event, arg):
@@ -645,12 +642,13 @@ class TestDependentRow:
         previous = sys.gettrace()
         sys.settrace(trace)
         try:
-            x, ws, lam_w, _ = ActiveSetSolver()._dual_steps(
+            x, ws, lam_w, _, gx_b = ActiveSetSolver()._dual_steps(
                 factorize(np.eye(2), g), lam.copy(), b, 1e-9 * 1.5, [0, 1],
                 lam, 1, viol, 2)
         finally:
             sys.settrace(previous)
         assert abandon in seen and ws == [3, 2]
+        assert np.array_equal(gx_b, g @ x - b)
         assert seen[fresh][0] == pytest.approx(lam_w[0], rel=1e-12)
         assert np.abs(x - enumerate_qp(np.eye(2), -lam, g, b)).max() <= 1e-12
         assert np.abs(x - [-1.0, -0.5]).max() <= 1e-7
@@ -717,7 +715,7 @@ class TestIndependentWorkingRows:
         factor, solver = factorize(h, g), cls()
         for f_k in (f, f + 0.1 * rng.normal(size=f.size)):
             try:
-                sol = solver.solve(factor, f_k, b)
+                sol = solver.solve(factor, np.r_[f_k, b])
             except (InfeasibleQpError, QpIterationError):
                 continue
             assert len(sol.working_set) <= len(h)
